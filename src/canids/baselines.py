@@ -24,6 +24,10 @@ class KTooLarge(ValueError):
     """k exceeds the number of stored training rows."""
 
 
+class NonFiniteInput(ValueError):
+    """KNN features contain NaN or infinity."""
+
+
 # ---------------------------------------------------------------------------
 # K-nearest neighbors
 # ---------------------------------------------------------------------------
@@ -35,6 +39,11 @@ class KnnModel:
     y: np.ndarray
 
 
+def _require_finite(what: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteInput(f"{what} contain NaN or infinity")
+
+
 def knn_fit(train_x: np.ndarray, train_y: np.ndarray) -> KnnModel:
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.uint8)
@@ -42,7 +51,27 @@ def knn_fit(train_x: np.ndarray, train_y: np.ndarray) -> KnnModel:
         raise EmptyTrainingSet("KNN needs at least one training row")
     if len(train_x) != len(train_y):
         raise ValueError("features and labels differ in length")
+    _require_finite("training rows", train_x)
     return KnnModel(train_x.copy(), train_y.copy())
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gram_candidates(block: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the rows of x within the Gram error band of each query's k-th nearest.
+
+    See ``knn_predict`` for the bound. Overflow is silenced here because a
+    query whose bound overflows takes every row.
+    """
+    sq_q = (block * block).sum(axis=1)
+    sq_x = (x * x).sum(axis=1)
+    gram = sq_q[:, None] + sq_x[None, :] - 2.0 * (block @ x.T)
+    kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+    norms = sq_q + sq_x.max()
+    info = np.finfo(np.float64)
+    tol = 8 * (x.shape[1] + 4) * (info.eps * norms + info.smallest_subnormal)
+    candidate = gram <= (kth + 2 * tol)[:, None]
+    candidate[~np.isfinite(4 * norms)] = True
+    return candidate
 
 
 def knn_predict(
@@ -50,22 +79,67 @@ def knn_predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact k-nearest vote by Euclidean distance.
 
-    Distance ties break toward the lower training index (stable sort); vote
-    ties predict attack. Returns hard labels and the attack-vote fraction.
+    The distance of query q to training row x is the float64 value of
+    ``((q - x) ** 2).sum()``. Distance ties break toward the lower training
+    index; vote ties predict attack. Returns hard labels and the attack-vote
+    fraction. Working memory is a few ``chunk x n_train`` float arrays.
+
+    The k nearest are found without forming every difference row:
+
+    1. Duplicate queries are solved once, because the answer depends only
+       on the query's values.
+    2. For each block of ``chunk`` unique queries, one matrix product gives
+       the Gram form ``g = |q|^2 + |x|^2 - 2 q.x`` against every row.
+    3. The candidates of q are the rows with ``g <= t + 2 tol``, where t is
+       q's k-th smallest g and ``tol`` bounds ``|g - e|`` (below).
+    4. The distance e, as defined above, is computed for the candidates
+       only. They are sorted stably by (e, training index) and the first k
+       vote.
+
+    Error bound. Let u = eps/2, gamma_n = n u / (1 - n u), d the width,
+    D the real squared distance and S = |q|^2 + max |x|^2, so D <= 2S and
+    2|q.x| <= S. Each term of e carries a relative error of at most
+    gamma_3 and summing d non-negative terms adds gamma_{d-1}, so
+    ``|e - D| <= gamma_{d+2} D <= 2 gamma_{d+2} S``. In g, the two norms
+    err by at most gamma_d S together, the doubled dot product by gamma_d S
+    (any summation order, FMA or not), and the final addition and
+    subtraction by at most 3u(1 + gamma_d)^2 S; in all
+    ``|g - D| <= 2 gamma_{d+2} S``. Hence ``|g - e| <= 4 gamma_{d+2} S``,
+    about 2(d + 2) eps S, and ``tol = 8 (d + 4) (eps S + tiny)`` exceeds it.
+    The ``tiny`` (smallest subnormal) term covers underflow: a product that
+    underflows errs by at most tiny/2 absolutely, and e and g hold 4d
+    products between them, the doubled dot product counting twice, so
+    underflow adds at most 2.5 d tiny.
+
+    Candidates suffice. The k rows with the smallest g have e <= t + tol, so
+    the k-th smallest e, e_k, is at most t + tol. Every row with e <= e_k,
+    which takes in the true k nearest and every row tied with the k-th, has
+    g <= e + tol <= t + 2 tol and is a candidate. So the first k candidates
+    in (e, index) order are the first k of all rows in that order.
+
+    The bound needs every intermediate to stay finite, which holds while 4S
+    does. A query for which it does not takes every row as a candidate.
+    Non-finite inputs raise ``NonFiniteInput``.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not 1 <= k <= len(model.x):
         raise KTooLarge(f"k={k} with {len(model.x)} training rows")
-    labels = np.empty(len(queries), dtype=np.uint8)
-    votes = np.empty(len(queries))
-    for start in range(0, len(queries), chunk):
-        block = queries[start : start + chunk]
-        d2 = ((block[:, None, :] - model.x[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        frac = model.y[nearest].mean(axis=1)
-        votes[start : start + chunk] = frac
-        labels[start : start + chunk] = (frac >= 0.5).astype(np.uint8)
-    return labels, votes
+    _require_finite("queries", queries)
+    unique, inverse = np.unique(queries, axis=0, return_inverse=True)
+    x = model.x
+    frac = np.empty(len(unique))
+    for start in range(0, len(unique), chunk):
+        block = unique[start : start + chunk]
+        rows, cols = np.nonzero(_gram_candidates(block, x, k))
+        dist = ((block[rows] - x[cols]) ** 2).sum(axis=1)
+        order = np.lexsort((cols, dist, rows))
+        counts = np.bincount(rows, minlength=len(block))
+        first = np.cumsum(counts) - counts
+        nearest = cols[order[first[:, None] + np.arange(k)]]
+        frac[start : start + chunk] = model.y[nearest].mean(axis=1)
+    labels = (frac >= 0.5).astype(np.uint8)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 alone returns it as a column
+    return labels[inverse], frac[inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import NormalizationParams
-from .nncore import Network, network_from_descriptor
+from .nncore import MalformedDescriptor, Network, network_from_descriptor
 
 MAGIC = b"CANCKPT1"
 FORMAT_VERSION = 1
@@ -105,7 +105,10 @@ def load_checkpoint(path: str | Path) -> tuple[Network, NormalizationParams, int
     pairs = reader.f64_array(2 * n_norm).reshape(n_norm, 2) if n_norm else np.zeros((0, 2))
     norm = NormalizationParams(pairs[:, 0].copy(), pairs[:, 1].copy())
 
-    model = network_from_descriptor(descriptor)
+    try:
+        model = network_from_descriptor(descriptor)
+    except MalformedDescriptor as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from None
     params = model.parameters()
     n_arrays = reader.u32()
     if n_arrays != len(params):

@@ -700,8 +700,12 @@ def load_dataset(path: str | Path) -> PreparedDataset:
     kinds_path = path.with_name(path.name + ".kinds")
     if kinds_path.exists():
         per_part: dict[str, list[str]] = {"train": [], "validation": [], "test": []}
-        for line in kinds_path.read_text().splitlines():
-            partition, kind = line.split(",", 1)
+        for lineno, line in enumerate(kinds_path.read_text().splitlines(), 1):
+            partition, sep, kind = line.partition(",")
+            if not sep or partition not in per_part:
+                raise CorruptContainer(
+                    f"{kinds_path} line {lineno}: expected train|validation|test,<kind>, got {line!r}"
+                )
             per_part[partition].append("" if kind == "normal" else kind)
         ds.train_kind = np.array(per_part["train"], dtype="<U8")
         ds.val_kind = np.array(per_part["validation"], dtype="<U8")

@@ -24,6 +24,10 @@ class InvalidOneHot(ValueError):
     """Target rows are not valid one-hot vectors."""
 
 
+class MalformedDescriptor(ValueError):
+    """An architecture descriptor token is unknown or has the wrong fields."""
+
+
 class NonFiniteGradient(FloatingPointError):
     """Gradient contains NaN or infinity."""
 
@@ -381,25 +385,30 @@ class Network:
             np.copyto(p, saved)
 
 
+_LAYER_TOKENS: dict[str, tuple[type[Layer], int]] = {
+    "conv1d": (Conv1D, 3),
+    "dense": (Dense, 2),
+    "maxpool": (MaxPool1D, 0),
+    "flatten": (Flatten, 0),
+    "relu": (ReLU, 0),
+    "softmax": (Softmax, 0),
+}
+
+
 def network_from_descriptor(descriptor: str) -> Network:
     """Rebuild a layer stack from its ``describe()`` string (weights unset)."""
     layers: list[Layer] = []
     for token in descriptor.split("|"):
         name, *args = token.split(":")
-        if name == "conv1d":
-            layers.append(Conv1D(int(args[0]), int(args[1]), int(args[2])))
-        elif name == "dense":
-            layers.append(Dense(int(args[0]), int(args[1])))
-        elif name == "maxpool":
-            layers.append(MaxPool1D())
-        elif name == "flatten":
-            layers.append(Flatten())
-        elif name == "relu":
-            layers.append(ReLU())
-        elif name == "softmax":
-            layers.append(Softmax())
-        else:
-            raise ValueError(f"unknown layer token {token!r}")
+        if name not in _LAYER_TOKENS:
+            raise MalformedDescriptor(f"unknown layer token {token!r}")
+        layer_cls, n_fields = _LAYER_TOKENS[name]
+        if len(args) != n_fields:
+            raise MalformedDescriptor(f"layer token {token!r} needs {n_fields} fields")
+        try:
+            layers.append(layer_cls(*(int(a) for a in args)))
+        except ValueError as exc:
+            raise MalformedDescriptor(f"layer token {token!r}: {exc}") from None
     return Network(layers)
 
 

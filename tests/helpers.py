@@ -22,3 +22,18 @@ def toy_dataset(n=200, seed=0, gap=0.6):
         test_y=y[:n_test],
         norm=norm,
     )
+
+
+def knn_difference_tensor(model, queries, k, chunk=256):
+    """Reference KNN: full difference tensor and index-stable argsort per block."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    labels = np.empty(len(queries), dtype=np.uint8)
+    votes = np.empty(len(queries))
+    for start in range(0, len(queries), chunk):
+        block = queries[start : start + chunk]
+        d2 = ((block[:, None, :] - model.x[None, :, :]) ** 2).sum(axis=2)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        frac = model.y[nearest].mean(axis=1)
+        votes[start : start + chunk] = frac
+        labels[start : start + chunk] = (frac >= 0.5).astype(np.uint8)
+    return labels, votes

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canids.baselines import (
     EmptyTrainingSet,
     KTooLarge,
+    NonFiniteInput,
     build_mlp,
     knn_fit,
     knn_predict,
@@ -13,7 +16,7 @@ from canids.baselines import (
 )
 from canids.nncore import boundary_margin, grad_check, jitter_parameters
 from canids.plenet import TrainConfig, train
-from helpers import toy_dataset
+from helpers import knn_difference_tensor, toy_dataset
 
 
 def knn_oracle(train_x, train_y, query, k):
@@ -68,6 +71,47 @@ class TestKnn:
         model = knn_fit(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(KTooLarge):
             knn_predict(model, np.zeros((1, 2)), k=4)
+
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(NonFiniteInput):
+            knn_fit(np.array([[0.0, np.inf]]), np.zeros(1))
+        model = knn_fit(np.zeros((3, 2)), np.zeros(3))
+        with pytest.raises(NonFiniteInput):
+            knn_predict(model, np.array([[0.0, np.nan]]), k=1)
+
+    def test_signed_zero_queries_fold_exactly(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        y = np.array([1, 0, 0, 1], dtype=np.uint8)
+        queries = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, -0.0]])
+        model = knn_fit(x, y)
+        for k in range(1, 5):
+            got = knn_predict(model, queries, k=k)
+            want = knn_difference_tensor(model, queries, k=k)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @given(data=st.data())
+    def test_tie_heavy_grid_matches_difference_tensor(self, data):
+        """Coarse grids make duplicate rows, duplicate queries and exact ties common."""
+        width = data.draw(st.sampled_from([1, 2, 3, 16]))
+        levels = data.draw(st.integers(1, 4))
+        # 3e-161 squares into a few hundred subnormal steps; 1e160 overflows squares to inf
+        scale = data.draw(st.sampled_from([1.0, 0.1, 0.7, 1 / 255, 1 / 3, 3e-161, 1e160]))
+        row = st.lists(st.integers(-levels, levels), min_size=width, max_size=width)
+        train = data.draw(st.lists(row, min_size=1, max_size=40))
+        n = len(train)
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        picks = data.draw(st.lists(st.integers(0, n - 1), max_size=10))
+        queries = [train[i] for i in picks] + data.draw(st.lists(row, min_size=1, max_size=10))
+        queries = queries * data.draw(st.integers(1, 2))
+        chunk = data.draw(st.sampled_from([1, 3, 256]))
+        model = knn_fit(np.array(train) * scale, np.array(y, dtype=np.uint8))
+        q = np.array(queries) * scale
+        for k in range(1, n + 1):
+            labels, votes = knn_predict(model, q, k=k, chunk=chunk)
+            want_labels, want_votes = knn_difference_tensor(model, q, k=k)
+            assert labels.tobytes() == want_labels.tobytes()
+            assert votes.tobytes() == want_votes.tobytes()
 
 
 class TestDecisionTree:

@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from canids.baselines import build_mlp
 from canids.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
     CorruptCheckpoint,
     VersionMismatch,
     config_digest,
@@ -67,6 +71,22 @@ class TestValidation:
         blob[8] = 99  # version field sits right after the magic
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("descriptor", [b"conv1d:1", b"dense:16:x", b"relu|dense"])
+    def test_malformed_descriptor(self, tmp_path, descriptor):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            MAGIC
+            + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", len(descriptor))
+            + descriptor
+            + struct.pack("<Q", 0)  # seed
+            + struct.pack("<I", 0)  # empty config digest
+            + struct.pack("<I", 0)  # no normalization pairs
+            + struct.pack("<I", 0)  # no parameter arrays
+        )
+        with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from canids.checkpoint import save_checkpoint
 from canids.cli import parse_attack, parse_profile, run_command
 from canids.ingest import load_dataset
+from canids.plenet import build_plenet
 
 PROFILE = """\
 # three periodic transmitters
@@ -266,6 +268,22 @@ class TestExitCodes:
     def test_runtime_failure_is_1(self, tmp_path):
         missing = tmp_path / "nope.bin"
         assert run_command(["train", "--data", str(missing), "--output", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_unknown_sidecar_partition_is_1(self, pipeline, command, capsys):
+        tmp_path, log, data = pipeline
+        kinds = tmp_path / "data.bin.kinds"
+        lines = kinds.read_text().splitlines()
+        lines[0] = "holdout," + lines[0].split(",", 1)[1]
+        kinds.write_text("\n".join(lines) + "\n")
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_plenet(seed=0), ckpt)
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(data)],
+            "compare": ["compare", "--data", str(data), "--epochs", "1"],
+        }[command]
+        assert run_command(argv) == 1
+        assert "expected train|validation|test,<kind>" in capsys.readouterr().err
 
     def test_bad_attack_spec_is_1(self, tmp_path, profile_path):
         code = run_command(

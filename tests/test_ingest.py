@@ -443,3 +443,14 @@ class TestContainerRoundTrip:
         path.write_bytes(b"NOTADATA" * 10)
         with pytest.raises(CorruptContainer):
             load_dataset(path)
+
+    @pytest.mark.parametrize("bad_line", ["holdout,normal", "train", ""])
+    def test_malformed_kinds_line_rejected(self, tmp_path, bad_line):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        kinds = tmp_path / "data.bin.kinds"
+        lines = kinds.read_text().splitlines()
+        lines[0] = bad_line
+        kinds.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptContainer):
+            load_dataset(path)

@@ -11,6 +11,7 @@ from canids.nncore import (
     Dense,
     Flatten,
     InvalidOneHot,
+    MalformedDescriptor,
     MaxPool1D,
     Network,
     NonFiniteGradient,
@@ -336,6 +337,14 @@ class TestNetwork:
         rebuilt = network_from_descriptor(net.describe())
         assert rebuilt.describe() == net.describe()
         assert rebuilt.param_count() == net.param_count()
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["conv1d:1", "dense:16", "dense:16:2:9", "relu:1", "dense:a:2", "dense:0:2", "lstm:4", ""],
+    )
+    def test_malformed_descriptor_is_typed(self, descriptor):
+        with pytest.raises(MalformedDescriptor):
+            network_from_descriptor(descriptor)
 
     def test_snapshot_restore(self):
         net = self.build_small(seed=7)
