@@ -86,6 +86,14 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def text(self) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint(f"string at byte {self.off - len(raw)} is not UTF-8") from None
+
     def f64_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
 
@@ -98,9 +106,9 @@ def load_checkpoint(path: str | Path) -> tuple[Network, NormalizationParams, int
     version = reader.u32()
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"format version {version}, expected {FORMAT_VERSION}")
-    descriptor = reader.take(reader.u32()).decode()
+    descriptor = reader.text()
     seed = reader.u64()
-    digest = reader.take(reader.u32()).decode()
+    digest = reader.text()
     n_norm = reader.u32()
     pairs = reader.f64_array(2 * n_norm).reshape(n_norm, 2) if n_norm else np.zeros((0, 2))
     norm = NormalizationParams(pairs[:, 0].copy(), pairs[:, 1].copy())

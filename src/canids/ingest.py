@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .canbus import TrafficRecord
+from .canbus import ATTACK_KINDS, TrafficRecord
 
 N_FEATURES = 16
 PAYLOAD_WIDTH = 8
@@ -34,6 +34,9 @@ PAYLOAD_WIDTH = 8
 CONTAINER_MAGIC = b"CANIDS1"
 
 IMPUTE_POLICIES = ("droprow", "fieldmean")
+
+# the names a kinds sidecar may hold, one per row
+SIDECAR_KINDS = ("normal", *ATTACK_KINDS)
 
 
 class EmptyInput(ValueError):
@@ -70,6 +73,10 @@ class UnnormalizedInput(ValueError):
 
 class CorruptContainer(ValueError):
     """Dataset container fails structural validation."""
+
+
+class UnknownKind(ValueError):
+    """A kinds sidecar names a kind outside ``SIDECAR_KINDS``."""
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +441,9 @@ class RecordTable:
             raise EmptyInput("no records to tabulate")
         if kinds is not None and len(kinds) != len(records):
             raise LengthMismatch("kinds sidecar length differs from record count")
+        unknown = sorted(set(kinds or ()) - set(SIDECAR_KINDS))
+        if unknown:
+            raise UnknownKind(f"kinds sidecar names unknown kinds {unknown[:5]}")
         n = len(records)
         timestamp = np.zeros(n)
         can_id = np.zeros(n, dtype=np.int64)
@@ -696,7 +706,10 @@ def load_dataset(path: str | Path) -> PreparedDataset:
             line.split("=", 1) for line in manifest.read_text().splitlines() if "=" in line
         )
         ds.provenance = meta.get("source", "")
-        ds.seed = int(meta.get("seed", 0))
+        try:
+            ds.seed = int(meta.get("seed", 0))
+        except ValueError:
+            raise CorruptContainer(f"{manifest}: seed {meta['seed']!r} is not an integer") from None
     kinds_path = path.with_name(path.name + ".kinds")
     if kinds_path.exists():
         per_part: dict[str, list[str]] = {"train": [], "validation": [], "test": []}
@@ -706,6 +719,8 @@ def load_dataset(path: str | Path) -> PreparedDataset:
                 raise CorruptContainer(
                     f"{kinds_path} line {lineno}: expected train|validation|test,<kind>, got {line!r}"
                 )
+            if kind not in SIDECAR_KINDS:
+                raise CorruptContainer(f"{kinds_path} line {lineno}: unknown kind {kind!r}")
             per_part[partition].append("" if kind == "normal" else kind)
         ds.train_kind = np.array(per_part["train"], dtype="<U8")
         ds.val_kind = np.array(per_part["validation"], dtype="<U8")

@@ -9,9 +9,23 @@ are exact gradients verifiable against central finite differences.
 Sequence tensors are (length, channels) for a single sample or
 (batch, length, channels) batched; flat tensors are (units,) or
 (batch, units). Single-sample inputs come back out single-sample.
+
+Parameter storage: a ``Network`` owns one contiguous float64 parameter
+vector (``param_buffer``) and one gradient vector of the same length
+(``grad_buffer``). Each trainable layer's ``w``, ``b``, ``gw`` and ``gb``
+are reshaped views into them, laid out in layer order with ``w`` before
+``b`` -- the order of ``Network.parameters()`` and of the checkpoint
+file. Zeroing the gradients is one fill, and the optimizer updates each
+contiguous run of unfrozen parameters (``Network.trainable_runs``) in one
+pass. The contract that keeps this sound: never rebind ``layer.w`` (or
+``b``, ``gw``, ``gb``) of a layer inside a network; write through
+``layer.w[...] = ...`` or ``np.copyto``. A layer belongs to at most one
+network. Layers built on their own keep private arrays and work standalone.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,10 +53,6 @@ class NonFiniteLoss(FloatingPointError):
 def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -84,7 +94,8 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndar
     onehot = np.atleast_2d(np.asarray(onehot, dtype=np.float64))
     if probs.shape != onehot.shape:
         raise ShapeMismatch(f"probs {probs.shape} vs targets {onehot.shape}")
-    if not (np.isin(onehot, (0.0, 1.0)).all() and np.allclose(onehot.sum(axis=1), 1.0)):
+    # entries of 0 or 1 make each row sum an exact integer, so "== 1" is exact
+    if not (((onehot == 0.0) | (onehot == 1.0)).all() and (onehot.sum(axis=1) == 1.0).all()):
         raise InvalidOneHot("targets must be one-hot rows")
     n = probs.shape[0]
     clamped = np.maximum(probs, _PROB_FLOOR)
@@ -93,10 +104,28 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndar
     return loss, grad
 
 
+def _select(keep: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``np.where(keep, grad, 0.0)`` bit for bit, for a float64 gradient.
+
+    ANDs the gradient's bit pattern with a sign-extended mask: a kept
+    element passes unchanged (signed zeros, infinities and NaN payloads
+    included) and a dropped one becomes +0.0.
+    """
+    mask = keep.astype(np.int64)
+    np.negative(mask, out=mask)
+    bits = np.asarray(grad, dtype=np.float64).view(np.int64)
+    return np.bitwise_and(bits, mask, out=mask).view(np.float64)
+
+
 class Layer:
-    """Forward/backward pair; trainable layers carry weight and bias arrays."""
+    """Forward/backward pair; trainable layers carry weight and bias arrays.
+
+    A trainable layer names its parameter attributes in ``param_names``;
+    the gradient of parameter ``w`` lives in ``gw``.
+    """
 
     trainable = False
+    param_names: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -105,10 +134,10 @@ class Layer:
         raise NotImplementedError
 
     def params(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, name) for name in self.param_names]
 
     def grads(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, "g" + name) for name in self.param_names]
 
     def zero_grads(self) -> None:
         for g in self.grads():
@@ -122,6 +151,7 @@ class Conv1D(Layer):
     """Valid cross-correlation: out[t, f] = b[f] + sum_{k,c} w[f,k,c] x[t+k,c]."""
 
     trainable = True
+    param_names = ("w", "b")
 
     def __init__(self, in_channels: int, filters: int, kernel_size: int, rng: np.random.Generator | None = None):
         if filters < 1 or kernel_size < 1 or in_channels < 1:
@@ -186,12 +216,6 @@ class Conv1D(Layer):
             dx[:, i : i + out_len, :] += grad @ self.w[:, i, :]
         return dx[0] if self._single else dx
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
-
     def spec(self):
         return f"conv1d:{self.in_channels}:{self.filters}:{self.kernel_size}"
 
@@ -220,8 +244,8 @@ class MaxPool1D(Layer):
         keep_first = self._first >= self._second  # ties route to the earlier index
         out_len = grad.shape[1]
         dx = np.zeros(self._in_shape)
-        dx[:, 0 : 2 * out_len : 2, :] = np.where(keep_first, grad, 0.0)
-        dx[:, 1 : 2 * out_len : 2, :] = np.where(keep_first, 0.0, grad)
+        dx[:, 0 : 2 * out_len : 2, :] = _select(keep_first, grad)
+        dx[:, 1 : 2 * out_len : 2, :] = _select(~keep_first, grad)
         return dx[0] if self._single else dx
 
     def spec(self):
@@ -251,6 +275,7 @@ class Dense(Layer):
     """Affine map out = x @ w + b with w of shape (in_units, out_units)."""
 
     trainable = True
+    param_names = ("w", "b")
 
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
         if in_units < 1 or out_units < 1:
@@ -288,12 +313,6 @@ class Dense(Layer):
         dx = grad @ self.w.T
         return dx[0] if self._single else dx
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
-
     def spec(self):
         return f"dense:{self.in_units}:{self.out_units}"
 
@@ -306,7 +325,7 @@ class ReLU(Layer):
     def backward(self, grad):
         if grad.shape != self._x.shape:
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
-        return np.where(self._x > 0, grad, 0.0)
+        return _select(self._x > 0, grad)
 
     def spec(self):
         return "relu"
@@ -327,11 +346,35 @@ class Softmax(Layer):
         return "softmax"
 
 
+def _views(buffer: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive reshaped views of a flat buffer, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class Network:
-    """A plain layer stack with explicit forward/backward passes."""
+    """A plain layer stack with explicit forward/backward passes.
+
+    Construction moves every trainable layer's parameters and gradients
+    into ``param_buffer`` and ``grad_buffer`` (see the module docstring).
+    """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
+        params, grads = self.parameters(), self.gradients()
+        shapes = [p.shape for p in params]
+        self.param_buffer = np.concatenate([np.zeros(0)] + [p.ravel() for p in params], dtype=np.float64)
+        self.grad_buffer = np.concatenate([np.zeros(0)] + [g.ravel() for g in grads], dtype=np.float64)
+        views = zip(_views(self.param_buffer, shapes), _views(self.grad_buffer, shapes))
+        for layer in self.trainable_layers():
+            for name in layer.param_names:
+                p, g = next(views)
+                setattr(layer, name, p)
+                setattr(layer, "g" + name, g)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -343,30 +386,43 @@ class Network:
             grad = layer.backward(grad)
         return grad
 
-    def loss(self, x: np.ndarray, onehot: np.ndarray) -> float:
-        return cross_entropy(self.forward(x), onehot)[0]
-
     def loss_and_backward(self, x: np.ndarray, onehot: np.ndarray) -> float:
         loss, grad = cross_entropy(self.forward(x), onehot)
         self.backward(grad)
         return loss
 
-    def trainable_layers(self, include_frozen: bool = True) -> list[Layer]:
-        return [
-            l
-            for l in self.layers
-            if l.trainable and (include_frozen or not getattr(l, "frozen", False))
-        ]
+    def trainable_layers(self) -> list[Layer]:
+        return [l for l in self.layers if l.trainable]
 
-    def parameters(self, include_frozen: bool = True) -> list[np.ndarray]:
-        return [p for l in self.trainable_layers(include_frozen) for p in l.params()]
+    def parameters(self) -> list[np.ndarray]:
+        return [p for l in self.trainable_layers() for p in l.params()]
 
-    def gradients(self, include_frozen: bool = True) -> list[np.ndarray]:
-        return [g for l in self.trainable_layers(include_frozen) for g in l.grads()]
+    def gradients(self) -> list[np.ndarray]:
+        return [g for l in self.trainable_layers() for g in l.grads()]
+
+    def trainable_runs(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Flat views of the maximal contiguous runs of unfrozen parameters, and their gradients.
+
+        Unfrozen neighbours merge into one run, so a network with no frozen
+        layer, or with only a frozen prefix, has exactly one run.
+        """
+        runs: list[list[int]] = []
+        offset = 0
+        for layer in self.trainable_layers():
+            stop = offset + sum(p.size for p in layer.params())
+            if not layer.frozen:
+                if runs and runs[-1][1] == offset:
+                    runs[-1][1] = stop
+                else:
+                    runs.append([offset, stop])
+            offset = stop
+        return (
+            [self.param_buffer[a:b] for a, b in runs],
+            [self.grad_buffer[a:b] for a, b in runs],
+        )
 
     def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
+        self.grad_buffer.fill(0.0)
 
     def param_count(self) -> int:
         return sum(l.param_count() for l in self.trainable_layers())
@@ -378,7 +434,7 @@ class Network:
         return "|".join(l.spec() for l in self.layers)
 
     def snapshot(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
+        return _views(self.param_buffer.copy(), [p.shape for p in self.parameters()])
 
     def restore(self, snapshot: list[np.ndarray]) -> None:
         for p, saved in zip(self.parameters(), snapshot, strict=True):
@@ -413,7 +469,15 @@ def network_from_descriptor(descriptor: str) -> Network:
 
 
 class Adam:
-    """Adaptive moment estimation over a fixed list of parameter arrays."""
+    """Adaptive moment estimation over a fixed list of parameter arrays.
+
+    A step updates each array in place, element by element in the order
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + ((1-beta2)*g)*g`` and
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, using two scratch arrays
+    per parameter array and no other temporaries. Given a network's
+    ``trainable_runs()``, one step is one finite check and one pass over
+    each contiguous run.
+    """
 
     def __init__(
         self,
@@ -431,21 +495,34 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ShapeMismatch("gradient list does not match parameter list")
-        self.t += 1
-        for i, (p, g) in enumerate(zip(self.params, grads)):
+        for p, g in zip(self.params, grads):
             if p.shape != g.shape:
                 raise ShapeMismatch(f"parameter {p.shape} vs gradient {g.shape}")
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NonFiniteGradient("gradient contains NaN or infinity")
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.t += 1
+        m_scale = 1 - self.beta1**self.t
+        v_scale = 1 - self.beta2**self.t
+        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1 - self.beta1, out=a)
+            m += a
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1 - self.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, m_scale, out=a)
+            a *= self.lr
+            np.divide(v, v_scale, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 def boundary_margin(network: Network, x: np.ndarray) -> float:

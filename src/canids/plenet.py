@@ -156,8 +156,9 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
         raise ValueError(f"expected {INPUT_LENGTH}-wide feature rows, got {data.train_x.shape}")
 
     rng = np.random.default_rng(cfg.seed)
+    params, grads = model.trainable_runs()
     opt = Adam(
-        model.parameters(include_frozen=False),
+        params,
         lr=cfg.lr,
         beta1=cfg.beta1,
         beta2=cfg.beta2,
@@ -182,7 +183,7 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}, batch offset {start}")
             model.zero_grads()
             model.backward(dprobs)
-            opt.step(model.gradients(include_frozen=False))
+            opt.step(grads)
             epoch_loss += loss * len(idx)
             correct += int((probs.argmax(axis=1) == data.train_y[idx]).sum())
 
@@ -224,8 +225,7 @@ def clone_model(model: Network) -> Network:
     from .nncore import network_from_descriptor
 
     copy = network_from_descriptor(model.describe())
-    for dst, src in zip(copy.parameters(), model.parameters(), strict=True):
-        np.copyto(dst, src)
+    np.copyto(copy.param_buffer, model.param_buffer)
     return copy
 
 

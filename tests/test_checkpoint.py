@@ -89,6 +89,25 @@ class TestValidation:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["descriptor", "digest"])
+    def test_non_utf8_string_field(self, tmp_path, field):
+        descriptor = b"\xff\xfe" if field == "descriptor" else b"dense:16:2|softmax"
+        digest = b"\xff\xfe" if field == "digest" else b""
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            MAGIC
+            + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", len(descriptor))
+            + descriptor
+            + struct.pack("<Q", 0)  # seed
+            + struct.pack("<I", len(digest))
+            + digest
+            + struct.pack("<I", 0)  # no normalization pairs
+            + struct.pack("<I", 0)  # no parameter arrays
+        )
+        with pytest.raises(CorruptCheckpoint, match="not UTF-8"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"WRONGMAG" + bytes(64))

@@ -285,6 +285,42 @@ class TestExitCodes:
         assert run_command(argv) == 1
         assert "expected train|validation|test,<kind>" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["kind", "seed"])
+    def test_corrupt_container_sidecars_evaluate_is_1(self, pipeline, edit, capsys):
+        tmp_path, log, data = pipeline
+        if edit == "kind":
+            kinds = tmp_path / "data.bin.kinds"
+            lines = kinds.read_text().splitlines()
+            lines[0] = "train,garbage_kind_name"
+            kinds.write_text("\n".join(lines) + "\n")
+        else:
+            manifest = tmp_path / "data.bin.manifest"
+            manifest.write_text(manifest.read_text().replace("seed=3", "seed=abc"))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_plenet(seed=0), ckpt)
+        assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        assert {"kind": "unknown kind", "seed": "not an integer"}[edit] in capsys.readouterr().err
+
+    def test_unknown_log_sidecar_kind_prepare_is_1(self, pipeline, capsys):
+        tmp_path, log, data = pipeline
+        kinds = tmp_path / "log.csv.kinds"
+        lines = kinds.read_text().splitlines()
+        lines[0] = "garbage_kind_name"
+        kinds.write_text("\n".join(lines) + "\n")
+        argv = ["prepare", "--input", str(log), "--output", str(tmp_path / "again.bin")]
+        assert run_command(argv) == 1
+        assert "unknown kinds ['garbage_kind_name']" in capsys.readouterr().err
+
+    def test_non_utf8_checkpoint_evaluate_is_1(self, pipeline, capsys):
+        tmp_path, log, data = pipeline
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_plenet(seed=0), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        blob[16] = 0xFF  # first byte of the descriptor, after magic, version and length
+        ckpt.write_bytes(bytes(blob))
+        assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_bad_attack_spec_is_1(self, tmp_path, profile_path):
         code = run_command(
             [

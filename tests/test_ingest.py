@@ -17,6 +17,7 @@ from canids.ingest import (
     RawRecord,
     RecordTable,
     TooFewValues,
+    UnknownKind,
     ZeroVariance,
     apply_minmax,
     correlation_matrix,
@@ -331,6 +332,12 @@ class TestEncode:
             assert x.shape == (16,)
             assert np.all((x >= 0.0) & (x <= 1.0))
 
+    def test_unknown_sidecar_kind_rejected(self):
+        records = [RawRecord(0.0, "0100", 1, "11", "0"), RawRecord(0.1, "0100", 1, "11", "1")]
+        assert RecordTable.from_raw(records, ["normal", "fuzzing"]).kind.tolist() == ["", "fuzzing"]
+        with pytest.raises(UnknownKind):
+            RecordTable.from_raw(records, ["normal", "garbage_kind_name"])
+
     def test_oversized_payload_truncated(self, params):
         table = RecordTable.from_raw(
             [RawRecord(0.0, "0100", 10, " ".join(["11"] * 10), "0")]
@@ -453,4 +460,24 @@ class TestContainerRoundTrip:
         lines[0] = bad_line
         kinds.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorruptContainer):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind", ["garbage_kind_name", "", "Flooding", "flood"])
+    def test_unknown_kind_rejected(self, tmp_path, kind):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        kinds = tmp_path / "data.bin.kinds"
+        lines = kinds.read_text().splitlines()
+        lines[0] = f"train,{kind}"
+        kinds.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptContainer, match="unknown kind"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("seed", ["abc", "", "1.5"])
+    def test_non_integer_manifest_seed_rejected(self, tmp_path, seed):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        manifest = tmp_path / "data.bin.manifest"
+        manifest.write_text(manifest.read_text().replace("seed=11", f"seed={seed}"))
+        with pytest.raises(CorruptContainer, match="not an integer"):
             load_dataset(path)

@@ -24,7 +24,6 @@ from canids.nncore import (
     jitter_parameters,
     network_from_descriptor,
     one_hot,
-    relu,
     softmax,
 )
 
@@ -231,10 +230,6 @@ class TestActivationsAndLoss:
         _, dprobs = cross_entropy(probs, targets)
         dlogits = layer.backward(dprobs)
         assert np.allclose(dlogits, (probs - targets) / 6, atol=1e-12)
-
-    def test_relu(self):
-        x = np.array([-1.0, 0.0, 2.5])
-        assert relu(x).tolist() == [0.0, 0.0, 2.5]
 
 
 class TestAdam:
