@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -27,6 +28,8 @@ ATTACK_KINDS = ("flooding", "fuzzing", "spoofing")
 PAYLOAD_RULES = ("constant", "counter", "sensor")
 
 LOG_HEADER = "Timestamp,CAN_ID,DLC,Data_Field,Label"
+
+_by_time = operator.attrgetter("timestamp")
 
 
 class MalformedFrame(ValueError):
@@ -172,6 +175,9 @@ def decode_frame(bits: Sequence[int]) -> CanFrame:
     )
 
 
+_PLAIN_TYPES = (("timestamp", float), ("can_id", int), ("dlc", int), ("label", int), ("payload", bytes))
+
+
 @dataclass(frozen=True)
 class TrafficRecord:
     """One timestamped, labeled log row. ``kind`` tags injected attack records."""
@@ -187,12 +193,11 @@ class TrafficRecord:
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
         # numpy scalars sneak in from seeded draws; pin plain types so the
-        # CSV writer emits portable literals
-        object.__setattr__(self, "timestamp", float(self.timestamp))
-        object.__setattr__(self, "can_id", int(self.can_id))
-        object.__setattr__(self, "dlc", int(self.dlc))
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "payload", bytes(self.payload))
+        # CSV writer emits portable literals (fields already plain are kept)
+        for name, plain in _PLAIN_TYPES:
+            value = getattr(self, name)
+            if type(value) is not plain:
+                object.__setattr__(self, name, plain(value))
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ def generate_traffic(profile: SimProfile) -> list[TrafficRecord]:
             records.append(
                 TrafficRecord(t, ecu.identifier, ecu.dlc, payloads[k - 1], label=0)
             )
-    records.sort(key=lambda r: r.timestamp)
+    records.sort(key=_by_time)
     return records
 
 
@@ -386,13 +391,13 @@ def inject_attack(log: list[TrafficRecord], spec: AttackSpec) -> list[TrafficRec
     else:
         injected = _inject_spoofing(spec, n, rng, log)
     merged = list(log) + injected
-    merged.sort(key=lambda r: r.timestamp)
+    merged.sort(key=_by_time)
     return merged
 
 
 def format_record(record: TrafficRecord) -> str:
     """One CSV row: Timestamp,CAN_ID,DLC,Data_Field,Label (uppercase hex)."""
-    data = " ".join(f"{b:02X}" for b in record.payload)
+    data = record.payload.hex(" ").upper()
     return f"{record.timestamp!r},{record.can_id:04X},{record.dlc},{data},{record.label}"
 
 

@@ -237,7 +237,7 @@ def _outlier_values(records: list[ingest.RawRecord], column: str) -> list[float]
         return [float(ingest.hex_to_dec(r.can_id_hex)) for r in records]
     if column == "dlc":
         return [float(r.dlc) for r in records]
-    return [float(ingest.hex_to_dec(r.data_hex)) if r.data_hex else 0.0 for r in records]
+    return [float(int.from_bytes(ingest.data_bytes(r.data_hex), "big")) for r in records]
 
 
 def cmd_prepare(args) -> int:

@@ -6,6 +6,18 @@ length-16 feature vectors with deterministic train/validation/test splits.
 Preparation runs in the fixed order cleaning -> integration -> transformation,
 and normalization statistics always come from the training partition alone.
 
+A ``RawRecord`` holds each observed field in one canonical form, which
+``impute_missing`` keeps and ``RecordTable.from_raw`` relies on:
+  timestamp    a finite float
+  can_id_hex   uppercase hex digits, no prefix, value at most 0x1FFFFFFF
+               (the 29-bit CAN 2.0B extended maximum); leading zeros kept
+  dlc          a nonnegative int, not checked against the payload length
+  data_hex     uppercase two-digit hex bytes joined by single spaces
+               ("0A FF"), "" for an empty payload with DLC 0
+  label_text   "0" or "1"
+A cell that does not parse to this form (non-hex or signed digits, an
+over-long identifier, a non-finite timestamp, ...) becomes ``None``.
+
 Feature layout (all components in [0, 1]):
   position 0      identifier, min-max normalized over the training split
   position 1      DLC, min-max normalized over the training split
@@ -16,9 +28,11 @@ Feature layout (all components in [0, 1]):
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -34,6 +48,9 @@ PAYLOAD_WIDTH = 8
 CONTAINER_MAGIC = b"CANIDS1"
 
 IMPUTE_POLICIES = ("droprow", "fieldmean")
+
+# largest CAN 2.0B extended (29-bit) identifier
+MAX_CAN_ID = 0x1FFFFFFF
 
 # the names a kinds sidecar may hold, one per row
 SIDECAR_KINDS = ("normal", *ATTACK_KINDS)
@@ -79,12 +96,21 @@ class UnknownKind(ValueError):
     """A kinds sidecar names a kind outside ``SIDECAR_KINDS``."""
 
 
+class IdOutOfRange(ValueError):
+    """An identifier exceeds the 29-bit ``MAX_CAN_ID``."""
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_FIELDS = ("timestamp", "can_id_hex", "dlc", "data_hex", "label_text")
+_NOTHING_MISSING: frozenset[str] = frozenset()
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+@dataclass(frozen=True, slots=True)
 class RawRecord:
     """One parsed log row; ``None`` marks a missing/malformed field."""
 
@@ -95,30 +121,36 @@ class RawRecord:
     label_text: str | None
 
     def missing_fields(self) -> frozenset[str]:
-        missing = {
-            name
-            for name in ("timestamp", "can_id_hex", "dlc", "data_hex", "label_text")
-            if getattr(self, name) is None
-        }
-        return frozenset(missing)
+        if (
+            self.timestamp is not None
+            and self.can_id_hex is not None
+            and self.dlc is not None
+            and self.data_hex is not None
+            and self.label_text is not None
+        ):
+            return _NOTHING_MISSING
+        return frozenset(name for name in _FIELDS if getattr(self, name) is None)
+
+
+def _is_hex(text: str) -> bool:
+    """Non-empty and ASCII hex digits only (``int(text, 16)`` also takes signs and ``_``)."""
+    return bool(text) and _HEX_DIGITS.issuperset(text)
 
 
 def _parse_timestamp(cell: str) -> float | None:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
 
 
+@functools.lru_cache(maxsize=4096)  # a log repeats a few thousand identifiers
 def _parse_can_id(cell: str) -> str | None:
     cell = cell.strip()
     if cell.lower().startswith("0x"):
         cell = cell[2:]
-    if not cell:
-        return None
-    try:
-        int(cell, 16)
-    except ValueError:
+    if not _is_hex(cell) or int(cell, 16) > MAX_CAN_ID:
         return None
     return cell.upper()
 
@@ -136,14 +168,14 @@ def _parse_data(cell: str, dlc: int | None) -> str | None:
     if not cell:
         # an empty data field is legitimate only for a zero-length payload
         return "" if dlc == 0 else None
+    try:
+        if bytes.fromhex(cell).hex(" ").upper() == cell:
+            return cell  # already canonical
+    except ValueError:
+        pass
     tokens = cell.split()
-    for tok in tokens:
-        if len(tok) > 2:
-            return None
-        try:
-            int(tok, 16)
-        except ValueError:
-            return None
+    if not all(len(tok) <= 2 and _is_hex(tok) for tok in tokens):
+        return None
     return " ".join(t.upper().zfill(2) for t in tokens)
 
 
@@ -168,28 +200,23 @@ def parse_log(source: str | Iterable[str]) -> list[RawRecord]:
         source = io.StringIO(source)
     records = []
     for i, row in enumerate(csv.reader(source)):
-        if not row or all(not c.strip() for c in row):
+        if not any(map(str.strip, row)):
             continue
         if i == 0 and row[0].strip().lower() == "timestamp":
             continue
-        cells = [row[j] if j < len(row) else "" for j in range(5)]
-        dlc = _parse_dlc(cells[2])
-        rec = RawRecord(
-            timestamp=_parse_timestamp(cells[0]),
-            can_id_hex=_parse_can_id(cells[1]),
-            dlc=dlc,
-            data_hex=_parse_data(cells[3], dlc),
-            label_text=_parse_label(cells[4]),
-        )
-        if rec.can_id_hex is None and not rec.data_hex:
+        if len(row) < 5:
+            row += [""] * (5 - len(row))
+        can_id_hex = _parse_can_id(row[1])
+        dlc = _parse_dlc(row[2])
+        data_hex = _parse_data(row[3], dlc)
+        if can_id_hex is None and not data_hex:
             continue
-        records.append(rec)
+        records.append(
+            RawRecord(_parse_timestamp(row[0]), can_id_hex, dlc, data_hex, _parse_label(row[4]))
+        )
     if not records:
         raise EmptyInput("no data rows found")
     return records
-
-
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def hex_to_dec(text: str) -> int:
@@ -200,9 +227,20 @@ def hex_to_dec(text: str) -> int:
     signs or 0x prefixes), so the result is always nonnegative.
     """
     cleaned = text.replace(" ", "")
-    if not cleaned or not set(cleaned) <= _HEX_DIGITS:
+    if not _is_hex(cleaned):
         raise InvalidHexDigit(f"invalid hex string {text!r}")
     return int(cleaned, 16)
+
+
+def data_bytes(data_hex: str) -> bytes:
+    """Payload bytes of a canonical data field (``"0A FF"``; ``""`` is empty).
+
+    Its big-endian value equals ``hex_to_dec(data_hex)``.
+    """
+    try:
+        return bytes.fromhex(data_hex)
+    except ValueError:
+        raise InvalidHexDigit(f"data field {data_hex!r} is not space-separated hex bytes") from None
 
 
 def dec_to_hex(value: int) -> str:
@@ -271,56 +309,86 @@ def _mean_or_raise(values: list[float], column: str) -> float:
     return float(np.mean(values))
 
 
+class _ObservedMeans:
+    """Means of the observed fields of ``records``, each computed on first use."""
+
+    def __init__(self, records: Sequence[RawRecord]):
+        self.records = records
+
+    @functools.cached_property
+    def timestamp(self) -> float:
+        return _mean_or_raise([r.timestamp for r in self.records if r.timestamp is not None], "Timestamp")
+
+    @functools.cached_property
+    def can_id(self) -> float:
+        texts = [r.can_id_hex for r in self.records if r.can_id_hex is not None]
+        value = {text: hex_to_dec(text) for text in set(texts)}
+        return _mean_or_raise([value[text] for text in texts], "CAN_ID")
+
+    @functools.cached_property
+    def dlc(self) -> float:
+        return _mean_or_raise([r.dlc for r in self.records if r.dlc is not None], "DLC")
+
+    @functools.cached_property
+    def label(self) -> float:
+        labels = [v for r in self.records if (v := _label_int(r.label_text)) is not None]
+        return _mean_or_raise(labels, "Label")
+
+    @functools.cached_property
+    def payload(self) -> list[int]:
+        """Rounded mean of each payload position, over the rows long enough to have it.
+
+        Bytes are at most 255, so the integer sums are exact in float64 and
+        ``total / count`` is the correctly rounded mean ``np.mean`` gives.
+        """
+        totals: list[int] = []
+        counts: list[int] = []
+        for text, rows in Counter(r.data_hex for r in self.records if r.data_hex).items():
+            data = data_bytes(text)
+            if len(data) > len(totals):
+                totals += [0] * (len(data) - len(totals))
+                counts += [0] * (len(data) - len(counts))
+            for pos, byte in enumerate(data):
+                totals[pos] += byte * rows
+                counts[pos] += rows
+        return [round(total / count) for total, count in zip(totals, counts)]
+
+
 def impute_missing(records: Sequence[RawRecord], policy: str = "droprow") -> list[RawRecord]:
     """Resolve missing flags: drop flagged rows, or fill them with column means.
 
     ``fieldmean`` imputes the timestamp, identifier, DLC, and label from
     rounded column means, and the data field byte-wise from per-position
-    means (positions never observed fall back to zero).
+    means (positions never observed fall back to zero). Clean rows come back
+    as the same objects; each mean is computed once, and only if a row
+    needs it, so ``AllRowsMissing`` names a column some row lacks.
     """
     if policy not in IMPUTE_POLICIES:
         raise ValueError(f"unknown imputation policy {policy!r}")
     if policy == "droprow":
         return [r for r in records if not r.missing_fields()]
 
-    if not any(r.missing_fields() for r in records):
-        return list(records)
-
-    ts = [r.timestamp for r in records if r.timestamp is not None]
-    ids = [hex_to_dec(r.can_id_hex) for r in records if r.can_id_hex is not None]
-    dlcs = [r.dlc for r in records if r.dlc is not None]
-    labels = [v for r in records if (v := _label_int(r.label_text)) is not None]
-    position_values: dict[int, list[int]] = {}
-    for r in records:
-        if r.data_hex:
-            for pos, tok in enumerate(r.data_hex.split()):
-                position_values.setdefault(pos, []).append(int(tok, 16))
-
-    out = []
-    for r in records:
+    out = list(records)
+    means = _ObservedMeans(records)
+    for i, r in enumerate(records):
         if not r.missing_fields():
-            out.append(r)
             continue
-        dlc = r.dlc if r.dlc is not None else round(_mean_or_raise(dlcs, "DLC"))
+        dlc = r.dlc if r.dlc is not None else round(means.dlc)
         data_hex = r.data_hex
         if data_hex is None:
-            if dlc > 0 and not position_values:
+            if dlc > 0 and not means.payload:
                 raise AllRowsMissing("cannot impute Data_Field: no observed values")
-            means = [
-                round(np.mean(position_values[p])) if p in position_values else 0
-                for p in range(dlc)
-            ]
-            data_hex = " ".join(f"{int(b):02X}" for b in means)
+            data_hex = bytes(means.payload[:dlc]).ljust(dlc, b"\0").hex(" ").upper()
         label_text = r.label_text
         if label_text is None:
-            label_text = "1" if _mean_or_raise(labels, "Label") >= 0.5 else "0"
+            label_text = "1" if means.label >= 0.5 else "0"
         can_id_hex = r.can_id_hex
         if can_id_hex is None:
-            can_id_hex = dec_to_hex(round(_mean_or_raise(ids, "CAN_ID")))
+            can_id_hex = dec_to_hex(round(means.can_id))
         timestamp = r.timestamp
         if timestamp is None:
-            timestamp = _mean_or_raise(ts, "Timestamp")
-        out.append(RawRecord(timestamp, can_id_hex, dlc, data_hex, label_text))
+            timestamp = means.timestamp
+        out[i] = RawRecord(timestamp, can_id_hex, dlc, data_hex, label_text)
     return out
 
 
@@ -437,6 +505,12 @@ class RecordTable:
 
     @classmethod
     def from_raw(cls, records: Sequence[RawRecord], kinds: Sequence[str] | None = None) -> "RecordTable":
+        """Tabulate cleaned records whose fields are in the canonical forms of the module docstring.
+
+        An identifier above ``MAX_CAN_ID`` raises ``IdOutOfRange``, a data
+        field that is not hex bytes ``InvalidHexDigit``, and a missing
+        field or a label other than "0"/"1" a plain ``ValueError``.
+        """
         if not records:
             raise EmptyInput("no records to tabulate")
         if kinds is not None and len(kinds) != len(records):
@@ -444,29 +518,34 @@ class RecordTable:
         unknown = sorted(set(kinds or ()) - set(SIDECAR_KINDS))
         if unknown:
             raise UnknownKind(f"kinds sidecar names unknown kinds {unknown[:5]}")
+        labels = [r.label_text for r in records]
+        if any(r.missing_fields() for r in records) or not set(labels) <= {"0", "1"}:
+            raise ValueError("records must be cleaned before tabulation")
         n = len(records)
-        timestamp = np.zeros(n)
-        can_id = np.zeros(n, dtype=np.int64)
-        dlc = np.zeros(n, dtype=np.int64)
-        payload = np.zeros((n, PAYLOAD_WIDTH), dtype=np.uint8)
-        data_value = np.zeros(n)
-        label = np.zeros(n, dtype=np.uint8)
+        id_value = {text: hex_to_dec(text) for text in {r.can_id_hex for r in records}}
+        too_long = sorted(text for text, value in id_value.items() if value > MAX_CAN_ID)
+        if too_long:
+            raise IdOutOfRange(f"identifiers above 29 bits: {too_long[:5]}")
+        payload = bytearray(n * PAYLOAD_WIDTH)
+        data_value = []
         for i, rec in enumerate(records):
-            if rec.missing_fields():
-                raise ValueError("records must be cleaned before tabulation")
-            timestamp[i] = rec.timestamp
-            can_id[i] = hex_to_dec(rec.can_id_hex)
-            dlc[i] = rec.dlc
-            if rec.data_hex:
-                data = bytes(int(t, 16) for t in rec.data_hex.split())
-                payload[i, : min(len(data), PAYLOAD_WIDTH)] = list(data[:PAYLOAD_WIDTH])
-                data_value[i] = float(hex_to_dec(rec.data_hex))
-            label[i] = _label_int(rec.label_text)
+            data = data_bytes(rec.data_hex)
+            head = data[:PAYLOAD_WIDTH]
+            payload[i * PAYLOAD_WIDTH : i * PAYLOAD_WIDTH + len(head)] = head
+            data_value.append(float(int.from_bytes(data, "big")))
         kind = np.array(
             ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * n,
             dtype="<U8",
         )
-        return cls(timestamp, can_id, dlc, payload, data_value, label, kind)
+        return cls(
+            timestamp=np.array([r.timestamp for r in records], dtype=np.float64),
+            can_id=np.array([id_value[r.can_id_hex] for r in records], dtype=np.int64),
+            dlc=np.array([r.dlc for r in records], dtype=np.int64),
+            payload=np.frombuffer(payload, dtype=np.uint8).reshape(n, PAYLOAD_WIDTH),
+            data_value=np.array(data_value, dtype=np.float64),
+            label=(np.array(labels) == "1").astype(np.uint8),
+            kind=kind,
+        )
 
     @classmethod
     def from_traffic(cls, records: Sequence[TrafficRecord]) -> "RecordTable":
@@ -668,6 +747,13 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
                     fh.write(f"{partition},{kind or 'normal'}\n")
 
 
+def _sidecar_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise CorruptContainer(f"{path} is not valid text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_dataset(path: str | Path) -> PreparedDataset:
     path = Path(path)
     blob = path.read_bytes()
@@ -703,7 +789,7 @@ def load_dataset(path: str | Path) -> PreparedDataset:
     manifest = path.with_name(path.name + ".manifest")
     if manifest.exists():
         meta = dict(
-            line.split("=", 1) for line in manifest.read_text().splitlines() if "=" in line
+            line.split("=", 1) for line in _sidecar_text(manifest).splitlines() if "=" in line
         )
         ds.provenance = meta.get("source", "")
         try:
@@ -713,7 +799,7 @@ def load_dataset(path: str | Path) -> PreparedDataset:
     kinds_path = path.with_name(path.name + ".kinds")
     if kinds_path.exists():
         per_part: dict[str, list[str]] = {"train": [], "validation": [], "test": []}
-        for lineno, line in enumerate(kinds_path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(_sidecar_text(kinds_path).splitlines(), 1):
             partition, sep, kind = line.partition(",")
             if not sep or partition not in per_part:
                 raise CorruptContainer(

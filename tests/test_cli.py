@@ -321,6 +321,29 @@ class TestExitCodes:
         assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", ["manifest", "kinds"])
+    def test_non_utf8_container_sidecar_evaluate_is_1(self, pipeline, sidecar, capsys):
+        tmp_path, log, data = pipeline
+        side = tmp_path / f"data.bin.{sidecar}"
+        side.write_bytes(side.read_bytes() + b"source=\xff\xfe\n")
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_plenet(seed=0), ckpt)
+        assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        assert "not valid text" in capsys.readouterr().err
+
+    def test_over_long_id_prepare(self, tmp_path, capsys):
+        rows = [f"0.{i},0{i}30,1,0{i},{i % 2}" for i in range(10)]
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(rows + ["1.0,FFFFFFFFFFFFFFFFFFFFFF,1,0A,0"]) + "\n")
+        run_ok(["prepare", "--input", str(log), "--output", str(tmp_path / "a.bin")])
+        assert "prepared 10 records" in capsys.readouterr().out
+        run_ok(["prepare", "--input", str(log), "--output", str(tmp_path / "b.bin"), "--impute", "fieldmean"])
+        assert "prepared 11 records" in capsys.readouterr().out
+        log.write_text("0.1,FFFFFFFFFFFFFFFFFFFFFF,1,0A,0\n0.2,0x20000000,1,0B,1\n")
+        argv = ["prepare", "--input", str(log), "--output", str(tmp_path / "c.bin"), "--impute", "fieldmean"]
+        assert run_command(argv) == 1
+        assert "cannot impute CAN_ID" in capsys.readouterr().err
+
     def test_bad_attack_spec_is_1(self, tmp_path, profile_path):
         code = run_command(
             [

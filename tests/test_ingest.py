@@ -12,6 +12,7 @@ from canids.ingest import (
     CorruptContainer,
     EmptyColumn,
     EmptyInput,
+    IdOutOfRange,
     InvalidHexDigit,
     LengthMismatch,
     RawRecord,
@@ -113,6 +114,31 @@ class TestParseLog:
         text = "\n".join(f"{i}.0,0100,1,0{i},0" for i in range(5))
         assert [r.timestamp for r in parse_log(text)] == [float(i) for i in range(5)]
 
+    def test_fields_held_in_canonical_form(self):
+        rec = parse_log(" 0.5 , 0x1a3 ,2, b  c ,Attack")[0]
+        assert rec == RawRecord(0.5, "1A3", 2, "0B 0C", "1")
+
+    @pytest.mark.parametrize("cell", ["FFFFFFFFFFFFFFFFFFFFFF", "20000000", "0x20000000"])
+    def test_id_above_29_bits_is_missing(self, cell):
+        rec = parse_log(f"0.1,{cell},1,0A,0")[0]
+        assert rec.missing_fields() == frozenset({"can_id_hex"})
+        assert parse_log("0.1,0x1fffffff,1,0A,0")[0].can_id_hex == "1FFFFFFF"
+
+    @pytest.mark.parametrize("cell", ["+130", "-1", "1_30", "\u0661\u0663\u0660", "0x0x12", "0x 12"])
+    def test_signed_or_non_ascii_id_is_missing(self, cell):
+        assert parse_log(f"0.1,{cell},1,0A,0")[0].missing_fields() == frozenset({"can_id_hex"})
+
+    @pytest.mark.parametrize("cell", ["-1", "+F", "0A -1", "-0", "\u0663", "\u0661\u0663"])
+    def test_signed_or_non_ascii_data_is_missing(self, cell):
+        assert parse_log(f"0.1,0100,1,{cell},0")[0].missing_fields() == frozenset({"data_hex"})
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_timestamp_is_missing(self, cell):
+        records = parse_log(f"1.0,0100,1,0A,0\n{cell},0100,1,0B,0\n3.0,0100,1,0C,1")
+        assert records[1].missing_fields() == frozenset({"timestamp"})
+        assert [r.timestamp for r in impute_missing(records, "droprow")] == [1.0, 3.0]
+        assert impute_missing(records, "fieldmean")[1].timestamp == 2.0
+
 
 class TestHexConversion:
     def test_58b(self):
@@ -196,6 +222,31 @@ class TestImputeMissing:
         records = [RawRecord(None, "0100", 1, "0A", "0"), RawRecord(None, "0100", 1, "0B", "1")]
         with pytest.raises(AllRowsMissing):
             impute_missing(records, "fieldmean")
+
+    def test_fieldmean_needs_payload_means_only_for_positive_dlc(self):
+        # no row has a payload, but the one missing it has DLC 0
+        records = parse_log("0.1,0100,0,,0\n0.2,0100,0,ZZ,1")
+        assert impute_missing(records, "fieldmean")[1].data_hex == ""
+        with pytest.raises(AllRowsMissing, match="Data_Field"):
+            impute_missing(parse_log("0.1,0100,0,,0\n0.2,0100,1,ZZ,1"), "fieldmean")
+
+    def test_fieldmean_clean_rows_are_the_same_objects(self):
+        records = parse_log("1.0,0100,1,0A,0\n,0100,1,0B,0\n3.0,0100,1,0C,1")
+        filled = impute_missing(records, "fieldmean")
+        assert filled[0] is records[0] and filled[2] is records[2]
+        assert filled[1] is not records[1] and filled[1].timestamp == 2.0
+
+    def test_fieldmean_computes_each_mean_once(self, monkeypatch):
+        rows = [f"{i}.0,0100,2,0{i % 10} 1{i % 10},{i % 2}" for i in range(30)]
+        rows += [",0100,2,01 02,0", "9.0,,2,01 02,0", "9.0,0100,,01 02,0", "9.0,0100,3,ZZ,0", "9.0,0100,2,01,?"]
+        records = parse_log("\n".join(rows * 3))
+        calls = []
+        mean = np.mean
+        monkeypatch.setattr(np, "mean", lambda values: calls.append(len(values)) or mean(values))
+        filled = impute_missing(records, "fieldmean")
+        assert not any(r.missing_fields() for r in filled)
+        # timestamp, identifier, DLC and label means; payload means need no np.mean
+        assert len(calls) == 4
 
 
 class TestPearson:
@@ -338,6 +389,24 @@ class TestEncode:
         with pytest.raises(UnknownKind):
             RecordTable.from_raw(records, ["normal", "garbage_kind_name"])
 
+    def test_id_above_29_bits_rejected(self):
+        with pytest.raises(IdOutOfRange):
+            RecordTable.from_raw([RawRecord(0.0, "FFFFFFFFFFFFFFFFFFFFFF", 1, "0A", "0")])
+        assert RecordTable.from_raw([RawRecord(0.0, "1FFFFFFF", 1, "0A", "0")]).can_id[0] == 0x1FFFFFFF
+
+    @pytest.mark.parametrize("data_hex", ["-1", "+F", "0A ZZ", "A"])
+    def test_non_hex_data_field_rejected(self, data_hex):
+        with pytest.raises(InvalidHexDigit):
+            RecordTable.from_raw([RawRecord(0.0, "0100", 1, data_hex, "0")])
+
+    def test_payload_and_data_value_from_hex_bytes(self):
+        table = RecordTable.from_raw(
+            [RawRecord(0.0, "0100", 3, "0A 00 FF", "1"), RawRecord(0.1, "0200", 0, "", "0")]
+        )
+        assert table.payload.tolist() == [[10, 0, 255, 0, 0, 0, 0, 0], [0] * 8]
+        assert table.data_value.tolist() == [float(hex_to_dec("0A 00 FF")), 0.0]
+        assert table.label.tolist() == [1, 0]
+
     def test_oversized_payload_truncated(self, params):
         table = RecordTable.from_raw(
             [RawRecord(0.0, "0100", 10, " ".join(["11"] * 10), "0")]
@@ -471,6 +540,15 @@ class TestContainerRoundTrip:
         lines[0] = f"train,{kind}"
         kinds.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorruptContainer, match="unknown kind"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("sidecar", ["manifest", "kinds"])
+    def test_non_utf8_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        side = tmp_path / f"data.bin.{sidecar}"
+        side.write_bytes(side.read_bytes() + b"source=\xff\xfe\n")
+        with pytest.raises(CorruptContainer, match="not valid text"):
             load_dataset(path)
 
     @pytest.mark.parametrize("seed", ["abc", "", "1.5"])
