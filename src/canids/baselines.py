@@ -131,7 +131,8 @@ def knn_predict(
     for start in range(0, len(unique), chunk):
         block = unique[start : start + chunk]
         rows, cols = np.nonzero(_gram_candidates(block, x, k))
-        dist = ((block[rows] - x[cols]) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):  # a square may overflow to inf, which sorts last
+            dist = ((block[rows] - x[cols]) ** 2).sum(axis=1)
         order = np.lexsort((cols, dist, rows))
         counts = np.bincount(rows, minlength=len(block))
         first = np.cumsum(counts) - counts

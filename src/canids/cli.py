@@ -214,7 +214,8 @@ def cmd_simulate(args) -> int:
 
 
 def _load_cleaned(path: Path, policy: str) -> tuple[list[ingest.RawRecord], list[str] | None]:
-    records = ingest.parse_log(path.read_text())
+    with open(path, newline="") as fh:
+        records = ingest.parse_log(fh)
     kinds = _read_kinds(path)
     if kinds is not None and len(kinds) != len(records):
         raise ValueError(
@@ -399,13 +400,11 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     rng = np.random.default_rng(args.seed)
     for name, builder in (("plenet", plenet.build_plenet), ("mlp", baselines.build_mlp)):
-        conv_input = name == "plenet"
         checked = 0
         while checked < args.seeds:
             net = builder(seed=int(rng.integers(0, 2**31)))
             nncore.jitter_parameters(net, rng)
-            shape = (args.batch, 16, 1) if conv_input else (args.batch, 16)
-            x = rng.uniform(size=shape)
+            x = net.layers[0].layout_rows(rng.uniform(size=(args.batch, 16)))
             labels = rng.integers(0, 2, args.batch)
             if nncore.boundary_margin(net, x) < KINK_MARGIN:
                 print(f"{name}: redrew a configuration sitting within {KINK_MARGIN:g} of a kink/tie")

@@ -11,12 +11,15 @@ A ``RawRecord`` holds each observed field in one canonical form, which
   timestamp    a finite float
   can_id_hex   uppercase hex digits, no prefix, value at most 0x1FFFFFFF
                (the 29-bit CAN 2.0B extended maximum); leading zeros kept
-  dlc          a nonnegative int, not checked against the payload length
+  dlc          an int in [0, MAX_PAYLOAD_BYTES] (64, the CAN FD maximum),
+               not checked against the payload length
   data_hex     uppercase two-digit hex bytes joined by single spaces
-               ("0A FF"), "" for an empty payload with DLC 0
+               ("0A FF"), at most MAX_PAYLOAD_BYTES of them; "" for an
+               empty payload with DLC 0
   label_text   "0" or "1"
 A cell that does not parse to this form (non-hex or signed digits, an
-over-long identifier, a non-finite timestamp, ...) becomes ``None``.
+over-long identifier or data field, a DLC above 64, a non-finite
+timestamp, ...) becomes ``None``.
 
 Feature layout (all components in [0, 1]):
   position 0      identifier, min-max normalized over the training split
@@ -33,7 +36,7 @@ import io
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -51,6 +54,9 @@ IMPUTE_POLICIES = ("droprow", "fieldmean")
 
 # largest CAN 2.0B extended (29-bit) identifier
 MAX_CAN_ID = 0x1FFFFFFF
+
+# largest payload of a frame (CAN FD); also the largest DLC a log may give
+MAX_PAYLOAD_BYTES = 64
 
 # the names a kinds sidecar may hold, one per row
 SIDECAR_KINDS = ("normal", *ATTACK_KINDS)
@@ -98,6 +104,10 @@ class UnknownKind(ValueError):
 
 class IdOutOfRange(ValueError):
     """An identifier exceeds the 29-bit ``MAX_CAN_ID``."""
+
+
+class PayloadTooLong(ValueError):
+    """A data field holds more than ``MAX_PAYLOAD_BYTES`` bytes."""
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,7 @@ def _parse_dlc(cell: str) -> int | None:
         value = int(cell)
     except ValueError:
         return None
-    return value if value >= 0 else None
+    return value if 0 <= value <= MAX_PAYLOAD_BYTES else None
 
 
 def _parse_data(cell: str, dlc: int | None) -> str | None:
@@ -169,12 +179,13 @@ def _parse_data(cell: str, dlc: int | None) -> str | None:
         # an empty data field is legitimate only for a zero-length payload
         return "" if dlc == 0 else None
     try:
-        if bytes.fromhex(cell).hex(" ").upper() == cell:
-            return cell  # already canonical
+        data = bytes.fromhex(cell)
+        if data.hex(" ").upper() == cell:
+            return cell if len(data) <= MAX_PAYLOAD_BYTES else None  # already canonical
     except ValueError:
         pass
     tokens = cell.split()
-    if not all(len(tok) <= 2 and _is_hex(tok) for tok in tokens):
+    if len(tokens) > MAX_PAYLOAD_BYTES or not all(len(tok) <= 2 and _is_hex(tok) for tok in tokens):
         return None
     return " ".join(t.upper().zfill(2) for t in tokens)
 
@@ -508,8 +519,9 @@ class RecordTable:
         """Tabulate cleaned records whose fields are in the canonical forms of the module docstring.
 
         An identifier above ``MAX_CAN_ID`` raises ``IdOutOfRange``, a data
-        field that is not hex bytes ``InvalidHexDigit``, and a missing
-        field or a label other than "0"/"1" a plain ``ValueError``.
+        field that is not hex bytes ``InvalidHexDigit``, one longer than
+        ``MAX_PAYLOAD_BYTES`` ``PayloadTooLong``, and a missing field or a
+        label other than "0"/"1" a plain ``ValueError``.
         """
         if not records:
             raise EmptyInput("no records to tabulate")
@@ -521,63 +533,56 @@ class RecordTable:
         labels = [r.label_text for r in records]
         if any(r.missing_fields() for r in records) or not set(labels) <= {"0", "1"}:
             raise ValueError("records must be cleaned before tabulation")
-        n = len(records)
         id_value = {text: hex_to_dec(text) for text in {r.can_id_hex for r in records}}
         too_long = sorted(text for text, value in id_value.items() if value > MAX_CAN_ID)
         if too_long:
             raise IdOutOfRange(f"identifiers above 29 bits: {too_long[:5]}")
-        payload = bytearray(n * PAYLOAD_WIDTH)
-        data_value = []
-        for i, rec in enumerate(records):
-            data = data_bytes(rec.data_hex)
-            head = data[:PAYLOAD_WIDTH]
-            payload[i * PAYLOAD_WIDTH : i * PAYLOAD_WIDTH + len(head)] = head
-            data_value.append(float(int.from_bytes(data, "big")))
-        kind = np.array(
-            ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * n,
-            dtype="<U8",
-        )
-        return cls(
-            timestamp=np.array([r.timestamp for r in records], dtype=np.float64),
-            can_id=np.array([id_value[r.can_id_hex] for r in records], dtype=np.int64),
-            dlc=np.array([r.dlc for r in records], dtype=np.int64),
-            payload=np.frombuffer(payload, dtype=np.uint8).reshape(n, PAYLOAD_WIDTH),
-            data_value=np.array(data_value, dtype=np.float64),
-            label=(np.array(labels) == "1").astype(np.uint8),
-            kind=kind,
+        return cls._assemble(
+            [r.timestamp for r in records],
+            [id_value[r.can_id_hex] for r in records],
+            [r.dlc for r in records],
+            (data_bytes(r.data_hex) for r in records),
+            np.array(labels) == "1",
+            ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * len(records),
         )
 
     @classmethod
     def from_traffic(cls, records: Sequence[TrafficRecord]) -> "RecordTable":
         if not records:
             raise EmptyInput("no records to tabulate")
-        n = len(records)
-        payload = np.zeros((n, PAYLOAD_WIDTH), dtype=np.uint8)
-        data_value = np.zeros(n)
-        for i, rec in enumerate(records):
-            payload[i, : min(len(rec.payload), PAYLOAD_WIDTH)] = list(rec.payload[:PAYLOAD_WIDTH])
-            if rec.payload:
-                data_value[i] = float(int.from_bytes(rec.payload, "big"))
+        return cls._assemble(
+            [r.timestamp for r in records],
+            [r.can_id for r in records],
+            [r.dlc for r in records],
+            (r.payload for r in records),
+            [r.label for r in records],
+            [r.kind for r in records],
+        )
+
+    @classmethod
+    def _assemble(cls, timestamp, can_id, dlc, payloads: Iterable[bytes], label, kind) -> "RecordTable":
+        """A table from per-row values; ``payloads`` yields each row's whole data field."""
+        n = len(timestamp)
+        payload = bytearray(n * PAYLOAD_WIDTH)
+        data_value = []
+        for i, data in enumerate(payloads):
+            if len(data) > MAX_PAYLOAD_BYTES:
+                raise PayloadTooLong(f"row {i}: {len(data)}-byte data field exceeds {MAX_PAYLOAD_BYTES}")
+            head = data[:PAYLOAD_WIDTH]
+            payload[i * PAYLOAD_WIDTH : i * PAYLOAD_WIDTH + len(head)] = head
+            data_value.append(float(int.from_bytes(data, "big")))
         return cls(
-            timestamp=np.array([r.timestamp for r in records]),
-            can_id=np.array([r.can_id for r in records], dtype=np.int64),
-            dlc=np.array([r.dlc for r in records], dtype=np.int64),
-            payload=payload,
-            data_value=data_value,
-            label=np.array([r.label for r in records], dtype=np.uint8),
-            kind=np.array([r.kind for r in records], dtype="<U8"),
+            timestamp=np.array(timestamp, dtype=np.float64),
+            can_id=np.array(can_id, dtype=np.int64),
+            dlc=np.array(dlc, dtype=np.int64),
+            payload=np.frombuffer(payload, dtype=np.uint8).reshape(n, PAYLOAD_WIDTH),
+            data_value=np.array(data_value, dtype=np.float64),
+            label=np.asarray(label, dtype=np.uint8),
+            kind=np.array(kind, dtype="<U8"),
         )
 
     def take(self, idx: np.ndarray) -> "RecordTable":
-        return RecordTable(
-            self.timestamp[idx],
-            self.can_id[idx],
-            self.dlc[idx],
-            self.payload[idx],
-            self.data_value[idx],
-            self.label[idx],
-            self.kind[idx],
-        )
+        return RecordTable(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     def feature_columns(self) -> dict[str, np.ndarray]:
         """Numeric columns for correlation analysis (data field as one decimal)."""
@@ -616,13 +621,6 @@ def encode_table(table: RecordTable, params: NormalizationParams) -> tuple[np.nd
     raw[:, 1] = table.dlc
     raw[:, 2 : 2 + PAYLOAD_WIDTH] = table.payload
     return apply_minmax(raw, params), table.label.copy()
-
-
-def encode_record(record: TrafficRecord, params: NormalizationParams) -> tuple[np.ndarray, int]:
-    """Single-record version of :func:`encode_table`."""
-    table = RecordTable.from_traffic([record])
-    x, y = encode_table(table, params)
-    return x[0], int(y[0])
 
 
 @dataclass

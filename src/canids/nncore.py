@@ -8,7 +8,10 @@ are exact gradients verifiable against central finite differences.
 
 Sequence tensors are (length, channels) for a single sample or
 (batch, length, channels) batched; flat tensors are (units,) or
-(batch, units). Single-sample inputs come back out single-sample.
+(batch, units). Single-sample inputs come back out single-sample; one
+wrapper, ``_batched``, does that, so layer bodies only see batches. A
+network takes (batch, features) rows, laid out by its first layer's
+``layout_rows``.
 
 Parameter storage: a ``Network`` owns one contiguous float64 parameter
 vector (``param_buffer``) and one gradient vector of the same length
@@ -25,6 +28,7 @@ network. Layers built on their own keep private arrays and work standalone.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,6 +121,22 @@ def _select(keep: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.bitwise_and(bits, mask, out=mask).view(np.float64)
 
 
+def _batched(method):
+    """Run a layer pass on a batch; a single sample runs as a batch of one.
+
+    ``forward`` records in ``self._single`` whether ``x`` is one sample.
+    """
+    records = method.__name__ == "forward"
+
+    @functools.wraps(method)
+    def wrapper(self, x):
+        if records:
+            self._single = x.ndim == self.sample_ndim
+        return method(self, x[None])[0] if self._single else method(self, x)
+
+    return wrapper
+
+
 class Layer:
     """Forward/backward pair; trainable layers carry weight and bias arrays.
 
@@ -126,6 +146,8 @@ class Layer:
 
     trainable = False
     param_names: tuple[str, ...] = ()
+    sample_ndim = 2  # axes of one unbatched sample
+    _single = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -142,6 +164,10 @@ class Layer:
     def zero_grads(self) -> None:
         for g in self.grads():
             g[...] = 0.0
+
+    def layout_rows(self, rows: np.ndarray) -> np.ndarray:
+        """This layer's batched input for (batch, features) feature rows."""
+        return rows
 
     def spec(self) -> str:
         raise NotImplementedError
@@ -171,7 +197,6 @@ class Conv1D(Layer):
         self.gb = np.zeros_like(self.b)
         self.frozen = False
         self._windows = None
-        self._single = False
 
     def param_count(self) -> int:
         return self.filters * (self.kernel_size * self.in_channels + 1)
@@ -184,10 +209,11 @@ class Conv1D(Layer):
             self._idx_length = length
         return self._idx
 
+    def layout_rows(self, rows):
+        return rows.reshape(len(rows), -1, self.in_channels)
+
+    @_batched
     def forward(self, x):
-        self._single = x.ndim == 2
-        if self._single:
-            x = x[None]
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeMismatch(f"expected (batch, length, {self.in_channels}), got {x.shape}")
         k = self.kernel_size
@@ -198,12 +224,10 @@ class Conv1D(Layer):
         windows = x[:, self._window_index(length), :].reshape(n, out_len, k * channels)
         self._windows = windows
         self._in_shape = x.shape
-        out = windows @ self.w.reshape(self.filters, k * channels).T + self.b
-        return out[0] if self._single else out
+        return windows @ self.w.reshape(self.filters, k * channels).T + self.b
 
+    @_batched
     def backward(self, grad):
-        if self._single:
-            grad = grad[None]
         if grad.shape != (*self._windows.shape[:2], self.filters):
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
         flat_grad = grad.reshape(-1, self.filters)
@@ -214,7 +238,7 @@ class Conv1D(Layer):
         out_len = grad.shape[1]
         for i in range(self.kernel_size):
             dx[:, i : i + out_len, :] += grad @ self.w[:, i, :]
-        return dx[0] if self._single else dx
+        return dx
 
     def spec(self):
         return f"conv1d:{self.in_channels}:{self.filters}:{self.kernel_size}"
@@ -223,22 +247,18 @@ class Conv1D(Layer):
 class MaxPool1D(Layer):
     """Window-2 stride-2 max pooling; odd trailing element is dropped."""
 
+    @_batched
     def forward(self, x):
-        self._single = x.ndim == 2
-        if self._single:
-            x = x[None]
         if x.ndim != 3 or x.shape[1] < 2:
             raise ShapeMismatch(f"expected (batch, length >= 2, channels), got {x.shape}")
         out_len = x.shape[1] // 2
         self._first = x[:, 0 : 2 * out_len : 2, :]
         self._second = x[:, 1 : 2 * out_len : 2, :]
         self._in_shape = x.shape
-        out = np.maximum(self._first, self._second)
-        return out[0] if self._single else out
+        return np.maximum(self._first, self._second)
 
+    @_batched
     def backward(self, grad):
-        if self._single:
-            grad = grad[None]
         if grad.shape != self._first.shape:
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
         keep_first = self._first >= self._second  # ties route to the earlier index
@@ -246,26 +266,21 @@ class MaxPool1D(Layer):
         dx = np.zeros(self._in_shape)
         dx[:, 0 : 2 * out_len : 2, :] = _select(keep_first, grad)
         dx[:, 1 : 2 * out_len : 2, :] = _select(~keep_first, grad)
-        return dx[0] if self._single else dx
+        return dx
 
     def spec(self):
         return "maxpool"
 
 
 class Flatten(Layer):
+    @_batched
     def forward(self, x):
-        self._single = x.ndim == 2
-        if self._single:
-            x = x[None]
         self._in_shape = x.shape
-        out = x.reshape(x.shape[0], -1)
-        return out[0] if self._single else out
+        return x.reshape(x.shape[0], -1)
 
+    @_batched
     def backward(self, grad):
-        if self._single:
-            grad = grad[None]
-        dx = grad.reshape(self._in_shape)
-        return dx[0] if self._single else dx
+        return grad.reshape(self._in_shape)
 
     def spec(self):
         return "flatten"
@@ -276,6 +291,7 @@ class Dense(Layer):
 
     trainable = True
     param_names = ("w", "b")
+    sample_ndim = 1
 
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
         if in_units < 1 or out_units < 1:
@@ -288,30 +304,24 @@ class Dense(Layer):
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
         self.frozen = False
-        self._single = False
 
     def param_count(self) -> int:
         return self.in_units * self.out_units + self.out_units
 
+    @_batched
     def forward(self, x):
-        self._single = x.ndim == 1
-        if self._single:
-            x = x[None]
         if x.ndim != 2 or x.shape[1] != self.in_units:
             raise ShapeMismatch(f"expected (batch, {self.in_units}), got {x.shape}")
         self._x = x
-        out = x @ self.w + self.b
-        return out[0] if self._single else out
+        return x @ self.w + self.b
 
+    @_batched
     def backward(self, grad):
-        if self._single:
-            grad = grad[None]
         if grad.shape != (self._x.shape[0], self.out_units):
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
         self.gw += self._x.T @ grad
         self.gb += grad.sum(axis=0)
-        dx = grad @ self.w.T
-        return dx[0] if self._single else dx
+        return grad @ self.w.T
 
     def spec(self):
         return f"dense:{self.in_units}:{self.out_units}"

@@ -108,26 +108,14 @@ def build_plenet(seed: int = 0) -> Network:
     return net
 
 
-def _as_model_input(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None]
-    if x.ndim == 2:
-        return x[:, :, None]  # (batch, length, 1 channel)
-    return x
-
-
 def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probability pairs and hard labels; an exact 0.5 tie counts as attack.
 
-    The first layer decides the expected input layout: conv stacks take
-    (batch, 16) feature rows, dense stacks take them as-is.
+    ``x`` is one feature row or a (batch, 16) block, laid out for the
+    network by its first layer.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(model.layers[0], Conv1D):
-        probs = model.forward(_as_model_input(x))
-    else:
-        probs = model.forward(x if x.ndim == 2 else x[None])
+    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    probs = model.forward(model.layers[0].layout_rows(rows))
     labels = (probs[:, 1] >= probs[:, 0]).astype(np.uint8)
     return probs, labels
 
@@ -164,8 +152,7 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
         beta2=cfg.beta2,
         eps=cfg.eps,
     )
-    conv_input = isinstance(model.layers[0], Conv1D)
-    train_x = _as_model_input(data.train_x) if conv_input else data.train_x
+    train_x = model.layers[0].layout_rows(data.train_x)
     history = TrainHistory()
     best_acc, best_snapshot, stale = -1.0, model.snapshot(), 0
 
@@ -207,10 +194,8 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
     return model, history
 
 
-def mmd_distance(source: np.ndarray, target: np.ndarray, feature_map: str = "identity") -> float:
+def mmd_distance(source: np.ndarray, target: np.ndarray) -> float:
     """Euclidean norm of the difference between the empirical feature means."""
-    if feature_map != "identity":
-        raise ValueError(f"unsupported feature map {feature_map!r}")
     source = np.atleast_2d(np.asarray(source, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if source.shape[0] == 0 or target.shape[0] == 0:

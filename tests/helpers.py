@@ -45,7 +45,8 @@ def knn_difference_tensor(model, queries, k, chunk=256):
     votes = np.empty(len(queries))
     for start in range(0, len(queries), chunk):
         block = queries[start : start + chunk]
-        d2 = ((block[:, None, :] - model.x[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):  # huge rows square to inf, as in knn_predict
+            d2 = ((block[:, None, :] - model.x[None, :, :]) ** 2).sum(axis=2)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
         frac = model.y[nearest].mean(axis=1)
         votes[start : start + chunk] = frac

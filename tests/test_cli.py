@@ -344,6 +344,20 @@ class TestExitCodes:
         assert run_command(argv) == 1
         assert "cannot impute CAN_ID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("impute", ["droprow", "fieldmean"])
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["1.0,0130,8," + " ".join(["FF"] * 200) + ",0", "1.0,0130,1000000,ZZ,0"],
+        ids=["200_byte_data_field", "dlc_1000000"],
+    )
+    def test_payload_above_64_bytes_prepare(self, tmp_path, capsys, bad_row, impute):
+        rows = [f"0.{i},0{i}30,1,0{i},{i % 2}" for i in range(10)]
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(rows + [bad_row]) + "\n")
+        run_ok(["prepare", "--input", str(log), "--output", str(tmp_path / "a.bin"), "--impute", impute])
+        kept = 10 if impute == "droprow" else 11
+        assert f"prepared {kept} records" in capsys.readouterr().out
+
     def test_bad_attack_spec_is_1(self, tmp_path, profile_path):
         code = run_command(
             [

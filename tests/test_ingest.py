@@ -15,6 +15,8 @@ from canids.ingest import (
     IdOutOfRange,
     InvalidHexDigit,
     LengthMismatch,
+    MAX_PAYLOAD_BYTES,
+    PayloadTooLong,
     RawRecord,
     RecordTable,
     TooFewValues,
@@ -23,7 +25,6 @@ from canids.ingest import (
     apply_minmax,
     correlation_matrix,
     dec_to_hex,
-    encode_record,
     encode_table,
     fit_feature_params,
     fit_minmax,
@@ -123,6 +124,30 @@ class TestParseLog:
         rec = parse_log(f"0.1,{cell},1,0A,0")[0]
         assert rec.missing_fields() == frozenset({"can_id_hex"})
         assert parse_log("0.1,0x1fffffff,1,0A,0")[0].can_id_hex == "1FFFFFFF"
+
+    def test_payload_or_dlc_above_64_bytes_is_missing(self):
+        at_bound = " ".join(["FF"] * MAX_PAYLOAD_BYTES)
+        assert parse_log(f"0.0,0100,64,{at_bound},0")[0].missing_fields() == frozenset()
+        for cell in (at_bound + " FF", at_bound.lower() + " ff"):  # canonical and not
+            assert parse_log(f"0.0,0100,8,{cell},0")[0].missing_fields() == frozenset({"data_hex"})
+        assert parse_log("0.0,0100,65,0A,0")[0].missing_fields() == frozenset({"dlc"})
+
+    def test_dlc_above_bound_imputed_from_observed_mean(self):
+        records = parse_log("0.0,0130,2,0A 0B,0\n1.0,0130,1000000,ZZ,0")
+        assert records[1].missing_fields() == frozenset({"dlc", "data_hex"})
+        imputed = impute_missing(records, "fieldmean")[1]
+        assert (imputed.dlc, imputed.data_hex) == (2, "0A 0B")
+
+    def test_open_file_parses_like_its_text(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(
+            b"Timestamp,CAN_ID,DLC,Data_Field,Label\r\n0.1,0130,2,AB CD,0\r\n\r\n"
+            b"0.2,02B0,,ZZ,Attack\r\n0.3,0x1a3,1,0f,1\r\n"
+        )
+        with open(path, newline="") as fh:
+            from_file = parse_log(fh)
+        assert from_file == parse_log(path.read_text())
+        assert [r.timestamp for r in from_file] == [0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize("cell", ["+130", "-1", "1_30", "\u0661\u0663\u0660", "0x0x12", "0x 12"])
     def test_signed_or_non_ascii_id_is_missing(self, cell):
@@ -359,14 +384,14 @@ class TestEncode:
         return fit_feature_params(table)
 
     def test_minimum_id_empty_payload(self, params):
-        x, y = encode_record(TrafficRecord(0.0, 0x100, 0, b"", 0), params)
-        assert x[0] == 0.0
-        assert np.all(x[2:] == 0.0)
-        assert y == 0
+        x, y = encode_table(RecordTable.from_traffic([TrafficRecord(0.0, 0x100, 0, b"", 0)]), params)
+        assert x[0, 0] == 0.0
+        assert np.all(x[0, 2:] == 0.0)
+        assert y.tolist() == [0]
 
     def test_full_byte_scales_to_one(self, params):
-        x, _ = encode_record(TrafficRecord(0.0, 0x100, 1, b"\xff", 0), params)
-        assert x[2] == 1.0
+        x, _ = encode_table(RecordTable.from_traffic([TrafficRecord(0.0, 0x100, 1, b"\xff", 0)]), params)
+        assert x[0, 2] == 1.0
 
     def test_shape_and_range(self, params):
         rng = np.random.default_rng(2)
@@ -379,8 +404,8 @@ class TestEncode:
                 bytes(int(b) for b in rng.integers(0, 256, dlc)),
                 int(rng.integers(0, 2)),
             )
-            x, _ = encode_record(rec, params)
-            assert x.shape == (16,)
+            x, _ = encode_table(RecordTable.from_traffic([rec]), params)
+            assert x.shape == (1, 16)
             assert np.all((x >= 0.0) & (x <= 1.0))
 
     def test_unknown_sidecar_kind_rejected(self):
@@ -393,6 +418,12 @@ class TestEncode:
         with pytest.raises(IdOutOfRange):
             RecordTable.from_raw([RawRecord(0.0, "FFFFFFFFFFFFFFFFFFFFFF", 1, "0A", "0")])
         assert RecordTable.from_raw([RawRecord(0.0, "1FFFFFFF", 1, "0A", "0")]).can_id[0] == 0x1FFFFFFF
+
+    def test_data_field_above_64_bytes_rejected(self):
+        with pytest.raises(PayloadTooLong):
+            RecordTable.from_raw([RawRecord(0.0, "0100", 8, " ".join(["FF"] * 200), "0")])
+        table = RecordTable.from_raw([RawRecord(0.0, "0100", 64, " ".join(["FF"] * 64), "0")])
+        assert table.data_value[0] == float(2**512 - 1)
 
     @pytest.mark.parametrize("data_hex", ["-1", "+F", "0A ZZ", "A"])
     def test_non_hex_data_field_rejected(self, data_hex):

@@ -348,3 +348,37 @@ class TestNetwork:
             p += 1.0
         net.restore(saved)
         assert all(np.array_equal(p, s) for p, s in zip(net.parameters(), saved))
+
+
+def _layer_and_sample(cls, rng):
+    """A fresh layer of ``cls`` and one unbatched input for it."""
+    if cls is Conv1D:
+        return Conv1D(2, 3, 4, rng), rng.standard_normal((9, 2))
+    if cls is MaxPool1D:
+        return MaxPool1D(), rng.standard_normal((7, 3))
+    if cls is Flatten:
+        return Flatten(), rng.standard_normal((4, 3))
+    return Dense(6, 4, rng), rng.standard_normal(6)
+
+
+class TestSingleSampleMatchesBatch:
+    """One sample through a layer equals row 0 of the same call on a batch of one."""
+
+    @pytest.mark.parametrize("cls", [Conv1D, MaxPool1D, Flatten, Dense])
+    def test_forward_backward_and_gradients(self, cls):
+        rng = np.random.default_rng(11)
+        single, x = _layer_and_sample(cls, rng)
+        batched, _ = _layer_and_sample(cls, np.random.default_rng(11))
+        out = single.forward(x)
+        out_b = batched.forward(x[None])
+        assert out_b.shape == (1, *out.shape)
+        assert out.tobytes() == out_b[0].tobytes()
+        grad = rng.standard_normal(out.shape)
+        for _ in range(2):  # a second pass checks the accumulated gradients
+            dx = single.backward(grad)
+            dx_b = batched.backward(grad[None])
+            assert dx.shape == x.shape
+            assert dx.tobytes() == dx_b[0].tobytes()
+        for g, g_b in zip(single.grads(), batched.grads(), strict=True):
+            assert g.tobytes() == g_b.tobytes()
+            assert g.any()

@@ -161,8 +161,6 @@ class TestMmdDistance:
             mmd_distance(np.zeros((3, 4)), np.zeros((3, 5)))
         with pytest.raises(EmptyDomain):
             mmd_distance(np.zeros((0, 4)), np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            mmd_distance(np.zeros((3, 4)), np.zeros((3, 4)), feature_map="rbf")
 
 
 class TestTransfer:
