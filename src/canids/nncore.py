@@ -13,6 +13,13 @@ wrapper, ``_batched``, does that, so layer bodies only see batches. A
 network takes (batch, features) rows, laid out by its first layer's
 ``layout_rows``.
 
+Backward stop rule: ``Network.backward`` runs down to the lowest updated
+layer -- the lowest trainable layer that is not frozen -- and asks it for
+no input gradient (``backward(grad, input_grad=False)``). Layers below it
+do not run, so frozen layers there get no gradients, and the method
+returns nothing. A layer's own ``backward`` returns its input gradient by
+default; ``grad_check`` calls those directly to check every parameter.
+
 Parameter storage: a ``Network`` owns one contiguous float64 parameter
 vector (``param_buffer``) and one gradient vector of the same length
 (``grad_buffer``). Each trainable layer's ``w``, ``b``, ``gw`` and ``gb``
@@ -101,6 +108,11 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndar
     # entries of 0 or 1 make each row sum an exact integer, so "== 1" is exact
     if not (((onehot == 0.0) | (onehot == 1.0)).all() and (onehot.sum(axis=1) == 1.0).all()):
         raise InvalidOneHot("targets must be one-hot rows")
+    return _cross_entropy(probs, onehot)
+
+
+def _cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:
+    """``cross_entropy`` without its checks, for float64 arrays of equal shape and one-hot targets."""
     n = probs.shape[0]
     clamped = np.maximum(probs, _PROB_FLOOR)
     loss = float(-(onehot * np.log(clamped)).sum() / n)
@@ -129,10 +141,13 @@ def _batched(method):
     records = method.__name__ == "forward"
 
     @functools.wraps(method)
-    def wrapper(self, x):
+    def wrapper(self, x, **kwargs):
         if records:
             self._single = x.ndim == self.sample_ndim
-        return method(self, x[None])[0] if self._single else method(self, x)
+        if not self._single:
+            return method(self, x, **kwargs)
+        out = method(self, x[None], **kwargs)
+        return None if out is None else out[0]
 
     return wrapper
 
@@ -210,7 +225,7 @@ class Conv1D(Layer):
         return self._idx
 
     def layout_rows(self, rows):
-        return rows.reshape(len(rows), -1, self.in_channels)
+        return rows.reshape(len(rows), rows.shape[1] // self.in_channels, self.in_channels)
 
     @_batched
     def forward(self, x):
@@ -221,23 +236,28 @@ class Conv1D(Layer):
         if length < k:
             raise ShapeMismatch(f"length {length} shorter than kernel {k}")
         out_len = length - k + 1
-        windows = x[:, self._window_index(length), :].reshape(n, out_len, k * channels)
+        # (batch * out_len, K * C) windows: one 2-D product instead of one per sample
+        windows = x[:, self._window_index(length), :].reshape(n * out_len, k * channels)
         self._windows = windows
         self._in_shape = x.shape
-        return windows @ self.w.reshape(self.filters, k * channels).T + self.b
+        out = windows @ self.w.reshape(self.filters, k * channels).T
+        out += self.b
+        return out.reshape(n, out_len, self.filters)
 
     @_batched
-    def backward(self, grad):
-        if grad.shape != (*self._windows.shape[:2], self.filters):
+    def backward(self, grad, input_grad=True):
+        n, length, channels = self._in_shape
+        out_len = length - self.kernel_size + 1
+        if grad.shape != (n, out_len, self.filters):
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
-        flat_grad = grad.reshape(-1, self.filters)
-        flat_windows = self._windows.reshape(flat_grad.shape[0], -1)
-        self.gw += (flat_grad.T @ flat_windows).reshape(self.w.shape)
+        flat_grad = grad.reshape(n * out_len, self.filters)
+        self.gw += (flat_grad.T @ self._windows).reshape(self.w.shape)
         self.gb += grad.sum(axis=(0, 1))
+        if not input_grad:
+            return None
         dx = np.zeros(self._in_shape)
-        out_len = grad.shape[1]
-        for i in range(self.kernel_size):
-            dx[:, i : i + out_len, :] += grad @ self.w[:, i, :]
+        for i in range(self.kernel_size):  # one product per tap; fusing them changes the bits
+            dx[:, i : i + out_len, :] += (flat_grad @ self.w[:, i, :]).reshape(n, out_len, channels)
         return dx
 
     def spec(self):
@@ -276,7 +296,7 @@ class Flatten(Layer):
     @_batched
     def forward(self, x):
         self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     @_batched
     def backward(self, grad):
@@ -313,15 +333,17 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_units:
             raise ShapeMismatch(f"expected (batch, {self.in_units}), got {x.shape}")
         self._x = x
-        return x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
+        return out
 
     @_batched
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         if grad.shape != (self._x.shape[0], self.out_units):
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
         self.gw += self._x.T @ grad
         self.gb += grad.sum(axis=0)
-        return grad @ self.w.T
+        return grad @ self.w.T if input_grad else None
 
     def spec(self):
         return f"dense:{self.in_units}:{self.out_units}"
@@ -391,10 +413,21 @@ class Network:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray) -> None:
+        """Accumulate parameter gradients for the loss gradient ``grad`` w.r.t. the output.
+
+        The pass stops at the lowest updated layer: the lowest trainable
+        layer that is not frozen. That layer fills its own gradients and
+        computes no input gradient; the layers below it do not run, so
+        frozen layers there keep whatever their gradients held. Nothing is
+        returned: no caller reads the gradient w.r.t. the network input.
+        """
+        updated = [i for i, l in enumerate(self.layers) if l.trainable and not l.frozen]
+        if not updated:
+            return
+        for layer in self.layers[: updated[0] : -1]:
             grad = layer.backward(grad)
-        return grad
+        self.layers[updated[0]].backward(grad, input_grad=False)
 
     def loss_and_backward(self, x: np.ndarray, onehot: np.ndarray) -> float:
         loss, grad = cross_entropy(self.forward(x), onehot)
@@ -592,7 +625,9 @@ def grad_check(
     """
     targets = one_hot(labels)
     network.zero_grads()
-    network.loss_and_backward(inputs, targets)
+    _, grad = cross_entropy(network.forward(inputs), targets)
+    for layer in reversed(network.layers):  # every layer: frozen ones get gradients too
+        grad = layer.backward(grad)
     analytic = iter([g.copy() for g in network.gradients()])
 
     hp = np.longdouble

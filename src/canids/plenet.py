@@ -29,6 +29,7 @@ from .nncore import (
     NonFiniteLoss,
     ReLU,
     Softmax,
+    _cross_entropy,
     cross_entropy,
     one_hot,
 )
@@ -153,6 +154,7 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
         eps=cfg.eps,
     )
     train_x = model.layers[0].layout_rows(data.train_x)
+    train_targets = one_hot(data.train_y)
     history = TrainHistory()
     best_acc, best_snapshot, stale = -1.0, model.snapshot(), 0
 
@@ -162,10 +164,8 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
         epoch_loss, correct = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb = train_x[idx]
-            targets = one_hot(data.train_y[idx])
-            probs = model.forward(xb)
-            loss, dprobs = cross_entropy(probs, targets)
+            probs = model.forward(train_x[idx])
+            loss, dprobs = _cross_entropy(probs, train_targets[idx])
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}, batch offset {start}")
             model.zero_grads()

@@ -92,11 +92,68 @@ def legacy_maxpool_backward(layer, grad):
     return dx[0] if layer._single else dx
 
 
-def legacy_kernels(monkeypatch):
-    """Patch training to the per-array Adam, per-layer zeroing and ``np.where`` masking.
+def legacy_conv_forward(layer, x):
+    """Reference Conv1D forward on a batch: a 3-D product, one matmul per sample."""
+    k = layer.kernel_size
+    n, length, channels = x.shape
+    out_len = length - k + 1
+    windows = x[:, layer._window_index(length), :].reshape(n, out_len, k * channels)
+    layer._legacy_windows = windows
+    layer._in_shape = x.shape
+    return windows @ layer.w.reshape(layer.filters, k * channels).T + layer.b
 
-    ``plenet.train`` then hands the optimizer one array per unfrozen weight
-    or bias, as it did before the flat parameter buffer.
+
+def legacy_conv_backward(layer, grad):
+    """Reference Conv1D backward on a batch: 3-D products per tap, always the input gradient."""
+    windows = layer._legacy_windows
+    flat_grad = grad.reshape(-1, layer.filters)
+    flat_windows = windows.reshape(flat_grad.shape[0], windows.shape[2])
+    layer.gw += (flat_grad.T @ flat_windows).reshape(layer.w.shape)
+    layer.gb += grad.sum(axis=(0, 1))
+    dx = np.zeros(layer._in_shape)
+    out_len = grad.shape[1]
+    for i in range(layer.kernel_size):
+        dx[:, i : i + out_len, :] += grad @ layer.w[:, i, :]
+    return dx
+
+
+def legacy_network_backward(net, grad):
+    """Reference ``Network.backward``: every layer, down to the input gradient."""
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+    return grad
+
+
+class PerBatchOneHot:
+    """Stand-in for ``plenet.one_hot``: indexing builds and checks one-hot rows per batch.
+
+    ``train`` indexes its targets once per batch, so each batch gets a
+    fresh ``one_hot(labels[idx])``; as an array (``_evaluate``) it is the
+    whole one-hot matrix.
+    """
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def __getitem__(self, idx):
+        from canids.nncore import one_hot
+
+        return one_hot(self.labels[idx])
+
+    def __array__(self, dtype=None, copy=None):
+        from canids.nncore import one_hot
+
+        return one_hot(self.labels).astype(dtype or np.float64)
+
+
+def legacy_kernels(monkeypatch):
+    """Patch training to the kernels the current ones must match bit for bit.
+
+    Per-array Adam, per-layer zeroing, ``np.where`` masking, the 3-D conv
+    products, a backward pass through every layer, and per-batch one-hot
+    targets scored by the checked ``cross_entropy``. ``plenet.train`` then
+    hands the optimizer one array per unfrozen weight or bias, as it did
+    before the flat parameter buffer.
     """
     from canids import nncore, plenet
 
@@ -114,6 +171,11 @@ def legacy_kernels(monkeypatch):
     monkeypatch.setattr(nncore.Network, "zero_grads", per_layer_zero_grads)
     monkeypatch.setattr(nncore.ReLU, "backward", legacy_relu_backward)
     monkeypatch.setattr(nncore.MaxPool1D, "backward", legacy_maxpool_backward)
+    monkeypatch.setattr(nncore.Conv1D, "forward", legacy_conv_forward)
+    monkeypatch.setattr(nncore.Conv1D, "backward", legacy_conv_backward)
+    monkeypatch.setattr(nncore.Network, "backward", legacy_network_backward)
+    monkeypatch.setattr(plenet, "one_hot", PerBatchOneHot)
+    monkeypatch.setattr(plenet, "_cross_entropy", nncore.cross_entropy)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from canids.baselines import build_mlp
 from canids.checkpoint import save_checkpoint
 from canids.cli import parse_attack, parse_profile, run_command
 from canids.ingest import load_dataset
@@ -357,6 +358,18 @@ class TestExitCodes:
         run_ok(["prepare", "--input", str(log), "--output", str(tmp_path / "a.bin"), "--impute", impute])
         kept = 10 if impute == "droprow" else 11
         assert f"prepared {kept} records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
+    def test_empty_test_partition_evaluate_is_1(self, pipeline, builder, capsys):
+        tmp_path, log, _ = pipeline
+        data = tmp_path / "no_test.bin"
+        run_ok(["prepare", "--input", str(log), "--output", str(data), "--test-fraction", "0"])
+        assert len(load_dataset(data).test_y) == 0
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(builder(seed=0), ckpt)
+        capsys.readouterr()
+        assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == "error: confusion matrix holds no samples\n"
 
     def test_bad_attack_spec_is_1(self, tmp_path, profile_path):
         code = run_command(

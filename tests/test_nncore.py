@@ -26,6 +26,7 @@ from canids.nncore import (
     one_hot,
     softmax,
 )
+from canids.plenet import build_plenet
 
 
 def finite_difference(loss_fn, array, h=1e-5):
@@ -309,6 +310,24 @@ class TestNetwork:
         y = rng.integers(0, 2, 4)
         assert boundary_margin(net, x) > 1e-4
         assert grad_check(net, x, y) < 1e-5
+
+    def test_grad_check_covers_frozen_layers(self):
+        # Network.backward leaves frozen conv gradients unfilled; grad_check
+        # still compares them, under the c02 bound
+        rng = np.random.default_rng(10)
+        checked = 0
+        while checked < 3:
+            net = build_plenet(seed=int(rng.integers(0, 2**31)))
+            for layer in net.layers:
+                if isinstance(layer, Conv1D):
+                    layer.frozen = True
+            jitter_parameters(net, rng)
+            x = rng.uniform(size=(4, 16, 1))
+            y = rng.integers(0, 2, 4)
+            if boundary_margin(net, x) < 1e-4:
+                continue
+            assert grad_check(net, x, y) < 1e-5
+            checked += 1
 
     def test_grad_check_dense_only_tight(self):
         rng = np.random.default_rng(5)

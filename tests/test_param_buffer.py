@@ -12,6 +12,7 @@ from canids.nncore import (
     Adam,
     Conv1D,
     Dense,
+    Flatten,
     InvalidOneHot,
     MaxPool1D,
     Network,
@@ -21,7 +22,15 @@ from canids.nncore import (
     one_hot,
 )
 from canids.plenet import TrainConfig, build_plenet, clone_model, train, transfer_finetune
-from helpers import legacy_kernels, legacy_maxpool_backward, legacy_relu_backward, toy_dataset
+from helpers import (
+    legacy_conv_backward,
+    legacy_conv_forward,
+    legacy_kernels,
+    legacy_maxpool_backward,
+    legacy_network_backward,
+    legacy_relu_backward,
+    toy_dataset,
+)
 
 SEEDS = (0, 1, 2)
 
@@ -71,6 +80,87 @@ class TestBitExactTraining:
         assert current == legacy
         conv_size = sum(l.param_count() for l in source.layers if isinstance(l, Conv1D))
         assert current[0][: 8 * conv_size] == source.param_buffer[:conv_size].tobytes()
+
+
+class TestPlenetConvProducts:
+    """The 2-D conv products equal the old 3-D ones bit for bit at the plenet's two conv shapes.
+
+    This is a property of these shapes on the OpenBLAS build the suite runs
+    against, not of every shape: on random (batch, length, channels,
+    filters, kernel) shapes the two product orders differ in the last bits
+    about a third of the time.
+    """
+
+    @pytest.mark.parametrize("in_channels, filters, length", [(1, 5, 16), (5, 20, 6)])
+    def test_matches_3d_products(self, in_channels, filters, length):
+        for n in [*range(131), 512, 4000]:
+            rng = np.random.default_rng(n)
+            layer = Conv1D(in_channels, filters, 5, rng)
+            legacy = Conv1D(in_channels, filters, 5)
+            legacy.w[...] = layer.w
+            legacy.b[...] = rng.standard_normal(filters)
+            layer.b[...] = legacy.b
+            x = rng.standard_normal((n, length, in_channels))
+            out = layer.forward(x)
+            assert out.tobytes() == legacy_conv_forward(legacy, x).tobytes(), n
+            grad = rng.standard_normal(out.shape)
+            assert layer.backward(grad).tobytes() == legacy_conv_backward(legacy, grad).tobytes(), n
+            assert layer.gw.tobytes() == legacy.gw.tobytes(), n
+            assert layer.gb.tobytes() == legacy.gb.tobytes(), n
+
+
+class TestBackwardStopsAtLowestUpdatedLayer:
+    @staticmethod
+    def record_backward_calls(monkeypatch):
+        calls = []
+        for cls in (Conv1D, MaxPool1D, ReLU, Flatten, Dense, Softmax):
+            def counted(self, grad, _orig=cls.backward, **kwargs):
+                calls.append((type(self).__name__, kwargs))
+                return _orig(self, grad, **kwargs)
+
+            monkeypatch.setattr(cls, "backward", counted)
+        return calls
+
+    @pytest.mark.parametrize("freeze", ["none", "conv"])
+    def test_layers_run_and_gradients(self, monkeypatch, freeze):
+        net, full = build_plenet(seed=8), build_plenet(seed=8)
+        if freeze == "conv":
+            for layer in net.layers:
+                if isinstance(layer, Conv1D):
+                    layer.frozen = True
+        x, targets = np.random.default_rng(8).uniform(size=(8, 16, 1)), one_hot(np.arange(8) % 2)
+        legacy_network_backward(full, cross_entropy(full.forward(x), targets)[1])
+        calls = self.record_backward_calls(monkeypatch)
+        assert net.backward(cross_entropy(net.forward(x), targets)[1]) is None
+        lowest = 7 if freeze == "conv" else 0  # the first Dense, or the first Conv1D
+        assert [c[0] for c in calls] == [type(l).__name__ for l in reversed(net.layers[lowest:])]
+        assert [c[1] for c in calls] == [{}] * (len(calls) - 1) + [{"input_grad": False}]
+        for layer, ref in zip(net.trainable_layers(), full.trainable_layers()):
+            for g, g_ref in zip(layer.grads(), ref.grads()):
+                if layer.frozen:
+                    assert not g.any()
+                else:
+                    assert g.tobytes() == g_ref.tobytes()
+
+    def test_nothing_to_update_runs_nothing(self, monkeypatch):
+        net = Network([Dense(16, 2), Softmax()])
+        net.layers[0].frozen = True
+        calls = self.record_backward_calls(monkeypatch)
+        assert net.backward(np.ones((3, 2))) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("layer, shape", [(Conv1D(2, 3, 4), (9, 2)), (Dense(6, 4), (6,))])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_layer_without_input_grad(self, layer, shape, batched):
+        x = np.random.default_rng(9).standard_normal((3, *shape) if batched else shape)
+        grad = np.ones_like(layer.forward(x))
+        layer.zero_grads()
+        dx = layer.backward(grad)
+        expected = [g.copy() for g in layer.grads()]
+        layer.zero_grads()
+        assert dx.shape == x.shape
+        assert layer.backward(grad, input_grad=False) is None
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(layer.grads(), expected))
 
 
 # every float64 bit pattern: signed zeros, subnormals, infinities, NaN payloads

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from helpers import toy_dataset
 
-from canids.nncore import Conv1D, Dense
+from canids.baselines import build_mlp
+from canids.nncore import Conv1D, Dense, Network, one_hot
 from canids.plenet import (
     DimensionMismatch,
     EmptyDomain,
@@ -82,6 +83,12 @@ class TestPredict:
         _, labels = predict(net, np.random.default_rng(4).uniform(size=(5, 16)))
         assert labels.tolist() == [1] * 5
 
+    @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
+    def test_empty_batch(self, builder):
+        probs, labels = predict(builder(seed=7), np.zeros((0, 16)))
+        assert probs.shape == (0, 2)
+        assert labels.shape == (0,)
+
 
 class TestTrain:
     def test_separable_data_reaches_perfect_validation(self):
@@ -125,6 +132,26 @@ class TestTrain:
         cfg = TrainConfig(epochs=200, batch_size=16, patience=3, seed=1)
         _, history = train(build_plenet(seed=3), data, cfg)
         assert len(history) < 200
+
+    def test_batch_targets_are_the_batch_rows_labels(self, monkeypatch):
+        from canids import plenet
+
+        data = toy_dataset(n=100, seed=8)
+        row_label = {row.tobytes(): label for row, label in zip(data.train_x, data.train_y)}
+        forward, loss, seen = Network.forward, plenet._cross_entropy, []
+
+        def spy_forward(self, x):
+            seen.append(x)
+            return forward(self, x)
+
+        def spy_loss(probs, targets):
+            rows = seen[-1].reshape(len(targets), 16)
+            assert targets.tolist() == one_hot([row_label[r.tobytes()] for r in rows]).tolist()
+            return loss(probs, targets)
+
+        monkeypatch.setattr(Network, "forward", spy_forward)
+        monkeypatch.setattr(plenet, "_cross_entropy", spy_loss)
+        train(build_plenet(seed=8), data, TrainConfig(epochs=2, batch_size=16, seed=8))
 
     def test_empty_partition_rejected(self):
         data = toy_dataset(n=50, seed=12)

@@ -25,6 +25,30 @@ def test_full_tracer_finds_every_name(tmp_path):
     assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
+def test_traced_training_runs_every_backward(tmp_path):
+    # Network.backward calls the lowest updated layer with input_grad=False;
+    # the tracer's wrappers must pass the keyword through
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}, {str(ROOT / 'tests')!r}]\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer(full=True)\n"
+        "from canids import plenet\n"
+        "from helpers import toy_dataset\n"
+        "mark = tracer.mark()\n"
+        "cfg = plenet.TrainConfig(epochs=1, batch_size=16)\n"
+        "plenet.train(plenet.build_plenet(0), toy_dataset(n=80), cfg)\n"
+        "print(json.dumps(tracer.unit_totals(mark)['calls']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    calls = json.loads(result.stdout.splitlines()[-1])
+    batches = calls["nncore.Network.backward"]
+    assert batches > 0
+    assert calls["nncore.Conv1D.backward"] == calls["nncore.Dense.backward"] == 2 * batches
+
+
 def test_each_layer_class_defines_its_own_passes():
     # the tracer wraps one function object per span name, so an inherited
     # pass would fold every layer's time into the first class wrapped
