@@ -286,6 +286,8 @@ def cmd_prepare(args) -> int:
         seed=args.seed,
         provenance=";".join(args.input),
     )
+    if not kinds_known:  # unknown kinds are not "normal": the container gets no sidecar
+        ds.train_kind = ds.val_kind = ds.test_kind = np.array([], dtype="<U8")
     ingest.save_dataset(ds, args.output)
     sizes = ds.sizes()
     print(f"prepared {sum(sizes)} records -> train {sizes[0]}, validation {sizes[1]}, test {sizes[2]}")
@@ -422,6 +424,16 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=200)
@@ -493,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--seeds", type=_positive_int, default=20)
+    p.add_argument("--batch", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

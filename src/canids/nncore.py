@@ -6,6 +6,13 @@ trailing odd element dropped and ties resolved toward the earlier index.
 Every layer caches what its backward pass needs, and all backward passes
 are exact gradients verifiable against central finite differences.
 
+Trainable layers share one base, ``_Affine``: the output is
+``affine_input(x) @ weight_matrix(w) + b``, where a dense layer's input and
+weights are used as they are and a convolution gathers (out_len, K*C)
+windows and views its (F, K, C) kernel as a (K*C, F) matrix. The base
+owns parameter set-up and ``param_count``; ``grad_check`` probes every
+trainable layer through these two methods on one path.
+
 Sequence tensors are (length, channels) for a single sample or
 (batch, length, channels) batched; flat tensors are (units,) or
 (batch, units). Single-sample inputs come back out single-sample; one
@@ -61,11 +68,6 @@ class NonFiniteLoss(FloatingPointError):
     """Loss diverged to NaN or infinity."""
 
 
-def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax along the last axis; rows sum to 1.
 
@@ -84,7 +86,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def one_hot(labels: np.ndarray, classes: int = 2) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= classes:
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ValueError(f"labels must lie in [0, {classes})")
     out = np.zeros((len(labels), classes))
     out[np.arange(len(labels)), labels] = 1.0
@@ -188,11 +190,37 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv1D(Layer):
-    """Valid cross-correlation: out[t, f] = b[f] + sum_{k,c} w[f,k,c] x[t+k,c]."""
+class _Affine(Layer):
+    """Trainable layer computing ``affine_input(x) @ weight_matrix(w) + b``.
+
+    A subclass sets what ``weight_matrix`` reads before ``__init__`` and defines its own passes.
+    """
 
     trainable = True
     param_names = ("w", "b")
+
+    def __init__(self, w_shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator | None):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        self.w = (rng or np.random.default_rng(0)).uniform(-limit, limit, size=w_shape)
+        self.b = np.zeros(self.weight_matrix(self.w).shape[1])
+        self.gw = np.zeros_like(self.w)
+        self.gb = np.zeros_like(self.b)
+        self.frozen = False
+
+    def param_count(self) -> int:
+        return sum(p.size for p in self.params())
+
+    def affine_input(self, x: np.ndarray) -> np.ndarray:
+        """The rows the weight matrix multiplies, inputs on the last axis; ``x`` itself here."""
+        return x
+
+    def weight_matrix(self, a: np.ndarray) -> np.ndarray:
+        """``w`` (or ``gw``) as an (inputs, units) matrix view; ``a`` itself here."""
+        return a
+
+
+class Conv1D(_Affine):
+    """Valid cross-correlation: out[t, f] = b[f] + sum_{k,c} w[f,k,c] x[t+k,c]."""
 
     def __init__(self, in_channels: int, filters: int, kernel_size: int, rng: np.random.Generator | None = None):
         if filters < 1 or kernel_size < 1 or in_channels < 1:
@@ -200,21 +228,7 @@ class Conv1D(Layer):
         self.in_channels = in_channels
         self.filters = filters
         self.kernel_size = kernel_size
-        rng = rng or np.random.default_rng(0)
-        self.w = glorot_uniform(
-            (filters, kernel_size, in_channels),
-            fan_in=kernel_size * in_channels,
-            fan_out=kernel_size * filters,
-            rng=rng,
-        )
-        self.b = np.zeros(filters)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-        self.frozen = False
-        self._windows = None
-
-    def param_count(self) -> int:
-        return self.filters * (self.kernel_size * self.in_channels + 1)
+        super().__init__((filters, kernel_size, in_channels), kernel_size * in_channels, kernel_size * filters, rng)
 
     def _window_index(self, length: int) -> np.ndarray:
         # gather index turning (batch, L, C) into (batch, out_len, K, C) windows
@@ -224,6 +238,15 @@ class Conv1D(Layer):
             self._idx_length = length
         return self._idx
 
+    def affine_input(self, x):
+        """(batch, out_len, K*C) windows of a (batch, length, C) input."""
+        n, length, channels = x.shape
+        out_len = length - self.kernel_size + 1
+        return x[:, self._window_index(length), :].reshape(n, out_len, self.kernel_size * channels)
+
+    def weight_matrix(self, a):
+        return a.reshape(self.filters, -1).T
+
     def layout_rows(self, rows):
         return rows.reshape(len(rows), rows.shape[1] // self.in_channels, self.in_channels)
 
@@ -231,16 +254,14 @@ class Conv1D(Layer):
     def forward(self, x):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeMismatch(f"expected (batch, length, {self.in_channels}), got {x.shape}")
-        k = self.kernel_size
-        n, length, channels = x.shape
-        if length < k:
-            raise ShapeMismatch(f"length {length} shorter than kernel {k}")
-        out_len = length - k + 1
+        if x.shape[1] < self.kernel_size:
+            raise ShapeMismatch(f"length {x.shape[1]} shorter than kernel {self.kernel_size}")
+        windows = self.affine_input(x)
+        n, out_len, kc = windows.shape
         # (batch * out_len, K * C) windows: one 2-D product instead of one per sample
-        windows = x[:, self._window_index(length), :].reshape(n * out_len, k * channels)
-        self._windows = windows
+        self._windows = windows.reshape(n * out_len, kc)
         self._in_shape = x.shape
-        out = windows @ self.w.reshape(self.filters, k * channels).T
+        out = self._windows @ self.weight_matrix(self.w)
         out += self.b
         return out.reshape(n, out_len, self.filters)
 
@@ -306,11 +327,9 @@ class Flatten(Layer):
         return "flatten"
 
 
-class Dense(Layer):
+class Dense(_Affine):
     """Affine map out = x @ w + b with w of shape (in_units, out_units)."""
 
-    trainable = True
-    param_names = ("w", "b")
     sample_ndim = 1
 
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
@@ -318,15 +337,7 @@ class Dense(Layer):
             raise ValueError("dense dimensions must be positive")
         self.in_units = in_units
         self.out_units = out_units
-        rng = rng or np.random.default_rng(0)
-        self.w = glorot_uniform((in_units, out_units), in_units, out_units, rng)
-        self.b = np.zeros(out_units)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-        self.frozen = False
-
-    def param_count(self) -> int:
-        return self.in_units * self.out_units + self.out_units
+        super().__init__((in_units, out_units), in_units, out_units, rng)
 
     @_batched
     def forward(self, x):
@@ -452,7 +463,7 @@ class Network:
         runs: list[list[int]] = []
         offset = 0
         for layer in self.trainable_layers():
-            stop = offset + sum(p.size for p in layer.params())
+            stop = offset + layer.param_count()
             if not layer.frozen:
                 if runs and runs[-1][1] == offset:
                     runs[-1][1] = stop
@@ -598,8 +609,7 @@ def jitter_parameters(network: Network, rng: np.random.Generator, scale: float =
     exactly on their kinks whenever an input path is fully clamped. Jittering
     moves the network to a generic point before a finite-difference check.
     """
-    for p in network.parameters():
-        p += rng.uniform(-scale, scale, size=p.shape)
+    network.param_buffer += rng.uniform(-scale, scale, size=network.param_buffer.shape)
 
 
 def grad_check(
@@ -620,8 +630,9 @@ def grad_check(
     ~1e-7. A layer's output is linear in each of its own parameters, so a
     probe applies the exact rank-one update to the layer's precomputed base
     output instead of re-running it, and upstream activations are reused
-    untouched. Probes are evaluated ``block`` coordinates at a time by
-    stacking them along the batch axis of the tail network.
+    untouched; every layer takes this one path through its ``affine_input``
+    and ``weight_matrix``. Probes are evaluated ``block`` coordinates at a
+    time by stacking them along the batch axis of the tail network.
     """
     targets = one_hot(labels)
     network.zero_grads()
@@ -641,16 +652,9 @@ def grad_check(
     for start, layer in enumerate(network.layers):
         if not layer.trainable:
             continue
-        x_in = prefix[start]
+        x_aff = layer.affine_input(prefix[start])
+        base = x_aff @ layer.weight_matrix(layer.w) + layer.b
         tail = network.layers[start + 1 :]
-        if isinstance(layer, Dense):
-            base = x_in @ layer.w + layer.b
-            windows = None
-        else:
-            kc = layer.kernel_size * layer.in_channels
-            idx = layer._window_index(x_in.shape[1])
-            windows = x_in[:, idx, :].reshape(n, -1, kc)
-            base = windows @ layer.w.reshape(layer.filters, kc).T + layer.b
 
         def probe_losses(stacked: np.ndarray) -> np.ndarray:
             z = stacked.reshape(-1, *base.shape[1:])
@@ -659,7 +663,11 @@ def grad_check(
             clamped = np.maximum(z.reshape(len(stacked), n, -1), _PROB_FLOOR)
             return -(targets_hp[None] * np.log(clamped)).sum(axis=(1, 2)) / n
 
-        for p, is_bias in ((layer.params()[0], False), (layer.params()[1], True)):
+        # base is [x_aff, 1] @ [[weight_matrix(w)], [b]]: b is the row of a constant-one input
+        ones = np.ones((*x_aff.shape[:-1], 1), dtype=hp)
+        for p, p_input, as_matrix in ((layer.w, x_aff, layer.weight_matrix), (layer.b, ones, np.atleast_2d)):
+            at = as_matrix(np.arange(p.size).reshape(p.shape))  # flat index of each matrix entry
+            column, unit = np.divmod(np.argsort(at, axis=None), base.shape[-1])
             flat_p = p.reshape(-1)
             flat_g = next(analytic).reshape(-1)
             for i0 in range(0, flat_p.size, block):
@@ -672,20 +680,8 @@ def grad_check(
                 both = np.concatenate([cols, cols])
                 deltas = np.concatenate([delta_up, -delta_down])
                 stacked = np.repeat(base[None], 2 * b_count, axis=0)
-                if isinstance(layer, Dense):
-                    if is_bias:
-                        stacked[rows, :, both] += deltas[:, None]
-                    else:
-                        j, k = both // layer.out_units, both % layer.out_units
-                        stacked[rows, :, k] += deltas[:, None] * x_in[:, j].T
-                else:
-                    if is_bias:
-                        stacked[rows, :, :, both] += deltas[:, None, None]
-                    else:
-                        f, m = both // kc, both % kc
-                        stacked[rows, :, :, f] += (
-                            deltas[:, None, None] * windows[:, :, m].transpose(2, 0, 1)
-                        )
+                probe_in = np.moveaxis(p_input[..., column[both]], -1, 0)  # each probe's input column
+                stacked[rows, ..., unit[both]] += deltas.reshape(-1, *[1] * (probe_in.ndim - 1)) * probe_in
                 losses = probe_losses(stacked)
                 numeric = (
                     (losses[:b_count] - losses[b_count:]) / (delta_up + delta_down)

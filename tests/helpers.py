@@ -178,6 +178,88 @@ def legacy_kernels(monkeypatch):
     monkeypatch.setattr(plenet, "_cross_entropy", nncore.cross_entropy)
 
 
+def legacy_grad_check(network, inputs, labels, h=1e-5, block=64):
+    """Reference ``nncore.grad_check``: one probe branch per layer class.
+
+    Reads the Conv1D internals (``_window_index``, ``kernel_size``,
+    ``in_channels``) and Dense's ``out_units``, and must return the same
+    float as the single probe path.
+    """
+    from canids.nncore import _PROB_FLOOR, Dense, cross_entropy, one_hot
+
+    targets = one_hot(labels)
+    network.zero_grads()
+    _, grad = cross_entropy(network.forward(inputs), targets)
+    for layer in reversed(network.layers):  # every layer: frozen ones get gradients too
+        grad = layer.backward(grad)
+    analytic = iter([g.copy() for g in network.gradients()])
+
+    hp = np.longdouble
+    targets_hp = targets.astype(hp)
+    n = targets.shape[0]
+    prefix = [np.asarray(inputs).astype(hp)]
+    for layer in network.layers:
+        prefix.append(layer.forward(prefix[-1]))
+
+    worst = 0.0
+    for start, layer in enumerate(network.layers):
+        if not layer.trainable:
+            continue
+        x_in = prefix[start]
+        tail = network.layers[start + 1 :]
+        if isinstance(layer, Dense):
+            base = x_in @ layer.w + layer.b
+            windows = None
+        else:
+            kc = layer.kernel_size * layer.in_channels
+            idx = layer._window_index(x_in.shape[1])
+            windows = x_in[:, idx, :].reshape(n, -1, kc)
+            base = windows @ layer.w.reshape(layer.filters, kc).T + layer.b
+
+        def probe_losses(stacked: np.ndarray) -> np.ndarray:
+            z = stacked.reshape(-1, *base.shape[1:])
+            for l in tail:
+                z = l.forward(z)
+            clamped = np.maximum(z.reshape(len(stacked), n, -1), _PROB_FLOOR)
+            return -(targets_hp[None] * np.log(clamped)).sum(axis=(1, 2)) / n
+
+        for p, is_bias in ((layer.params()[0], False), (layer.params()[1], True)):
+            flat_p = p.reshape(-1)
+            flat_g = next(analytic).reshape(-1)
+            for i0 in range(0, flat_p.size, block):
+                cols = np.arange(i0, min(i0 + block, flat_p.size))
+                orig = flat_p[cols]
+                delta_up = (orig + np.float64(h)).astype(hp) - orig.astype(hp)
+                delta_down = orig.astype(hp) - (orig - np.float64(h)).astype(hp)
+                b_count = len(cols)
+                rows = np.arange(2 * b_count)
+                both = np.concatenate([cols, cols])
+                deltas = np.concatenate([delta_up, -delta_down])
+                stacked = np.repeat(base[None], 2 * b_count, axis=0)
+                if isinstance(layer, Dense):
+                    if is_bias:
+                        stacked[rows, :, both] += deltas[:, None]
+                    else:
+                        j, k = both // layer.out_units, both % layer.out_units
+                        stacked[rows, :, k] += deltas[:, None] * x_in[:, j].T
+                else:
+                    if is_bias:
+                        stacked[rows, :, :, both] += deltas[:, None, None]
+                    else:
+                        f, m = both // kc, both % kc
+                        stacked[rows, :, :, f] += (
+                            deltas[:, None, None] * windows[:, :, m].transpose(2, 0, 1)
+                        )
+                losses = probe_losses(stacked)
+                numeric = (
+                    (losses[:b_count] - losses[b_count:]) / (delta_up + delta_down)
+                ).astype(np.float64)
+                ga = flat_g[cols]
+                rel = np.abs(ga - numeric) / np.maximum(np.abs(ga) + np.abs(numeric), 1e-8)
+                worst = max(worst, float(rel.max()))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Reference ingest: the per-token parser, per-cell imputation means and
 # per-row tabulation that the canonical-form fast paths replaced.

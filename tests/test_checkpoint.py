@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,21 @@ from canids.checkpoint import (
     save_checkpoint,
 )
 from canids.ingest import NormalizationParams
+from canids.nncore import Conv1D, Dense, Flatten, MaxPool1D, Network, ReLU, Softmax, jitter_parameters
 from canids.plenet import TrainConfig, build_plenet, predict
+
+# written once by format version 1 and never regenerated: it pins the bytes on disk
+V1_FILE = Path(__file__).parent / "data" / "v1_conv_dense.ckpt"
+V1_NORM = NormalizationParams(np.array([0.0, 1.5]), np.array([2047.0, 8.0]))
+V1_SEED, V1_DIGEST = 2024, "0123456789abcdef"
+
+
+def v1_network():
+    """The seeded conv + dense network stored in ``V1_FILE``, biases jittered off zero."""
+    rng = np.random.default_rng(V1_SEED)
+    net = Network([Conv1D(1, 2, 3, rng), ReLU(), MaxPool1D(), Flatten(), Dense(6, 2, rng), Softmax()])
+    jitter_parameters(net, rng)
+    return net
 
 
 @pytest.fixture
@@ -47,6 +62,22 @@ class TestRoundTrip:
         save_checkpoint(model, tmp_path / "a.ckpt", norm=norm, seed=7)
         save_checkpoint(model, tmp_path / "b.ckpt", norm=norm, seed=7)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+class TestCommittedVersion1File:
+    def test_load_restores_exact_parameters(self):
+        model, norm, seed, digest = load_checkpoint(V1_FILE)
+        expected = v1_network()
+        assert model.describe() == expected.describe()
+        assert model.param_buffer.tobytes() == expected.param_buffer.tobytes()
+        assert norm.mins.tobytes() == V1_NORM.mins.tobytes()
+        assert norm.maxs.tobytes() == V1_NORM.maxs.tobytes()
+        assert (seed, digest) == (V1_SEED, V1_DIGEST)
+
+    def test_save_reproduces_file(self, tmp_path):
+        for model in (load_checkpoint(V1_FILE)[0], v1_network()):
+            save_checkpoint(model, tmp_path / "again.ckpt", norm=V1_NORM, seed=V1_SEED, digest=V1_DIGEST)
+            assert (tmp_path / "again.ckpt").read_bytes() == V1_FILE.read_bytes()
 
 
 class TestValidation:

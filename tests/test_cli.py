@@ -111,6 +111,17 @@ class TestPipeline:
         assert sum(ds.sizes()) == sum(1 for _ in log.read_text().splitlines()) - 1
         assert 0 < ds.train_y.sum() < len(ds.train_y)
 
+    def test_prepare_without_log_kinds_writes_no_kinds(self, tmp_path, profile_path):
+        # a log without a kinds sidecar has unknown kinds, not "normal" ones
+        log, data = tmp_path / "log.csv", tmp_path / "data.bin"
+        run_ok(["simulate", "--profile", str(profile_path), "--attack", "flooding:2:4:60", "--no-kinds",
+                "-o", str(log)])
+        assert not (tmp_path / "log.csv.kinds").exists()
+        run_ok(["prepare", "--input", str(log), "--output", str(data), "--seed", "3"])
+        assert data.exists() and not (tmp_path / "data.bin.kinds").exists()
+        ds = load_dataset(data)
+        assert ds.train_y.sum() > 0 and not ds.has_kinds()
+
     def test_prepare_deterministic(self, pipeline):
         tmp_path, log, data = pipeline
         again = tmp_path / "again.bin"
@@ -259,6 +270,13 @@ class TestGradcheckCommand:
         assert run_command(["gradcheck", "--seeds", "1", "--batch", "2"]) == 0
         out = capsys.readouterr().out
         assert "worst relative error" in out
+
+    @pytest.mark.parametrize("option, value", [("--seeds", "0"), ("--seeds", "-2"), ("--batch", "0"),
+                                               ("--batch", "-1"), ("--batch", "two")])
+    def test_non_positive_counts_are_usage_errors(self, option, value, capsys):
+        assert run_command(["gradcheck", option, value]) == 2
+        captured = capsys.readouterr()
+        assert f"argument {option}:" in captured.err and "worst relative error" not in captured.out
 
 
 class TestExitCodes:

@@ -26,7 +26,9 @@ from canids.nncore import (
     one_hot,
     softmax,
 )
+from canids.baselines import build_mlp
 from canids.plenet import build_plenet
+from helpers import legacy_grad_check
 
 
 def finite_difference(loss_fn, array, h=1e-5):
@@ -218,6 +220,11 @@ class TestActivationsAndLoss:
         loss, _ = cross_entropy(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_one_hot_of_no_labels_is_empty(self, classes):
+        assert one_hot([], classes).shape == (0, classes)
+        assert one_hot(np.zeros(0, dtype=np.int64), classes).shape == (0, classes)
+
     def test_invalid_onehot(self):
         with pytest.raises(InvalidOneHot):
             cross_entropy(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
@@ -367,6 +374,62 @@ class TestNetwork:
             p += 1.0
         net.restore(saved)
         assert all(np.array_equal(p, s) for p, s in zip(net.parameters(), saved))
+
+
+def _frozen_conv_plenet(seed):
+    net = build_plenet(seed=seed)
+    for layer in net.layers:
+        if isinstance(layer, Conv1D):
+            layer.frozen = True
+    return net
+
+
+def _two_conv_net(seed):
+    rng = np.random.default_rng(seed)
+    return Network(
+        [Conv1D(1, 3, 3, rng), ReLU(), Conv1D(3, 2, 2, rng), MaxPool1D(), Flatten(), Dense(4, 2, rng), Softmax()]
+    )
+
+
+class TestGradCheckProbePath:
+    """``grad_check`` probes Conv1D and Dense on one path, through ``affine_input`` and ``weight_matrix``."""
+
+    @staticmethod
+    def jittered(build, seed, width=16, batch=4):
+        rng = np.random.default_rng(seed)
+        net = build(seed)
+        jitter_parameters(net, rng)
+        x = net.layers[0].layout_rows(rng.uniform(size=(batch, width)))
+        return net, x, rng.integers(0, 2, batch)
+
+    @pytest.mark.parametrize(
+        "build, width", [(build_plenet, 16), (build_mlp, 16), (_frozen_conv_plenet, 16), (_two_conv_net, 8)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_class_probes(self, build, width, seed):
+        net, x, y = self.jittered(build, seed, width)
+        assert grad_check(net, x, y) == legacy_grad_check(net, x, y)
+
+    @pytest.mark.parametrize("cls", [Conv1D, Dense])
+    @pytest.mark.parametrize("name", ["w", "b"])
+    @pytest.mark.parametrize("coordinate", [0, -1])
+    def test_wrong_gradient_coordinate_is_caught(self, cls, name, coordinate):
+        # every coordinate of every parameter array is probed, the last block included
+        for seed in range(50):  # the first configuration clear of kinks and ties
+            net, x, y = self.jittered(_two_conv_net, seed, width=8)
+            if boundary_margin(net, x) > 1e-4:
+                break
+        assert grad_check(net, x, y, block=4) < 1e-5
+        layer = next(l for l in net.layers if isinstance(l, cls))
+        backward = layer.backward
+
+        def wrong_backward(grad, **kwargs):
+            out = backward(grad, **kwargs)
+            getattr(layer, "g" + name).reshape(-1)[coordinate] += 1.0
+            return out
+
+        layer.backward = wrong_backward
+        assert grad_check(net, x, y, block=4) > 1e-3
 
 
 def _layer_and_sample(cls, rng):
