@@ -90,6 +90,8 @@ def parse_profile(path: str) -> canbus.SimProfile:
             jitter = float(value)
         elif key == "seed":
             seed = int(value)
+            if seed < 0:
+                raise ValueError(f"profile seed= must be a non-negative integer, got {seed}")
         elif key == "ecu":
             parts = [p.strip() for p in value.split(",")]
             ecus.append(
@@ -121,13 +123,6 @@ def parse_attack(text: str, seed: int) -> canbus.AttackSpec:
         spoof_targets=targets,
         seed=seed,
     )
-
-
-def _read_kinds(path: Path) -> list[str] | None:
-    sidecar = path.with_name(path.name + ".kinds")
-    if not sidecar.exists():
-        return None
-    return sidecar.read_text().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -213,59 +208,42 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_cleaned(path: Path, policy: str) -> tuple[list[ingest.RawRecord], list[str] | None]:
-    with open(path, newline="") as fh:
-        records = ingest.parse_log(fh)
-    kinds = _read_kinds(path)
-    if kinds is not None and len(kinds) != len(records):
-        raise ValueError(
-            f"{path}: kinds sidecar has {len(kinds)} rows for {len(records)} records; "
-            "remove the sidecar or regenerate the log"
-        )
-    if kinds is not None and policy == "droprow":
-        pairs = [(r, k) for r, k in zip(records, kinds) if not r.missing_fields()]
-        return [p[0] for p in pairs], [p[1] for p in pairs]
-    return ingest.impute_missing(records, policy), kinds
+def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, bool]:
+    """All logs cleaned and tabulated at once, and whether each has a ``.kinds`` sidecar."""
+    records: list[ingest.RawRecord] = []
+    kinds: list[str] | None = []
+    for path in map(Path, paths):
+        with open(path, newline="") as fh:
+            parsed = ingest.parse_log(fh)
+        sidecar = path.with_name(path.name + ".kinds")
+        log_kinds = sidecar.read_text().splitlines() if sidecar.exists() else None
+        if log_kinds is not None and len(log_kinds) != len(parsed):
+            raise ValueError(
+                f"{path}: kinds sidecar has {len(log_kinds)} rows for {len(parsed)} records; "
+                "remove the sidecar or regenerate the log"
+            )
+        if kinds is None or log_kinds is None:  # a log without kinds leaves every kind unknown
+            kinds = None
+        else:  # droprow keeps the kinds of the rows it keeps
+            kinds += [k for r, k in zip(parsed, log_kinds)
+                      if policy != "droprow" or not r.missing_fields()]
+        records.extend(ingest.impute_missing(parsed, policy))
+    return ingest.RecordTable.from_raw(records, kinds), kinds is not None
 
 
-_OUTLIER_COLUMNS = ("timestamp", "can_id", "dlc", "data_field")
-
-
-def _outlier_values(records: list[ingest.RawRecord], column: str) -> list[float]:
-    if column == "timestamp":
-        return [r.timestamp for r in records]
-    if column == "can_id":
-        return [float(ingest.hex_to_dec(r.can_id_hex)) for r in records]
-    if column == "dlc":
-        return [float(r.dlc) for r in records]
-    return [float(int.from_bytes(ingest.data_bytes(r.data_hex), "big")) for r in records]
+# --outliers column name -> RecordTable.feature_columns() key
+_OUTLIER_COLUMNS = {"timestamp": "Timestamp", "can_id": "CAN_ID", "dlc": "DLC",
+                    "data_field": "Data_Field"}
 
 
 def cmd_prepare(args) -> int:
-    all_records: list[ingest.RawRecord] = []
-    all_kinds: list[str] = []
-    kinds_known = True
-    for input_path in args.input:
-        records, kinds = _load_cleaned(Path(input_path), args.impute)
-        all_records.extend(records)
-        if kinds is None:
-            kinds_known = False
-        else:
-            all_kinds.extend(kinds)
-
+    table, kinds_known = _cleaned_table(args.input, args.impute)
     if args.outliers:
-        column, alpha, max_out = args.outliers.split(":")
-        if column not in _OUTLIER_COLUMNS:
-            raise ValueError(f"outlier column must be one of {_OUTLIER_COLUMNS}")
-        flagged = ingest.rosner_outliers(
-            _outlier_values(all_records, column), max_outliers=int(max_out), alpha=float(alpha)
-        )
-        all_records = [r for i, r in enumerate(all_records) if i not in flagged]
-        if kinds_known:
-            all_kinds = [k for i, k in enumerate(all_kinds) if i not in flagged]
+        column, alpha, max_outliers = args.outliers
+        values = table.feature_columns()[_OUTLIER_COLUMNS[column]]
+        flagged = ingest.rosner_outliers(values, max_outliers=max_outliers, alpha=alpha)
+        table = table.take(np.delete(np.arange(len(table)), list(flagged)))
         print(f"outlier test dropped {len(flagged)} rows", file=sys.stderr)
-
-    table = ingest.RecordTable.from_raw(all_records, all_kinds if kinds_known else None)
 
     if args.correlation_report:
         result = ingest.correlation_matrix(table.feature_columns())
@@ -332,8 +310,7 @@ def _split_arrays(ds: ingest.PreparedDataset, split: str):
 
 def _evaluate_model(model, x, y, kind) -> metrics.MetricsReport:
     probs, labels = plenet.predict(model, x)
-    kinds = kind if len(kind) == len(y) else None
-    return metrics.evaluate_predictions(y, labels, scores=probs[:, 1], kinds=kinds)
+    return metrics.evaluate_predictions(y, labels, scores=probs[:, 1], kinds=kind)
 
 
 def cmd_evaluate(args) -> int:
@@ -373,7 +350,6 @@ def cmd_transfer(args) -> int:
 def cmd_compare(args) -> int:
     ds = ingest.load_dataset(args.data)
     x, y, kind = _split_arrays(ds, "test")
-    kinds = kind if len(kind) == len(y) else None
     cfg = _train_config(args)
     rows: dict[str, metrics.MetricsReport] = {}
 
@@ -382,13 +358,13 @@ def cmd_compare(args) -> int:
 
     knn = baselines.knn_fit(ds.train_x, ds.train_y)
     knn_labels, knn_votes = baselines.knn_predict(knn, x, k=args.knn_k)
-    rows["knn"] = metrics.evaluate_predictions(y, knn_labels, scores=knn_votes, kinds=kinds)
+    rows["knn"] = metrics.evaluate_predictions(y, knn_labels, scores=knn_votes, kinds=kind)
 
     tree = baselines.tree_fit(
         ds.train_x, ds.train_y, max_depth=args.tree_depth, min_leaf=args.tree_min_leaf
     )
     tree_labels, tree_scores = baselines.tree_predict(tree, x)
-    rows["dt"] = metrics.evaluate_predictions(y, tree_labels, scores=tree_scores, kinds=kinds)
+    rows["dt"] = metrics.evaluate_predictions(y, tree_labels, scores=tree_scores, kinds=kind)
 
     mlp, _ = plenet.train(baselines.build_mlp(args.seed), ds, cfg)
     rows["mlp"] = _evaluate_model(mlp, x, y, kind)
@@ -424,18 +400,39 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_seed = _int_at_least(0)  # the type of every --seed
+
+
+def _outlier_spec(text: str) -> tuple[str, float, int]:
+    """``column:alpha:max`` of ``--outliers``; bounds that depend on the rows are the test's."""
     try:
-        value = int(text)
+        column, alpha_text, max_text = text.split(":")
+        alpha, max_outliers = float(alpha_text), int(max_text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        msg = f"expected column:alpha:max (alpha a number, max an integer), got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+    if column not in _OUTLIER_COLUMNS:
+        raise argparse.ArgumentTypeError(f"unknown column {column!r}; choose {', '.join(_OUTLIER_COLUMNS)}")
+    if not 0 < alpha < 1 or max_outliers < 1:
+        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1) and max be at least 1, got {text!r}")
+    return column, alpha, max_outliers
 
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -452,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled traffic log")
     p.add_argument("--profile", required=True, help="profile file (duration=, jitter=, ecu= lines)")
     p.add_argument("--attack", action="append", help="kind:start:end:rate[:targets], repeatable")
-    p.add_argument("--seed", type=int, default=None, help="overrides the profile seed")
+    p.add_argument("--seed", type=_seed, default=None, help="overrides the profile seed")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--no-kinds", action="store_true", help="skip the attack-kind sidecar")
     p.set_defaults(func=cmd_simulate)
@@ -460,11 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="parse, clean, encode, and split logs")
     p.add_argument("--input", action="append", required=True, help="log CSV, repeatable")
     p.add_argument("--output", required=True, help="dataset container path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--impute", choices=ingest.IMPUTE_POLICIES, default="droprow")
-    p.add_argument("--outliers", help="column:alpha:max, e.g. data_field:0.05:10")
+    p.add_argument("--outliers", type=_outlier_spec, help="column:alpha:max, e.g. data_field:0.05:10")
     p.add_argument("--correlation-report", help="write pairwise correlation CSV here")
     p.set_defaults(func=cmd_prepare)
 
@@ -505,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seeds", type=_positive_int, default=20)
-    p.add_argument("--batch", type=_positive_int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seeds", type=_int_at_least(1), default=20)
+    p.add_argument("--batch", type=_int_at_least(1), default=4)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

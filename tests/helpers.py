@@ -1,8 +1,10 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 
+from canids import ingest
 from canids.ingest import (
     PAYLOAD_WIDTH,
     AllRowsMissing,
@@ -445,3 +447,72 @@ def legacy_format_record(record):
     """Reference ``canbus.format_record``: one f-string per payload byte."""
     data = " ".join(f"{b:02X}" for b in record.payload)
     return f"{record.timestamp!r},{record.can_id:04X},{record.dlc},{data},{record.label}"
+
+
+def _legacy_read_kinds(path):
+    sidecar = path.with_name(path.name + ".kinds")
+    if not sidecar.exists():
+        return None
+    return sidecar.read_text().splitlines()
+
+
+def _legacy_load_cleaned(path, policy):
+    with open(path, newline="") as fh:
+        records = ingest.parse_log(fh)
+    kinds = _legacy_read_kinds(path)
+    if kinds is not None and len(kinds) != len(records):
+        raise ValueError(
+            f"{path}: kinds sidecar has {len(kinds)} rows for {len(records)} records; "
+            "remove the sidecar or regenerate the log"
+        )
+    if kinds is not None and policy == "droprow":
+        pairs = [(r, k) for r, k in zip(records, kinds) if not r.missing_fields()]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+    return ingest.impute_missing(records, policy), kinds
+
+
+_LEGACY_OUTLIER_COLUMNS = ("timestamp", "can_id", "dlc", "data_field")
+
+
+def _legacy_outlier_values(records, column):
+    if column == "timestamp":
+        return [r.timestamp for r in records]
+    if column == "can_id":
+        return [float(ingest.hex_to_dec(r.can_id_hex)) for r in records]
+    if column == "dlc":
+        return [float(r.dlc) for r in records]
+    return [float(int.from_bytes(ingest.data_bytes(r.data_hex), "big")) for r in records]
+
+
+def legacy_prepare_table(paths, policy, outliers=None):
+    """Reference ``prepare`` up to the split: record lists cleaned, filtered by index, tabulated last.
+
+    ``outliers`` is an ``--outliers`` text (``column:alpha:max``) or None.
+    Returns the table, whether every log had a kinds sidecar, and the
+    number of rows the outlier test flagged.
+    """
+    all_records = []
+    all_kinds = []
+    kinds_known = True
+    for input_path in paths:
+        records, kinds = _legacy_load_cleaned(Path(input_path), policy)
+        all_records.extend(records)
+        if kinds is None:
+            kinds_known = False
+        else:
+            all_kinds.extend(kinds)
+
+    flagged = set()
+    if outliers:
+        column, alpha, max_out = outliers.split(":")
+        if column not in _LEGACY_OUTLIER_COLUMNS:
+            raise ValueError(f"outlier column must be one of {_LEGACY_OUTLIER_COLUMNS}")
+        flagged = ingest.rosner_outliers(
+            _legacy_outlier_values(all_records, column), max_outliers=int(max_out), alpha=float(alpha)
+        )
+        all_records = [r for i, r in enumerate(all_records) if i not in flagged]
+        if kinds_known:
+            all_kinds = [k for i, k in enumerate(all_kinds) if i not in flagged]
+
+    table = RecordTable.from_raw(all_records, all_kinds if kinds_known else None)
+    return table, kinds_known, len(flagged)

@@ -402,3 +402,73 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--profile", "p.cfg", "-o", "x.csv"],
+            ["prepare", "--input", "x.csv", "--output", "x.bin"],
+            ["train", "--data", "x.bin", "--output", "x.ckpt"],
+            ["transfer", "--source", "x.ckpt", "--data", "x.bin", "--output", "y.ckpt"],
+            ["compare", "--data", "x.bin"],
+            ["gradcheck", "--seeds", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_is_usage_error(self, argv, seed, capsys):
+        assert run_command(argv + ["--seed", seed]) == 2
+        assert "argument --seed:" in capsys.readouterr().err
+
+    def test_negative_profile_seed_is_1(self, tmp_path, capsys):
+        profile = tmp_path / "profile.cfg"
+        profile.write_text(PROFILE.replace("seed=5", "seed=-1"))
+        with pytest.raises(ValueError, match="seed="):
+            parse_profile(str(profile))
+        assert run_command(["simulate", "--profile", str(profile), "-o", str(tmp_path / "x.csv")]) == 1
+        assert "profile seed= must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_seed_zero_is_accepted(self, tmp_path, profile_path):
+        run_ok(["simulate", "--profile", str(profile_path), "--seed", "0", "-o", str(tmp_path / "x.csv")])
+
+
+class TestOutlierSpec:
+    @pytest.mark.parametrize(
+        "spec",
+        ["bogus", "data_field:x:3", "data_field:0.05", "data_field:0.05:3:1", "data_field:0.05:1.5",
+         "Data_Field:0.05:3", "foo:0.05:3", "dlc:0:3", "dlc:1:3", "dlc:nan:3", "dlc:0.05:0", "dlc:0.05:-2"],
+    )
+    def test_bad_spec_is_usage_error_before_reading(self, tmp_path, spec, capsys):
+        # the input does not exist: the spec is refused before any log is opened
+        argv = ["prepare", "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "x.bin"),
+                "--outliers", spec]
+        assert run_command(argv) == 2
+        assert "argument --outliers:" in capsys.readouterr().err
+
+    def test_bounds_that_depend_on_the_rows_are_1(self, pipeline, capsys):
+        tmp_path, log, _ = pipeline
+        rows = sum(1 for _ in log.read_text().splitlines()) - 1
+        argv = ["prepare", "--input", str(log), "--output", str(tmp_path / "x.bin"),
+                "--outliers", f"dlc:0.05:{rows - 1}"]
+        assert run_command(argv) == 1
+        assert "max_outliers must lie in [1, n - 2]" in capsys.readouterr().err
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(log.read_text().splitlines()[:20]) + "\n")
+        argv = ["prepare", "--input", str(short), "--output", str(tmp_path / "y.bin"), "--outliers", "dlc:0.05:1"]
+        assert run_command(argv) == 1
+        assert "need at least 25 values" in capsys.readouterr().err
+
+
+def test_evaluate_without_kinds_has_no_recall_columns(tmp_path, profile_path, capsys):
+    log, data, ckpt = tmp_path / "log.csv", tmp_path / "data.bin", tmp_path / "model.ckpt"
+    run_ok(["simulate", "--profile", str(profile_path), "--attack", "flooding:2:4:60", "--no-kinds",
+            "-o", str(log)])
+    run_ok(["prepare", "--input", str(log), "--output", str(data)])
+    save_checkpoint(build_plenet(seed=0), ckpt)
+    capsys.readouterr()
+    run_ok(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("model") and "recall[" not in header
