@@ -52,6 +52,14 @@ class EmptySpoofTargets(ValueError):
     """Spoofing attack configured without target identifiers."""
 
 
+def _require_finite(spec, *names: str) -> None:
+    """Reject a NaN or infinite value in any of the named fields of ``spec``."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def crc15(bits: Sequence[int]) -> int:
     """Polynomial remainder of a bit sequence (MSB first) under generator 0x4599.
 
@@ -217,6 +225,7 @@ class EcuSpec:
     def __post_init__(self):
         if not 0 <= self.identifier <= MAX_STD_ID:
             raise ValueError(f"identifier {self.identifier:#x} outside 11-bit range")
+        _require_finite(self, "period")
         if self.period <= 0:
             raise ValueError("period must be positive")
         if not 0 <= self.dlc <= MAX_DLC:
@@ -243,6 +252,7 @@ class SimProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "ecus", tuple(self.ecus))
+        _require_finite(self, "duration")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if not 0 <= self.jitter < 0.5:
@@ -267,6 +277,7 @@ class AttackSpec:
         object.__setattr__(self, "spoof_targets", tuple(self.spoof_targets))
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        _require_finite(self, "start", "end", "rate")
         if not self.start < self.end:
             raise ValueError("attack window requires start < end")
         if self.rate <= 0:

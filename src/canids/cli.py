@@ -71,58 +71,98 @@ def _expand_config(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+class MalformedSpec(ValueError):
+    """A profile line or an attack spec that does not parse or validate.
+
+    The message names the profile file and line, or the attack spec, and
+    the key or field at fault.
+    """
+
+
+def _field(name: str, text: str, convert=float, what: str = "a number"):
+    """``convert(text)``, or a ValueError naming the field and the text."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
+
+
+def _hex(text: str) -> int:
+    return int(text, 16)
+
+
+def _ecu_spec(value: str) -> canbus.EcuSpec:
+    parts = [p.strip() for p in value.split(",")]
+    if not 2 <= len(parts) <= 4:
+        raise ValueError(f"needs hexid,period[,dlc[,rule]], got {len(parts)} field(s)")
+    return canbus.EcuSpec(
+        identifier=_field("identifier", parts[0], _hex, "a hex integer"),
+        period=_field("period", parts[1]),
+        dlc=_field("dlc", parts[2], int, "an integer") if len(parts) > 2 else 8,
+        payload_rule=parts[3] if len(parts) > 3 else "constant",
+    )
+
+
 def parse_profile(path: str) -> canbus.SimProfile:
     """Simulation profile: duration=, jitter=, seed=, and one ecu= line per ECU.
 
     ECU lines are ``hexid,period[,dlc[,rule]]``, e.g. ``130,0.02,8,counter``.
+    Every fault raises ``MalformedSpec`` naming the file, the line and the key.
     """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MalformedSpec(f"{path}: profile is not UTF-8 text (byte {exc.start})") from None
     duration, jitter, seed = None, 0.0, 0
     ecus = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "duration":
-            duration = float(value)
-        elif key == "jitter":
-            jitter = float(value)
-        elif key == "seed":
-            seed = int(value)
-            if seed < 0:
-                raise ValueError(f"profile seed= must be a non-negative integer, got {seed}")
-        elif key == "ecu":
-            parts = [p.strip() for p in value.split(",")]
-            ecus.append(
-                canbus.EcuSpec(
-                    identifier=int(parts[0], 16),
-                    period=float(parts[1]),
-                    dlc=int(parts[2]) if len(parts) > 2 else 8,
-                    payload_rule=parts[3] if len(parts) > 3 else "constant",
-                )
-            )
-        else:
-            raise ValueError(f"unknown profile key {key!r}")
-    if duration is None:
-        raise ValueError("profile must set duration")
-    return canbus.SimProfile(ecus=tuple(ecus), duration=duration, jitter=jitter, seed=seed)
+        key, _, value = (part.strip() for part in line.partition("="))
+        try:
+            if key == "duration":
+                duration = _field("value", value)
+            elif key == "jitter":
+                jitter = _field("value", value)
+            elif key == "seed":
+                seed = _field("value", value, int, "an integer")
+                if seed < 0:
+                    raise ValueError(f"must be a non-negative integer, got {seed}")
+            elif key == "ecu":
+                ecus.append(_ecu_spec(value))
+            else:
+                raise ValueError("is not a profile key")
+        except ValueError as exc:
+            raise MalformedSpec(f"{path}, line {lineno}: profile {key}= {exc}") from None
+    try:
+        if duration is None:
+            raise ValueError("must set duration")
+        return canbus.SimProfile(ecus=tuple(ecus), duration=duration, jitter=jitter, seed=seed)
+    except ValueError as exc:
+        raise MalformedSpec(f"{path}: profile {exc}") from None
 
 
 def parse_attack(text: str, seed: int) -> canbus.AttackSpec:
-    """``kind:start:end:rate[:targets]`` with comma-separated hex targets."""
+    """``kind:start:end:rate[:targets]`` with comma-separated hex targets.
+
+    Every fault raises ``MalformedSpec`` naming the spec and the field.
+    """
     parts = text.split(":")
-    if len(parts) not in (4, 5):
-        raise ValueError(f"attack spec {text!r} is not kind:start:end:rate[:targets]")
-    targets = tuple(int(t, 16) for t in parts[4].split(",")) if len(parts) == 5 else ()
-    return canbus.AttackSpec(
-        kind=parts[0],
-        start=float(parts[1]),
-        end=float(parts[2]),
-        rate=float(parts[3]),
-        spoof_targets=targets,
-        seed=seed,
-    )
+    try:
+        if len(parts) not in (4, 5):
+            raise ValueError("is not kind:start:end:rate[:targets]")
+        targets = parts[4].split(",") if len(parts) == 5 else ()
+        return canbus.AttackSpec(
+            kind=parts[0],
+            start=_field("start", parts[1]),
+            end=_field("end", parts[2]),
+            rate=_field("rate", parts[3]),
+            spoof_targets=tuple(_field("target", t, _hex, "a hex integer") for t in targets),
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise MalformedSpec(f"attack spec {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str]) -> int:
     try:
         argv = _expand_config(list(argv))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = build_parser()

@@ -4,8 +4,10 @@ Everything here is a pure function of its seed so that runs reproduce byte
 for byte. Two studies:
 
 * Detection: a 20,000-frame three-ECU log carrying flooding, fuzzing, and
-  spoofing windows at a 10% total attack share, prepared and used to train
-  the CNN from scratch.
+  spoofing windows at a 10% total attack share (``desk_profile`` and
+  ``desk_attacks``, or ``desk_log`` in memory), and the CNN's training
+  budget ``desk_train_config``. ``scripts/run_desk_experiment.py`` runs
+  the study through the CLI.
 * Transfer: a flooding-heavy source domain (with a small fuzzing tail that
   forces payload-template features) and a spoofing-heavy target domain. A
   1,000-record subset of the target trains both a warm-started copy of the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .canbus import AttackSpec, EcuSpec, SimProfile, TrafficRecord, generate_traffic, inject_attack
 from .ingest import PreparedDataset, prepare_records
-from .metrics import MetricsReport, evaluate_predictions
+from .metrics import evaluate_predictions  # noqa: F401  -- perfbench wraps this name
 from .plenet import TrainConfig, build_plenet, predict, train, transfer_finetune
 
 DESK_ECUS = (
@@ -52,22 +54,6 @@ def desk_log(seed: int) -> list[TrafficRecord]:
 
 def desk_train_config(seed: int) -> TrainConfig:
     return TrainConfig(epochs=40, batch_size=64, lr=1e-3, patience=10, seed=seed)
-
-
-@dataclass
-class DetectionResult:
-    dataset: PreparedDataset
-    report: MetricsReport
-    history_len: int
-
-
-def run_detection(seed: int = 42) -> DetectionResult:
-    """Simulate, prepare, train, and score the desk-scale detection study."""
-    ds = prepare_records(desk_log(seed), seed=seed, provenance=f"desk-sim(seed={seed})")
-    model, history = train(build_plenet(seed), ds, desk_train_config(seed))
-    probs, labels = predict(model, ds.test_x)
-    report = evaluate_predictions(ds.test_y, labels, scores=probs[:, 1], kinds=ds.test_kind)
-    return DetectionResult(dataset=ds, report=report, history_len=len(history))
 
 
 # --- transfer study --------------------------------------------------------

@@ -13,10 +13,8 @@ windows and views its (F, K, C) kernel as a (K*C, F) matrix. The base
 owns parameter set-up and ``param_count``; ``grad_check`` probes every
 trainable layer through these two methods on one path.
 
-Sequence tensors are (length, channels) for a single sample or
-(batch, length, channels) batched; flat tensors are (units,) or
-(batch, units). Single-sample inputs come back out single-sample; one
-wrapper, ``_batched``, does that, so layer bodies only see batches. A
+Layers take batches only: sequence tensors are (batch, length, channels)
+and flat tensors (batch, units); a single sample is a batch of one. A
 network takes (batch, features) rows, laid out by its first layer's
 ``layout_rows``.
 
@@ -32,9 +30,10 @@ vector (``param_buffer``) and one gradient vector of the same length
 (``grad_buffer``). Each trainable layer's ``w``, ``b``, ``gw`` and ``gb``
 are reshaped views into them, laid out in layer order with ``w`` before
 ``b`` -- the order of ``Network.parameters()`` and of the checkpoint
-file. Zeroing the gradients is one fill, and the optimizer updates each
-contiguous run of unfrozen parameters (``Network.trainable_runs``) in one
-pass. The contract that keeps this sound: never rebind ``layer.w`` (or
+file. Zeroing the gradients is one fill, a snapshot is one copy of
+``param_buffer`` and restoring it one copy back, and the optimizer updates
+each contiguous run of unfrozen parameters (``Network.trainable_runs``) in
+one pass. The contract that keeps this sound: never rebind ``layer.w`` (or
 ``b``, ``gw``, ``gb``) of a layer inside a network; write through
 ``layer.w[...] = ...`` or ``np.copyto``. A layer belongs to at most one
 network. Layers built on their own keep private arrays and work standalone.
@@ -42,7 +41,6 @@ network. Layers built on their own keep private arrays and work standalone.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -135,25 +133,6 @@ def _select(keep: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.bitwise_and(bits, mask, out=mask).view(np.float64)
 
 
-def _batched(method):
-    """Run a layer pass on a batch; a single sample runs as a batch of one.
-
-    ``forward`` records in ``self._single`` whether ``x`` is one sample.
-    """
-    records = method.__name__ == "forward"
-
-    @functools.wraps(method)
-    def wrapper(self, x, **kwargs):
-        if records:
-            self._single = x.ndim == self.sample_ndim
-        if not self._single:
-            return method(self, x, **kwargs)
-        out = method(self, x[None], **kwargs)
-        return None if out is None else out[0]
-
-    return wrapper
-
-
 class Layer:
     """Forward/backward pair; trainable layers carry weight and bias arrays.
 
@@ -163,8 +142,6 @@ class Layer:
 
     trainable = False
     param_names: tuple[str, ...] = ()
-    sample_ndim = 2  # axes of one unbatched sample
-    _single = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -250,7 +227,6 @@ class Conv1D(_Affine):
     def layout_rows(self, rows):
         return rows.reshape(len(rows), rows.shape[1] // self.in_channels, self.in_channels)
 
-    @_batched
     def forward(self, x):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeMismatch(f"expected (batch, length, {self.in_channels}), got {x.shape}")
@@ -265,7 +241,6 @@ class Conv1D(_Affine):
         out += self.b
         return out.reshape(n, out_len, self.filters)
 
-    @_batched
     def backward(self, grad, input_grad=True):
         n, length, channels = self._in_shape
         out_len = length - self.kernel_size + 1
@@ -288,7 +263,6 @@ class Conv1D(_Affine):
 class MaxPool1D(Layer):
     """Window-2 stride-2 max pooling; odd trailing element is dropped."""
 
-    @_batched
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] < 2:
             raise ShapeMismatch(f"expected (batch, length >= 2, channels), got {x.shape}")
@@ -298,7 +272,6 @@ class MaxPool1D(Layer):
         self._in_shape = x.shape
         return np.maximum(self._first, self._second)
 
-    @_batched
     def backward(self, grad):
         if grad.shape != self._first.shape:
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
@@ -314,12 +287,12 @@ class MaxPool1D(Layer):
 
 
 class Flatten(Layer):
-    @_batched
     def forward(self, x):
+        if x.ndim != 3:
+            raise ShapeMismatch(f"expected (batch, length, channels), got {x.shape}")
         self._in_shape = x.shape
         return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
-    @_batched
     def backward(self, grad):
         return grad.reshape(self._in_shape)
 
@@ -330,8 +303,6 @@ class Flatten(Layer):
 class Dense(_Affine):
     """Affine map out = x @ w + b with w of shape (in_units, out_units)."""
 
-    sample_ndim = 1
-
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
         if in_units < 1 or out_units < 1:
             raise ValueError("dense dimensions must be positive")
@@ -339,7 +310,6 @@ class Dense(_Affine):
         self.out_units = out_units
         super().__init__((in_units, out_units), in_units, out_units, rng)
 
-    @_batched
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_units:
             raise ShapeMismatch(f"expected (batch, {self.in_units}), got {x.shape}")
@@ -348,7 +318,6 @@ class Dense(_Affine):
         out += self.b
         return out
 
-    @_batched
     def backward(self, grad, input_grad=True):
         if grad.shape != (self._x.shape[0], self.out_units):
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
@@ -487,12 +456,13 @@ class Network:
     def describe(self) -> str:
         return "|".join(l.spec() for l in self.layers)
 
-    def snapshot(self) -> list[np.ndarray]:
-        return _views(self.param_buffer.copy(), [p.shape for p in self.parameters()])
+    def snapshot(self) -> np.ndarray:
+        return self.param_buffer.copy()
 
-    def restore(self, snapshot: list[np.ndarray]) -> None:
-        for p, saved in zip(self.parameters(), snapshot, strict=True):
-            np.copyto(p, saved)
+    def restore(self, snapshot: np.ndarray) -> None:
+        if snapshot.shape != self.param_buffer.shape:
+            raise ShapeMismatch(f"snapshot {snapshot.shape} vs parameters {self.param_buffer.shape}")
+        np.copyto(self.param_buffer, snapshot)
 
 
 _LAYER_TOKENS: dict[str, tuple[type[Layer], int]] = {

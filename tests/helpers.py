@@ -84,14 +84,12 @@ def legacy_relu_backward(layer, grad):
 
 def legacy_maxpool_backward(layer, grad):
     """Reference MaxPool1D backward pass with ``np.where`` masking."""
-    if layer._single:
-        grad = grad[None]
     keep_first = layer._first >= layer._second
     out_len = grad.shape[1]
     dx = np.zeros(layer._in_shape)
     dx[:, 0 : 2 * out_len : 2, :] = np.where(keep_first, grad, 0.0)
     dx[:, 1 : 2 * out_len : 2, :] = np.where(keep_first, 0.0, grad)
-    return dx[0] if layer._single else dx
+    return dx
 
 
 def legacy_conv_forward(layer, x):

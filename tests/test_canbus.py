@@ -307,6 +307,22 @@ class TestInjectAttack:
             AttackSpec("fuzzing", 1.0, 2.0, 0.0)  # zero rate
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("duration", lambda v: SimProfile(ecus=(), duration=v)),
+        ("period", lambda v: EcuSpec(0x130, v)),
+        ("start", lambda v: AttackSpec("flooding", v, 2.0, 10.0)),
+        ("end", lambda v: AttackSpec("flooding", 1.0, v, 10.0)),
+        ("rate", lambda v: AttackSpec("flooding", 1.0, 2.0, v)),
+    ],
+)
+def test_non_finite_spec_value_is_rejected(field, build, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(bad)
+
+
 class TestLogFormat:
     def test_row_layout(self):
         rec = format_record(TrafficRecord(0.123, 0x130, 2, bytes([0xAB, 0xCD]), 0))

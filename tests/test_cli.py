@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 
 from canids.baselines import build_mlp
 from canids.checkpoint import save_checkpoint
-from canids.cli import parse_attack, parse_profile, run_command
+from canids.cli import MalformedSpec, parse_attack, parse_profile, run_command
 from canids.ingest import load_dataset
 from canids.plenet import build_plenet
 
@@ -402,6 +403,67 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+
+class TestSpecErrors:
+    """A bad profile line, attack spec or config path exits 1 or 2 naming what is wrong."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("ecu=130", "line 8: profile ecu= needs hexid,period[,dlc[,rule]], got 1 field(s)"),
+            ("ecu=131,0.1,8,counter,extra", "line 8: profile ecu= needs hexid,period[,dlc[,rule]], got 5"),
+            ("ecu=ZZ,0.1", "line 8: profile ecu= identifier must be a hex integer, got 'ZZ'"),
+            ("ecu=131,0.1,x", "line 8: profile ecu= dlc must be an integer, got 'x'"),
+            ("ecu=131,nan", "line 8: profile ecu= period must be finite, got nan"),
+            ("ecu=131,inf", "line 8: profile ecu= period must be finite, got inf"),
+            ("duration=abc", "line 8: profile duration= value must be a number, got 'abc'"),
+            ("jitter=x", "line 8: profile jitter= value must be a number, got 'x'"),
+            ("seed=x", "line 8: profile seed= value must be an integer, got 'x'"),
+            ("speed=3", "line 8: profile speed= is not a profile key"),
+            ("duration=inf", "profile duration must be finite, got inf"),
+        ],
+    )
+    def test_profile_line(self, tmp_path, capsys, line, message):
+        profile = tmp_path / "profile.cfg"
+        profile.write_text(PROFILE + line + "\n")
+        with pytest.raises(MalformedSpec, match=re.escape(message)):
+            parse_profile(str(profile))
+        assert run_command(["simulate", "--profile", str(profile), "-o", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {profile}") and message in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_profile_that_is_not_utf8(self, tmp_path, capsys):
+        profile = tmp_path / "profile.cfg"
+        profile.write_bytes(PROFILE.encode() + b"ecu=\xff\n")
+        assert run_command(["simulate", "--profile", str(profile), "-o", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {profile}: profile is not UTF-8 text (byte {len(PROFILE) + 4})\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("flooding:1:x:3", "end must be a number, got 'x'"),
+            ("flooding:1:2:inf", "rate must be finite, got inf"),
+            ("flooding:1:2:nan", "rate must be finite, got nan"),
+            ("flooding:nan:2:3", "start must be finite, got nan"),
+            ("spoofing:1:2:3:130,QQ", "target must be a hex integer, got 'QQ'"),
+            ("flooding:1:2", "is not kind:start:end:rate[:targets]"),
+        ],
+    )
+    def test_attack_spec(self, tmp_path, profile_path, capsys, spec, message):
+        with pytest.raises(MalformedSpec, match=re.escape(message)):
+            parse_attack(spec, seed=0)
+        argv = ["simulate", "--profile", str(profile_path), "--attack", spec, "-o", str(tmp_path / "x.csv")]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == f"error: attack spec {spec!r}: {message}\n"
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        argv = ["train", "--data", "x.bin", "--output", "x.ckpt", "--config", str(missing)]
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
 
 
 class TestSeedOption:

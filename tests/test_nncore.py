@@ -50,21 +50,21 @@ def finite_difference(loss_fn, array, h=1e-5):
 class TestConv1D:
     def test_output_shape(self):
         conv = Conv1D(1, 5, 5, np.random.default_rng(0))
-        out = conv.forward(np.random.default_rng(1).uniform(size=(16, 1)))
-        assert out.shape == (12, 5)
+        out = conv.forward(np.random.default_rng(1).uniform(size=(1, 16, 1)))
+        assert out.shape == (1, 12, 5)
 
     def test_all_ones_kernel_sums_window(self):
         conv = Conv1D(1, 1, 5)
         conv.w[...] = 1.0
         conv.b[...] = 0.0
-        out = conv.forward(np.ones((16, 1)))
+        out = conv.forward(np.ones((1, 16, 1)))
         assert np.allclose(out, 5.0)
 
     def test_zero_input_gives_biases(self):
         conv = Conv1D(2, 3, 4, np.random.default_rng(2))
         conv.b[:] = [0.5, -1.0, 2.0]
-        out = conv.forward(np.zeros((10, 2)))
-        assert np.allclose(out, conv.b)
+        out = conv.forward(np.zeros((1, 10, 2)))
+        assert np.allclose(out[0], conv.b)
 
     def test_param_count_formula(self):
         assert Conv1D(1, 5, 5).param_count() == 30
@@ -72,23 +72,23 @@ class TestConv1D:
 
     def test_zero_upstream_zero_grads(self):
         conv = Conv1D(1, 2, 3, np.random.default_rng(3))
-        out = conv.forward(np.random.default_rng(4).uniform(size=(8, 1)))
+        out = conv.forward(np.random.default_rng(4).uniform(size=(1, 8, 1)))
         conv.backward(np.zeros_like(out))
         assert not conv.gw.any() and not conv.gb.any()
 
     def test_single_upstream_element_chain_rule(self):
         rng = np.random.default_rng(5)
         conv = Conv1D(2, 3, 4, rng)
-        x = rng.uniform(size=(9, 2))
+        x = rng.uniform(size=(1, 9, 2))
         out = conv.forward(x)
         up = np.zeros_like(out)
         t, f = 2, 1
-        up[t, f] = 1.0
+        up[0, t, f] = 1.0
         conv.zero_grads()
         conv.backward(up)
         for k in range(4):
             for c in range(2):
-                assert conv.gw[f, k, c] == pytest.approx(x[t + k, c])
+                assert conv.gw[f, k, c] == pytest.approx(x[0, t + k, c])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -113,39 +113,39 @@ class TestConv1D:
     def test_shape_mismatch(self):
         conv = Conv1D(1, 2, 5)
         with pytest.raises(ShapeMismatch):
-            conv.forward(np.zeros((3, 1)))  # shorter than kernel
+            conv.forward(np.zeros((1, 3, 1)))  # shorter than kernel
         with pytest.raises(ShapeMismatch):
-            conv.forward(np.zeros((16, 2)))  # wrong channel count
+            conv.forward(np.zeros((1, 16, 2)))  # wrong channel count
 
 
 class TestMaxPool1D:
     def test_basic(self):
         pool = MaxPool1D()
-        out = pool.forward(np.array([[1.0], [3.0], [2.0], [8.0]]))
-        assert out[:, 0].tolist() == [3.0, 8.0]
+        out = pool.forward(np.array([[[1.0], [3.0], [2.0], [8.0]]]))
+        assert out[0, :, 0].tolist() == [3.0, 8.0]
 
     def test_odd_length_floor(self):
-        out = MaxPool1D().forward(np.arange(7, dtype=np.float64)[:, None])
-        assert out.shape == (3, 1)
+        out = MaxPool1D().forward(np.arange(7, dtype=np.float64)[None, :, None])
+        assert out.shape == (1, 3, 1)
 
     def test_tie_goes_to_earlier_index(self):
         pool = MaxPool1D()
-        out = pool.forward(np.array([[5.0], [5.0]]))
-        assert out[0, 0] == 5.0
-        dx = pool.backward(np.ones((1, 1)))
-        assert dx[:, 0].tolist() == [1.0, 0.0]
+        out = pool.forward(np.array([[[5.0], [5.0]]]))
+        assert out[0, 0, 0] == 5.0
+        dx = pool.backward(np.ones((1, 1, 1)))
+        assert dx[0, :, 0].tolist() == [1.0, 0.0]
 
     def test_backward_routes_to_argmax(self):
         pool = MaxPool1D()
-        pool.forward(np.array([[1.0], [3.0], [2.0], [8.0]]))
-        dx = pool.backward(np.ones((2, 1)))
-        assert dx[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
+        pool.forward(np.array([[[1.0], [3.0], [2.0], [8.0]]]))
+        dx = pool.backward(np.ones((1, 2, 1)))
+        assert dx[0, :, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_dropped_tail_gets_zero_gradient(self):
         pool = MaxPool1D()
-        pool.forward(np.array([[1.0], [3.0], [99.0]]))
-        dx = pool.backward(np.ones((1, 1)))
-        assert dx[2, 0] == 0.0
+        pool.forward(np.array([[[1.0], [3.0], [99.0]]]))
+        dx = pool.backward(np.ones((1, 1, 1)))
+        assert dx[0, 2, 0] == 0.0
 
     def test_gradient_matches_finite_differences_away_from_ties(self):
         rng = np.random.default_rng(7)
@@ -169,7 +169,7 @@ class TestDense:
         dense.w[...] = np.eye(4)
         dense.b[...] = 0.0
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.allclose(dense.forward(x), x)
+        assert np.allclose(dense.forward(x[None])[0], x)
 
     def test_param_count(self):
         assert Dense(20, 500).param_count() == 10_500
@@ -373,7 +373,10 @@ class TestNetwork:
         for p in net.parameters():
             p += 1.0
         net.restore(saved)
-        assert all(np.array_equal(p, s) for p, s in zip(net.parameters(), saved))
+        assert np.array_equal(net.param_buffer, saved)
+        assert saved.shape == (net.param_count(),) and not np.shares_memory(saved, net.param_buffer)
+        with pytest.raises(ShapeMismatch):
+            net.restore(saved[:-1])
 
 
 def _frozen_conv_plenet(seed):
@@ -432,35 +435,18 @@ class TestGradCheckProbePath:
         assert grad_check(net, x, y, block=4) > 1e-3
 
 
-def _layer_and_sample(cls, rng):
-    """A fresh layer of ``cls`` and one unbatched input for it."""
-    if cls is Conv1D:
-        return Conv1D(2, 3, 4, rng), rng.standard_normal((9, 2))
-    if cls is MaxPool1D:
-        return MaxPool1D(), rng.standard_normal((7, 3))
-    if cls is Flatten:
-        return Flatten(), rng.standard_normal((4, 3))
-    return Dense(6, 4, rng), rng.standard_normal(6)
+class TestUnbatchedInput:
+    """Layers take batches only: one sample without its batch axis is a shape error."""
 
-
-class TestSingleSampleMatchesBatch:
-    """One sample through a layer equals row 0 of the same call on a batch of one."""
-
-    @pytest.mark.parametrize("cls", [Conv1D, MaxPool1D, Flatten, Dense])
-    def test_forward_backward_and_gradients(self, cls):
-        rng = np.random.default_rng(11)
-        single, x = _layer_and_sample(cls, rng)
-        batched, _ = _layer_and_sample(cls, np.random.default_rng(11))
-        out = single.forward(x)
-        out_b = batched.forward(x[None])
-        assert out_b.shape == (1, *out.shape)
-        assert out.tobytes() == out_b[0].tobytes()
-        grad = rng.standard_normal(out.shape)
-        for _ in range(2):  # a second pass checks the accumulated gradients
-            dx = single.backward(grad)
-            dx_b = batched.backward(grad[None])
-            assert dx.shape == x.shape
-            assert dx.tobytes() == dx_b[0].tobytes()
-        for g, g_b in zip(single.grads(), batched.grads(), strict=True):
-            assert g.tobytes() == g_b.tobytes()
-            assert g.any()
+    @pytest.mark.parametrize(
+        "layer, x",
+        [
+            pytest.param(Conv1D(2, 3, 4), np.zeros((9, 2)), id="Conv1D"),
+            pytest.param(MaxPool1D(), np.zeros((7, 3)), id="MaxPool1D"),
+            pytest.param(Flatten(), np.zeros((4, 3)), id="Flatten"),
+            pytest.param(Dense(6, 4), np.zeros(6), id="Dense"),
+        ],
+    )
+    def test_raises_shape_mismatch(self, layer, x):
+        with pytest.raises(ShapeMismatch):
+            layer.forward(x)
