@@ -10,6 +10,7 @@ from .canbus import (
     CanFrame,
     EcuSpec,
     SimProfile,
+    TrafficLog,
     TrafficRecord,
     crc15,
     decode_frame,
@@ -53,6 +54,7 @@ __all__ = [
     "RawRecord",
     "RecordTable",
     "SimProfile",
+    "TrafficLog",
     "TrafficRecord",
     "TrainConfig",
     "TrainHistory",

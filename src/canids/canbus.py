@@ -8,10 +8,8 @@ fuzzing, spoofing) as labeled records.
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -29,7 +27,11 @@ PAYLOAD_RULES = ("constant", "counter", "sensor")
 
 LOG_HEADER = "Timestamp,CAN_ID,DLC,Data_Field,Label"
 
-_by_time = operator.attrgetter("timestamp")
+# TrafficLog.kind codes: 0 is normal traffic, 1.. the attack kinds in order
+KIND_NAMES = ("",) + ATTACK_KINDS
+
+# most records one simulation may hold (~53x the paper's 1,257,303-row log)
+MAX_RECORDS = 2**26
 
 
 class MalformedFrame(ValueError):
@@ -50,6 +52,10 @@ class WindowOutOfRange(ValueError):
 
 class EmptySpoofTargets(ValueError):
     """Spoofing attack configured without target identifiers."""
+
+
+class TooManyRecords(ValueError):
+    """A profile or an attack would emit more than ``MAX_RECORDS`` records."""
 
 
 def _require_finite(spec, *names: str) -> None:
@@ -208,6 +214,61 @@ class TrafficRecord:
                 object.__setattr__(self, name, plain(value))
 
 
+@dataclass(frozen=True, eq=False)
+class TrafficLog:
+    """A simulated log as columns, one row per frame in timestamp order.
+
+    ``timestamp`` is float64; ``can_id`` and ``dlc`` are int64; ``payload``
+    is an ``(n, MAX_DLC)`` uint8 matrix, zero after each row's ``dlc``
+    bytes; ``label`` is uint8 (1 for injected frames); ``kind`` is a uint8
+    code into ``KIND_NAMES``. ``log[i]`` is row ``i`` as a ``TrafficRecord``.
+    """
+
+    timestamp: np.ndarray
+    can_id: np.ndarray
+    dlc: np.ndarray
+    payload: np.ndarray
+    label: np.ndarray
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, i: int) -> TrafficRecord:
+        dlc = int(self.dlc[i])
+        return TrafficRecord(
+            float(self.timestamp[i]),
+            int(self.can_id[i]),
+            dlc,
+            self.payload[i, :dlc].tobytes(),
+            int(self.label[i]),
+            KIND_NAMES[self.kind[i]],
+        )
+
+
+def _concat_sorted(blocks: Sequence[TrafficLog]) -> TrafficLog:
+    """The blocks' rows in one log, stably sorted by timestamp (block order breaks ties)."""
+    log = TrafficLog(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(TrafficLog)))
+    order = np.argsort(log.timestamp, kind="stable")
+    return TrafficLog(*(getattr(log, f.name)[order] for f in fields(log)))
+
+
+def _block(timestamp: np.ndarray, can_id, dlc, payload: np.ndarray, kind: str) -> TrafficLog:
+    """Rows of one kind, labeled 1 unless the kind is "" (normal traffic).
+
+    A scalar ``can_id`` or ``dlc`` applies to every row.
+    """
+    n = len(timestamp)
+    return TrafficLog(
+        timestamp=timestamp,
+        can_id=np.broadcast_to(np.asarray(can_id, dtype=np.int64), n),
+        dlc=np.broadcast_to(np.asarray(dlc, dtype=np.int64), n),
+        payload=payload,
+        label=np.full(n, kind != "", dtype=np.uint8),
+        kind=np.full(n, KIND_NAMES.index(kind), dtype=np.uint8),
+    )
+
+
 @dataclass(frozen=True)
 class EcuSpec:
     """One periodic transmitter: identifier, period, and a payload rule.
@@ -287,96 +348,99 @@ class AttackSpec:
                 raise ValueError(f"spoof target {t:#x} outside 11-bit range")
 
 
-def _ecu_payloads(ecu: EcuSpec, count: int, rng: np.random.Generator) -> list[bytes]:
-    base = ecu.base_pattern()
-    if ecu.payload_rule == "constant":
-        return [base] * count
+def _check_count(count: float, what: str) -> None:
+    """Reject a record count above ``MAX_RECORDS`` (``count`` may be inf) before anything is allocated."""
+    if not count <= MAX_RECORDS:
+        raise TooManyRecords(f"{what} would emit {count:.4g} records, more than {MAX_RECORDS}")
+
+
+def _ecu_payloads(ecu: EcuSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    payload = np.zeros((count, MAX_DLC), dtype=np.uint8)
+    payload[:, : ecu.dlc] = np.frombuffer(ecu.base_pattern(), dtype=np.uint8)
     if ecu.payload_rule == "counter":
-        return [bytes([k % 256]) + base[1:] for k in range(1, count + 1)]
-    # sensor: 16-bit random walk, clipped to the representable range
-    steps = rng.integers(-256, 257, size=count)
-    out, value = [], 0x8000
-    for step in steps:
-        value = int(min(max(value + step, 0), 0xFFFF))
-        out.append(bytes([value >> 8, value & 0xFF]) + base[2:])
-    return out
+        payload[:, 0] = np.arange(1, count + 1) % 256
+    elif ecu.payload_rule == "sensor":
+        # 16-bit random walk, clipped to the representable range at every step
+        steps = rng.integers(-256, 257, size=count)
+        walk, value = [], 0x8000
+        for step in steps.tolist():
+            value = min(max(value + step, 0), 0xFFFF)
+            walk.append(value)
+        walk = np.array(walk, dtype=np.int64)
+        payload[:, 0] = walk >> 8
+        payload[:, 1] = walk & 0xFF
+    return payload
 
 
-def generate_traffic(profile: SimProfile) -> list[TrafficRecord]:
+def generate_traffic(profile: SimProfile) -> TrafficLog:
     """Emit one normal-labeled record per scheduled ECU transmission.
 
     Emission k of an ECU with period p lands at ``k*p*(1 + u)`` with u drawn
     uniformly from [-jitter, +jitter]; each ECU emits floor(duration/period)
-    records. Output is sorted by timestamp and fully determined by the seed.
+    records. Output is sorted by timestamp (ties keep profile order) and
+    fully determined by the seed. An ECU, or the whole profile, that would
+    emit more than ``MAX_RECORDS`` records raises ``TooManyRecords``.
     """
     if not profile.ecus:
         raise EmptySchedule("profile contains no ECUs")
-    rng = np.random.default_rng(profile.seed)
-    records = []
     for ecu in profile.ecus:
-        n = math.floor(profile.duration / ecu.period)
+        _check_count(profile.duration / ecu.period, f"ECU {ecu.identifier:03X} (period {ecu.period!r})")
+    counts = [math.floor(profile.duration / ecu.period) for ecu in profile.ecus]
+    _check_count(sum(counts), f"profile of {len(counts)} ECUs")
+    rng = np.random.default_rng(profile.seed)
+    blocks = []
+    for ecu, n in zip(profile.ecus, counts):
         jitter = rng.uniform(-profile.jitter, profile.jitter, size=n)
-        payloads = _ecu_payloads(ecu, n, rng)
-        for k in range(1, n + 1):
-            t = k * ecu.period * (1.0 + jitter[k - 1])
-            records.append(
-                TrafficRecord(t, ecu.identifier, ecu.dlc, payloads[k - 1], label=0)
-            )
-    records.sort(key=_by_time)
-    return records
+        timestamp = np.arange(1, n + 1) * ecu.period * (1.0 + jitter)
+        payload = _ecu_payloads(ecu, n, rng)
+        blocks.append(_block(timestamp, ecu.identifier, ecu.dlc, payload, ""))
+    return _concat_sorted(blocks)
 
 
-def _inject_flooding(spec: AttackSpec, n: int) -> list[TrafficRecord]:
-    payload = bytes(MAX_DLC)
-    return [
-        TrafficRecord(spec.start + k / spec.rate, FLOODING_ID, MAX_DLC, payload, 1, "flooding")
-        for k in range(n)
-    ]
+def _inject_flooding(spec: AttackSpec, n: int) -> TrafficLog:
+    timestamp = spec.start + np.arange(n) / spec.rate
+    return _block(timestamp, FLOODING_ID, MAX_DLC, np.zeros((n, MAX_DLC), dtype=np.uint8), "flooding")
 
 
-def _inject_fuzzing(spec: AttackSpec, n: int, rng: np.random.Generator) -> list[TrafficRecord]:
+def _inject_fuzzing(spec: AttackSpec, n: int, rng: np.random.Generator) -> TrafficLog:
     times = rng.uniform(spec.start, spec.end, size=n)
     ids = rng.integers(0, MAX_STD_ID + 1, size=n)
     dlcs = rng.integers(0, MAX_DLC + 1, size=n)
-    out = []
-    for t, can_id, dlc in zip(times, ids, dlcs):
-        payload = bytes(int(b) for b in rng.integers(0, 256, size=int(dlc)))
-        out.append(TrafficRecord(float(t), int(can_id), int(dlc), payload, 1, "fuzzing"))
-    return out
+    payload = np.zeros((n, MAX_DLC), dtype=np.uint8)
+    for i, dlc in enumerate(dlcs.tolist()):
+        # one draw per frame: a single draw for all frames would change the stream
+        payload[i, :dlc] = rng.integers(0, 256, size=dlc)
+    return _block(times, ids, dlcs, payload, "fuzzing")
 
 
-def _inject_spoofing(
-    spec: AttackSpec, n: int, rng: np.random.Generator, log: list[TrafficRecord]
-) -> list[TrafficRecord]:
+def _inject_spoofing(spec: AttackSpec, n: int, rng: np.random.Generator, log: TrafficLog) -> TrafficLog:
     if not spec.spoof_targets:
         raise EmptySpoofTargets("spoofing attack requires at least one target identifier")
-    history: dict[int, tuple[list[float], list[bytes]]] = {t: ([], []) for t in spec.spoof_targets}
-    for rec in log:
-        if rec.label == 0 and rec.can_id in history:
-            times, payloads = history[rec.can_id]
-            times.append(rec.timestamp)
-            payloads.append(rec.payload)
     times = rng.uniform(spec.start, spec.end, size=n)
     picks = rng.integers(0, len(spec.spoof_targets), size=n)
-    out = []
-    for t, pick in zip(times, picks):
-        target = spec.spoof_targets[int(pick)]
-        seen_at, payloads = history[target]
-        if payloads:
-            # most recent legitimate payload at time t, else the earliest one
-            j = max(bisect.bisect_right(seen_at, float(t)) - 1, 0)
-            payload = bytearray(payloads[j])
-        else:
-            payload = bytearray(MAX_DLC)
-        if payload:
-            pos = int(rng.integers(0, len(payload)))
+    ids = np.array(spec.spoof_targets, dtype=np.int64)[picks]
+    dlcs = np.full(n, MAX_DLC, dtype=np.int64)
+    payload = np.zeros((n, MAX_DLC), dtype=np.uint8)  # a target never seen replays zeros
+    normal = log.label == 0
+    for target in set(spec.spoof_targets):
+        rows = np.flatnonzero(normal & (log.can_id == target))
+        frames = np.flatnonzero(ids == target)
+        if len(rows) == 0 or len(frames) == 0:
+            continue
+        # most recent legitimate payload at each frame's time, else the earliest one
+        seen = np.searchsorted(log.timestamp[rows], times[frames], side="right") - 1
+        source = rows[np.maximum(seen, 0)]
+        dlcs[frames] = log.dlc[source]
+        payload[frames] = log.payload[source]
+    for i, dlc in enumerate(dlcs.tolist()):
+        if dlc:
+            pos = int(rng.integers(0, dlc))
             delta = int(rng.integers(1, 256))
-            payload[pos] = (payload[pos] + delta) % 256
-        out.append(TrafficRecord(float(t), target, len(payload), bytes(payload), 1, "spoofing"))
-    return out
+            payload[i, pos] = (int(payload[i, pos]) + delta) % 256
+    return _block(times, ids, dlcs, payload, "spoofing")
 
 
-def inject_attack(log: list[TrafficRecord], spec: AttackSpec) -> list[TrafficRecord]:
+def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
     """Merge attack-labeled records into a sorted log; originals are untouched.
 
     Flooding emits identifier 0x000 at fixed spacing; fuzzing draws uniform
@@ -384,26 +448,28 @@ def inject_attack(log: list[TrafficRecord], spec: AttackSpec) -> list[TrafficRec
     recent legitimate payload with one byte perturbed. The injected count is
     floor(rate * (end - start)) and all randomness comes from the attack
     seed, with a fixed draw order (timestamps, then identifiers/targets,
-    then per-frame bytes) so a seeded replay reproduces every field.
+    then per-frame bytes) so a seeded replay reproduces every field. Injected
+    rows follow existing rows of equal timestamp. A window that would take
+    the log past ``MAX_RECORDS`` records raises ``TooManyRecords``.
     """
-    if not log:
+    if not len(log):
         raise WindowOutOfRange("cannot inject into an empty log")
-    if spec.start < log[0].timestamp or spec.end > log[-1].timestamp:
-        raise WindowOutOfRange(
-            f"window [{spec.start}, {spec.end}] outside log span "
-            f"[{log[0].timestamp}, {log[-1].timestamp}]"
-        )
+    first, last = float(log.timestamp[0]), float(log.timestamp[-1])
+    if spec.start < first or spec.end > last:
+        raise WindowOutOfRange(f"window [{spec.start}, {spec.end}] outside log span [{first}, {last}]")
+    what = f"{spec.kind} attack [{spec.start!r}, {spec.end!r}] at rate {spec.rate!r}"
+    count = spec.rate * (spec.end - spec.start)
+    _check_count(count, what)
+    _check_count(len(log) + count, f"log of {len(log)} records with the {what}")
     rng = np.random.default_rng(spec.seed)
-    n = math.floor(spec.rate * (spec.end - spec.start))
+    n = math.floor(count)
     if spec.kind == "flooding":
         injected = _inject_flooding(spec, n)
     elif spec.kind == "fuzzing":
         injected = _inject_fuzzing(spec, n, rng)
     else:
         injected = _inject_spoofing(spec, n, rng, log)
-    merged = list(log) + injected
-    merged.sort(key=_by_time)
-    return merged
+    return _concat_sorted([log, injected])
 
 
 def format_record(record: TrafficRecord) -> str:
@@ -412,14 +478,28 @@ def format_record(record: TrafficRecord) -> str:
     return f"{record.timestamp!r},{record.can_id:04X},{record.dlc},{data},{record.label}"
 
 
-def write_log(records: Iterable[TrafficRecord], stream: IO[str], header: bool = True) -> None:
+# rows formatted per write call, which bounds the text held at once
+_WRITE_CHUNK = 1 << 16
+
+
+def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
+    """The log as CSV rows, each equal to ``format_record(log[i])``."""
     if header:
         stream.write(LOG_HEADER + "\n")
-    for rec in records:
-        stream.write(format_record(rec) + "\n")
+    id_text = {i: f"{i:04X}" for i in np.unique(log.can_id).tolist()}
+    for start in range(0, len(log), _WRITE_CHUNK):
+        part = slice(start, start + _WRITE_CHUNK)
+        raw = log.payload[part].tobytes()
+        stream.write("".join(
+            f"{t!r},{id_text[c]},{d},{raw[MAX_DLC * i : MAX_DLC * i + d].hex(' ').upper()},{y}\n"
+            for i, (t, c, d, y) in enumerate(zip(
+                log.timestamp[part].tolist(), log.can_id[part].tolist(),
+                log.dlc[part].tolist(), log.label[part].tolist(),
+            ))
+        ))
 
 
-def write_kinds(records: Iterable[TrafficRecord], stream: IO[str]) -> None:
+def write_kinds(log: TrafficLog, stream: IO[str]) -> None:
     """Sidecar with one attack-kind name per data row ("normal" for label 0)."""
-    for rec in records:
-        stream.write((rec.kind or "normal") + "\n")
+    names = [(name or "normal") + "\n" for name in KIND_NAMES]
+    stream.write("".join(names[k] for k in log.kind.tolist()))

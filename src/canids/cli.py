@@ -28,8 +28,12 @@ KINK_MARGIN = 1e-4
 
 
 def _config_tokens(path: str) -> list[str]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: config is not UTF-8 text (byte {exc.start})") from None
     tokens = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -248,15 +252,33 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _not_text(path: Path) -> ingest.NotText:
+    """The error for a file that failed to decode, naming its first byte that is not UTF-8.
+
+    A streamed decode reports offsets within one buffered chunk, so the file is decoded again whole.
+    """
+    try:
+        path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        return ingest.NotText(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    return ingest.NotText(f"{path}: not UTF-8 text")
+
+
 def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, bool]:
     """All logs cleaned and tabulated at once, and whether each has a ``.kinds`` sidecar."""
     records: list[ingest.RawRecord] = []
     kinds: list[str] | None = []
     for path in map(Path, paths):
-        with open(path, newline="") as fh:
-            parsed = ingest.parse_log(fh)
+        try:
+            with open(path, newline="") as fh:
+                parsed = ingest.parse_log(fh)
+        except UnicodeDecodeError:
+            raise _not_text(path) from None
         sidecar = path.with_name(path.name + ".kinds")
-        log_kinds = sidecar.read_text().splitlines() if sidecar.exists() else None
+        try:
+            log_kinds = sidecar.read_text().splitlines() if sidecar.exists() else None
+        except UnicodeDecodeError:
+            raise _not_text(sidecar) from None
         if log_kinds is not None and len(log_kinds) != len(parsed):
             raise ValueError(
                 f"{path}: kinds sidecar has {len(log_kinds)} rows for {len(parsed)} records; "

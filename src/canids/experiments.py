@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canbus import AttackSpec, EcuSpec, SimProfile, TrafficRecord, generate_traffic, inject_attack
+from .canbus import AttackSpec, EcuSpec, SimProfile, TrafficLog, generate_traffic, inject_attack
 from .ingest import PreparedDataset, prepare_records
 from .metrics import evaluate_predictions  # noqa: F401  -- perfbench wraps this name
 from .plenet import TrainConfig, build_plenet, predict, train, transfer_finetune
@@ -45,7 +45,7 @@ def desk_attacks(seed: int) -> list[AttackSpec]:
     ]
 
 
-def desk_log(seed: int) -> list[TrafficRecord]:
+def desk_log(seed: int) -> TrafficLog:
     log = generate_traffic(desk_profile(seed))
     for spec in desk_attacks(seed):
         log = inject_attack(log, spec)

@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .canbus import ATTACK_KINDS, TrafficRecord
+from .canbus import ATTACK_KINDS, KIND_NAMES, MAX_DLC, TrafficLog
 
 N_FEATURES = 16
 PAYLOAD_WIDTH = 8
@@ -108,6 +108,10 @@ class IdOutOfRange(ValueError):
 
 class PayloadTooLong(ValueError):
     """A data field holds more than ``MAX_PAYLOAD_BYTES`` bytes."""
+
+
+class NotText(ValueError):
+    """A log or kinds sidecar that is not UTF-8 text."""
 
 
 # ---------------------------------------------------------------------------
@@ -537,48 +541,45 @@ class RecordTable:
         too_long = sorted(text for text, value in id_value.items() if value > MAX_CAN_ID)
         if too_long:
             raise IdOutOfRange(f"identifiers above 29 bits: {too_long[:5]}")
-        return cls._assemble(
-            [r.timestamp for r in records],
-            [id_value[r.can_id_hex] for r in records],
-            [r.dlc for r in records],
-            (data_bytes(r.data_hex) for r in records),
-            np.array(labels) == "1",
-            ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * len(records),
-        )
-
-    @classmethod
-    def from_traffic(cls, records: Sequence[TrafficRecord]) -> "RecordTable":
-        if not records:
-            raise EmptyInput("no records to tabulate")
-        return cls._assemble(
-            [r.timestamp for r in records],
-            [r.can_id for r in records],
-            [r.dlc for r in records],
-            (r.payload for r in records),
-            [r.label for r in records],
-            [r.kind for r in records],
-        )
-
-    @classmethod
-    def _assemble(cls, timestamp, can_id, dlc, payloads: Iterable[bytes], label, kind) -> "RecordTable":
-        """A table from per-row values; ``payloads`` yields each row's whole data field."""
-        n = len(timestamp)
+        n = len(records)
         payload = bytearray(n * PAYLOAD_WIDTH)
         data_value = []
-        for i, data in enumerate(payloads):
+        for i, r in enumerate(records):
+            data = data_bytes(r.data_hex)
             if len(data) > MAX_PAYLOAD_BYTES:
                 raise PayloadTooLong(f"row {i}: {len(data)}-byte data field exceeds {MAX_PAYLOAD_BYTES}")
             head = data[:PAYLOAD_WIDTH]
             payload[i * PAYLOAD_WIDTH : i * PAYLOAD_WIDTH + len(head)] = head
             data_value.append(float(int.from_bytes(data, "big")))
         return cls(
-            timestamp=np.array(timestamp, dtype=np.float64),
-            can_id=np.array(can_id, dtype=np.int64),
-            dlc=np.array(dlc, dtype=np.int64),
+            timestamp=np.array([r.timestamp for r in records], dtype=np.float64),
+            can_id=np.array([id_value[r.can_id_hex] for r in records], dtype=np.int64),
+            dlc=np.array([r.dlc for r in records], dtype=np.int64),
             payload=np.frombuffer(payload, dtype=np.uint8).reshape(n, PAYLOAD_WIDTH),
             data_value=np.array(data_value, dtype=np.float64),
-            label=np.asarray(label, dtype=np.uint8),
-            kind=np.array(kind, dtype="<U8"),
+            label=(np.array(labels) == "1").astype(np.uint8),
+            kind=np.array(
+                ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * n,
+                dtype="<U8",
+            ),
+        )
+
+    @classmethod
+    def from_traffic(cls, log: TrafficLog) -> "RecordTable":
+        """The simulator's columns as a table; ``data_value`` is each payload's big-endian value."""
+        if not len(log):
+            raise EmptyInput("no records to tabulate")
+        value = np.zeros(len(log), dtype=np.uint64)
+        for j in range(MAX_DLC):  # Horner's rule over each row's first dlc bytes
+            value = np.where(j < log.dlc, (value << np.uint64(8)) | log.payload[:, j], value)
+        return cls(
+            timestamp=log.timestamp.astype(np.float64),
+            can_id=log.can_id.astype(np.int64),
+            dlc=log.dlc.astype(np.int64),
+            payload=log.payload[:, :PAYLOAD_WIDTH].astype(np.uint8),
+            data_value=value.astype(np.float64),  # correctly rounded, as float(int) is
+            label=log.label.astype(np.uint8),
+            kind=np.array(KIND_NAMES, dtype="<U8")[log.kind],
         )
 
     def take(self, idx: np.ndarray) -> "RecordTable":
@@ -815,15 +816,15 @@ def load_dataset(path: str | Path) -> PreparedDataset:
 
 
 def prepare_records(
-    records: Sequence[TrafficRecord],
+    log: TrafficLog,
     test_fraction: float = 0.2,
     val_fraction: float = 0.2,
     seed: int = 0,
     provenance: str = "",
 ) -> PreparedDataset:
-    """Convenience path from simulator records straight to a prepared dataset."""
+    """Convenience path from a simulated ``TrafficLog`` straight to a prepared dataset."""
     return split_dataset(
-        RecordTable.from_traffic(records),
+        RecordTable.from_traffic(log),
         test_fraction=test_fraction,
         val_fraction=val_fraction,
         seed=seed,

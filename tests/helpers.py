@@ -1,10 +1,13 @@
+import bisect
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
 
-from canids import ingest
+from canids import canbus, ingest
+from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, TrafficRecord, WindowOutOfRange
 from canids.ingest import (
     PAYLOAD_WIDTH,
     AllRowsMissing,
@@ -514,3 +517,143 @@ def legacy_prepare_table(paths, policy, outliers=None):
 
     table = RecordTable.from_raw(all_records, all_kinds if kinds_known else None)
     return table, kinds_known, len(flagged)
+
+
+def traffic_log(records):
+    """A ``canbus.TrafficLog`` holding the given ``TrafficRecord`` rows in order."""
+    payload = np.zeros((len(records), MAX_DLC), dtype=np.uint8)
+    for i, r in enumerate(records):
+        payload[i, : len(r.payload)] = list(r.payload)
+    return canbus.TrafficLog(
+        timestamp=np.array([r.timestamp for r in records], dtype=np.float64),
+        can_id=np.array([r.can_id for r in records], dtype=np.int64),
+        dlc=np.array([r.dlc for r in records], dtype=np.int64),
+        payload=payload,
+        label=np.array([r.label for r in records], dtype=np.uint8),
+        kind=np.array([canbus.KIND_NAMES.index(r.kind) for r in records], dtype=np.uint8),
+    )
+
+
+# Reference simulator: one TrafficRecord per frame, Python-list sorts and bisect.
+
+
+def _legacy_ecu_payloads(ecu, count, rng):
+    base = ecu.base_pattern()
+    if ecu.payload_rule == "constant":
+        return [base] * count
+    if ecu.payload_rule == "counter":
+        return [bytes([k % 256]) + base[1:] for k in range(1, count + 1)]
+    steps = rng.integers(-256, 257, size=count)
+    out, value = [], 0x8000
+    for step in steps:
+        value = int(min(max(value + step, 0), 0xFFFF))
+        out.append(bytes([value >> 8, value & 0xFF]) + base[2:])
+    return out
+
+
+def _by_time(record):
+    return record.timestamp
+
+
+def legacy_generate_traffic(profile):
+    """Reference ``canbus.generate_traffic``: a sorted list of ``TrafficRecord``."""
+    if not profile.ecus:
+        raise canbus.EmptySchedule("profile contains no ECUs")
+    rng = np.random.default_rng(profile.seed)
+    records = []
+    for ecu in profile.ecus:
+        n = math.floor(profile.duration / ecu.period)
+        jitter = rng.uniform(-profile.jitter, profile.jitter, size=n)
+        payloads = _legacy_ecu_payloads(ecu, n, rng)
+        for k in range(1, n + 1):
+            t = k * ecu.period * (1.0 + jitter[k - 1])
+            records.append(TrafficRecord(t, ecu.identifier, ecu.dlc, payloads[k - 1], label=0))
+    records.sort(key=_by_time)
+    return records
+
+
+def _legacy_inject_fuzzing(spec, n, rng):
+    times = rng.uniform(spec.start, spec.end, size=n)
+    ids = rng.integers(0, MAX_STD_ID + 1, size=n)
+    dlcs = rng.integers(0, MAX_DLC + 1, size=n)
+    out = []
+    for t, can_id, dlc in zip(times, ids, dlcs):
+        payload = bytes(int(b) for b in rng.integers(0, 256, size=int(dlc)))
+        out.append(TrafficRecord(float(t), int(can_id), int(dlc), payload, 1, "fuzzing"))
+    return out
+
+
+def _legacy_inject_spoofing(spec, n, rng, log):
+    if not spec.spoof_targets:
+        raise EmptySpoofTargets("spoofing attack requires at least one target identifier")
+    history = {t: ([], []) for t in spec.spoof_targets}
+    for rec in log:
+        if rec.label == 0 and rec.can_id in history:
+            times, payloads = history[rec.can_id]
+            times.append(rec.timestamp)
+            payloads.append(rec.payload)
+    times = rng.uniform(spec.start, spec.end, size=n)
+    picks = rng.integers(0, len(spec.spoof_targets), size=n)
+    out = []
+    for t, pick in zip(times, picks):
+        target = spec.spoof_targets[int(pick)]
+        seen_at, payloads = history[target]
+        if payloads:
+            j = max(bisect.bisect_right(seen_at, float(t)) - 1, 0)
+            payload = bytearray(payloads[j])
+        else:
+            payload = bytearray(MAX_DLC)
+        if payload:
+            pos = int(rng.integers(0, len(payload)))
+            delta = int(rng.integers(1, 256))
+            payload[pos] = (payload[pos] + delta) % 256
+        out.append(TrafficRecord(float(t), target, len(payload), bytes(payload), 1, "spoofing"))
+    return out
+
+
+def legacy_inject_attack(log, spec):
+    """Reference ``canbus.inject_attack`` over a list of ``TrafficRecord``."""
+    if not log:
+        raise WindowOutOfRange("cannot inject into an empty log")
+    if spec.start < log[0].timestamp or spec.end > log[-1].timestamp:
+        raise WindowOutOfRange("window outside log span")
+    rng = np.random.default_rng(spec.seed)
+    n = math.floor(spec.rate * (spec.end - spec.start))
+    if spec.kind == "flooding":
+        payload = bytes(MAX_DLC)
+        injected = [
+            TrafficRecord(spec.start + k / spec.rate, canbus.FLOODING_ID, MAX_DLC, payload, 1, "flooding")
+            for k in range(n)
+        ]
+    elif spec.kind == "fuzzing":
+        injected = _legacy_inject_fuzzing(spec, n, rng)
+    else:
+        injected = _legacy_inject_spoofing(spec, n, rng, log)
+    merged = list(log) + injected
+    merged.sort(key=_by_time)
+    return merged
+
+
+def legacy_log_text(records):
+    """Reference ``write_log`` and ``write_kinds`` output: one ``format_record`` row per record."""
+    log = "".join(canbus.format_record(r) + "\n" for r in records)
+    kinds = "".join((r.kind or "normal") + "\n" for r in records)
+    return canbus.LOG_HEADER + "\n" + log, kinds
+
+
+def legacy_from_traffic(records):
+    """Reference ``RecordTable.from_traffic`` over ``TrafficRecord`` rows: ``float(int)`` data values."""
+    if not records:
+        raise EmptyInput("no records to tabulate")
+    payload = np.zeros((len(records), PAYLOAD_WIDTH), dtype=np.uint8)
+    for i, r in enumerate(records):
+        payload[i, : len(r.payload)] = list(r.payload[:PAYLOAD_WIDTH])
+    return RecordTable(
+        timestamp=np.array([r.timestamp for r in records], dtype=np.float64),
+        can_id=np.array([r.can_id for r in records], dtype=np.int64),
+        dlc=np.array([r.dlc for r in records], dtype=np.int64),
+        payload=payload,
+        data_value=np.array([float(int.from_bytes(r.payload, "big")) for r in records]),
+        label=np.array([r.label for r in records], dtype=np.uint8),
+        kind=np.array([r.kind for r in records], dtype="<U8"),
+    )

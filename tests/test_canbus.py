@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from canids.canbus import (
     EcuSpec,
     EmptySchedule,
     EmptySpoofTargets,
+    MAX_RECORDS,
     MalformedFrame,
     SimProfile,
+    TooManyRecords,
     TrafficRecord,
     WindowOutOfRange,
     crc15,
@@ -218,6 +221,18 @@ class TestGenerateTraffic:
         ts = [r.timestamp for r in generate_traffic(profile)]
         assert ts == sorted(ts)
 
+    @pytest.mark.parametrize(
+        "ecus, duration, message",
+        [
+            ((EcuSpec(0x130, 1e-300),), 1e308, "ECU 130 (period 1e-300) would emit inf records"),
+            ((EcuSpec(0x130, 0.5),), MAX_RECORDS, "ECU 130 (period 0.5) would emit 1.342e+08 records"),
+            ((EcuSpec(0x130, 1.0), EcuSpec(0x131, 1.0)), MAX_RECORDS, "profile of 2 ECUs would emit"),
+        ],
+    )
+    def test_record_cap_checked_before_allocation(self, ecus, duration, message):
+        with pytest.raises(TooManyRecords, match=f"^{re.escape(message)}"):
+            generate_traffic(SimProfile(ecus=ecus, duration=duration))
+
     def test_empty_schedule_rejected(self):
         with pytest.raises(EmptySchedule):
             generate_traffic(SimProfile(ecus=(), duration=1.0))
@@ -269,7 +284,7 @@ class TestInjectAttack:
     def test_originals_untouched_and_only_attacks_added(self, base_log):
         spec = AttackSpec("fuzzing", start=1.0, end=2.0, rate=30.0, seed=2)
         merged = inject_attack(base_log, spec)
-        assert [r for r in merged if r.label == 0] == base_log
+        assert [r for r in merged if r.label == 0] == list(base_log)
         assert all(r.kind == "fuzzing" for r in merged if r.label == 1)
 
     def test_merged_log_sorted(self, base_log):
@@ -299,6 +314,14 @@ class TestInjectAttack:
     def test_spoofing_without_targets(self, base_log):
         with pytest.raises(EmptySpoofTargets):
             inject_attack(base_log, AttackSpec("spoofing", 1.0, 2.0, 10.0))
+
+    def test_record_cap_checked_before_allocation(self, base_log):
+        # each count is compared as a float, so none of these allocates a row
+        with pytest.raises(TooManyRecords, match="^fuzzing attack \\[1.0, 2.0\\] at rate 1e\\+300"):
+            inject_attack(base_log, AttackSpec("fuzzing", 1.0, 2.0, 1e300))
+        just_fits = AttackSpec("flooding", 1.0, 2.0, float(MAX_RECORDS))  # not with the log's rows
+        with pytest.raises(TooManyRecords, match=f"^log of {len(base_log)} records with the flooding"):
+            inject_attack(base_log, just_fits)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

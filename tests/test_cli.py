@@ -265,6 +265,12 @@ class TestConfigFile:
         )
         assert ckpt_a.read_bytes() != ckpt_b.read_bytes()
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"epochs=\xff\n")
+        assert run_command(["train", "--data", "x.bin", "--output", "x.ckpt", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config is not UTF-8 text (byte 7)\n"
+
 
 class TestGradcheckCommand:
     def test_passes_at_tolerance(self, capsys):
@@ -350,6 +356,18 @@ class TestExitCodes:
         save_checkpoint(build_plenet(seed=0), ckpt)
         assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
         assert "not valid text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", ["", ".kinds"])
+    def test_non_utf8_log_or_log_sidecar_prepare_is_1(self, tmp_path, profile_path, suffix, capsys):
+        log = tmp_path / "log.csv"
+        run_ok(["simulate", "--profile", str(profile_path), "-o", str(log)])
+        spoiled = tmp_path / f"log.csv{suffix}"
+        blob = bytearray(spoiled.read_bytes())
+        at = len(blob) - 20  # past the first 8 KiB a streamed decode reads at once
+        blob[at] = 0xFF
+        spoiled.write_bytes(bytes(blob))
+        assert run_command(["prepare", "--input", str(log), "--output", str(tmp_path / "x.bin")]) == 1
+        assert capsys.readouterr().err == f"error: {spoiled}: not UTF-8 text (invalid start byte at byte {at})\n"
 
     def test_over_long_id_prepare(self, tmp_path, capsys):
         rows = [f"0.{i},0{i}30,1,0{i},{i % 2}" for i in range(10)]
@@ -457,6 +475,21 @@ class TestSpecErrors:
         argv = ["simulate", "--profile", str(profile_path), "--attack", spec, "-o", str(tmp_path / "x.csv")]
         assert run_command(argv) == 1
         assert capsys.readouterr().err == f"error: attack spec {spec!r}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "profile, attack, message",
+        [
+            ("duration=1e308\necu=130,1e-300\n", [], "ECU 130 (period 1e-300) would emit inf records"),
+            (PROFILE, ["--attack", "flooding:1:2:1e300"], "flooding attack [1.0, 2.0] at rate 1e+300 would emit"),
+        ],
+    )
+    def test_record_count_above_cap_is_1(self, tmp_path, capsys, profile, attack, message):
+        path = tmp_path / "profile.cfg"
+        path.write_text(profile)
+        assert run_command(["simulate", "--profile", str(path), *attack, "-o", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"

@@ -38,6 +38,7 @@ from canids.ingest import (
     save_dataset,
     split_dataset,
 )
+from helpers import traffic_log
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -376,21 +377,23 @@ class TestEncode:
     @pytest.fixture
     def params(self):
         table = RecordTable.from_traffic(
-            [
-                TrafficRecord(0.0, 0x100, 8, bytes(range(8)), 0),
-                TrafficRecord(1.0, 0x700, 0, b"", 1),
-            ]
+            traffic_log(
+                [
+                    TrafficRecord(0.0, 0x100, 8, bytes(range(8)), 0),
+                    TrafficRecord(1.0, 0x700, 0, b"", 1),
+                ]
+            )
         )
         return fit_feature_params(table)
 
     def test_minimum_id_empty_payload(self, params):
-        x, y = encode_table(RecordTable.from_traffic([TrafficRecord(0.0, 0x100, 0, b"", 0)]), params)
+        x, y = encode_table(RecordTable.from_traffic(traffic_log([TrafficRecord(0.0, 0x100, 0, b"", 0)])), params)
         assert x[0, 0] == 0.0
         assert np.all(x[0, 2:] == 0.0)
         assert y.tolist() == [0]
 
     def test_full_byte_scales_to_one(self, params):
-        x, _ = encode_table(RecordTable.from_traffic([TrafficRecord(0.0, 0x100, 1, b"\xff", 0)]), params)
+        x, _ = encode_table(RecordTable.from_traffic(traffic_log([TrafficRecord(0.0, 0x100, 1, b"\xff", 0)])), params)
         assert x[0, 2] == 1.0
 
     def test_shape_and_range(self, params):
@@ -404,7 +407,7 @@ class TestEncode:
                 bytes(int(b) for b in rng.integers(0, 256, dlc)),
                 int(rng.integers(0, 2)),
             )
-            x, _ = encode_table(RecordTable.from_traffic([rec]), params)
+            x, _ = encode_table(RecordTable.from_traffic(traffic_log([rec])), params)
             assert x.shape == (1, 16)
             assert np.all((x >= 0.0) & (x <= 1.0))
 

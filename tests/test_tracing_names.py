@@ -49,6 +49,30 @@ def test_traced_training_runs_every_backward(tmp_path):
     assert calls["nncore.Conv1D.backward"] == calls["nncore.Dense.backward"] == 2 * batches
 
 
+def test_traced_simulate_counts_the_rows_written(tmp_path):
+    # canbus.frames is len() of generate_traffic's log plus the rows each inject_attack adds
+    profile = "duration=3\njitter=0.05\necu=130,0.01,8,counter\necu=2B0,0.02,8,sensor\n"
+    (tmp_path / "profile.cfg").write_text(profile)
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer(full=True)\n"
+        "from canids import cli\n"
+        "mark = tracer.mark()\n"
+        "assert cli.run_command(['simulate', '--profile', 'profile.cfg', '--attack', 'flooding:1:2:50',\n"
+        "                        '--attack', 'spoofing:0.5:2.5:40:130,7FF', '-o', 'log.csv']) == 0\n"
+        "print(json.dumps(tracer.unit_totals(mark)['counts']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    counts = json.loads(result.stdout.splitlines()[-1])
+    rows = (tmp_path / "log.csv").read_text().count("\n") - 1  # less the header
+    assert rows == 300 + 150 + 50 + 80
+    assert counts["canbus.frames"] == rows
+
+
 def test_each_layer_class_defines_its_own_passes():
     # the tracer wraps one function object per span name, so an inherited
     # pass would fold every layer's time into the first class wrapped
