@@ -11,7 +11,6 @@ from .canbus import (
     EcuSpec,
     SimProfile,
     TrafficLog,
-    TrafficRecord,
     crc15,
     decode_frame,
     encode_frame,
@@ -55,7 +54,6 @@ __all__ = [
     "RecordTable",
     "SimProfile",
     "TrafficLog",
-    "TrafficRecord",
     "TrainConfig",
     "TrainHistory",
     "build_plenet",

@@ -108,11 +108,6 @@ class CanFrame:
     def dlc(self) -> int:
         return len(self.payload)
 
-    @property
-    def crc(self) -> int:
-        """CRC-15 over the header and data bits, as embedded by the encoder."""
-        return crc15(_header_and_data_bits(self))
-
 
 def _int_bits(value: int, width: int) -> list[int]:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
@@ -189,31 +184,6 @@ def decode_frame(bits: Sequence[int]) -> CanFrame:
     )
 
 
-_PLAIN_TYPES = (("timestamp", float), ("can_id", int), ("dlc", int), ("label", int), ("payload", bytes))
-
-
-@dataclass(frozen=True)
-class TrafficRecord:
-    """One timestamped, labeled log row. ``kind`` tags injected attack records."""
-
-    timestamp: float
-    can_id: int
-    dlc: int
-    payload: bytes
-    label: int
-    kind: str = ""
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        # numpy scalars sneak in from seeded draws; pin plain types so the
-        # CSV writer emits portable literals (fields already plain are kept)
-        for name, plain in _PLAIN_TYPES:
-            value = getattr(self, name)
-            if type(value) is not plain:
-                object.__setattr__(self, name, plain(value))
-
-
 @dataclass(frozen=True, eq=False)
 class TrafficLog:
     """A simulated log as columns, one row per frame in timestamp order.
@@ -221,7 +191,7 @@ class TrafficLog:
     ``timestamp`` is float64; ``can_id`` and ``dlc`` are int64; ``payload``
     is an ``(n, MAX_DLC)`` uint8 matrix, zero after each row's ``dlc``
     bytes; ``label`` is uint8 (1 for injected frames); ``kind`` is a uint8
-    code into ``KIND_NAMES``. ``log[i]`` is row ``i`` as a ``TrafficRecord``.
+    code into ``KIND_NAMES``.
     """
 
     timestamp: np.ndarray
@@ -233,17 +203,6 @@ class TrafficLog:
 
     def __len__(self) -> int:
         return len(self.timestamp)
-
-    def __getitem__(self, i: int) -> TrafficRecord:
-        dlc = int(self.dlc[i])
-        return TrafficRecord(
-            float(self.timestamp[i]),
-            int(self.can_id[i]),
-            dlc,
-            self.payload[i, :dlc].tobytes(),
-            int(self.label[i]),
-            KIND_NAMES[self.kind[i]],
-        )
 
 
 def _concat_sorted(blocks: Sequence[TrafficLog]) -> TrafficLog:
@@ -304,7 +263,11 @@ class EcuSpec:
 
 @dataclass(frozen=True)
 class SimProfile:
-    """Normal-traffic model: a set of periodic ECUs over a fixed duration."""
+    """Normal-traffic model: a set of periodic ECUs over a fixed duration.
+
+    At least one ECU must have a period within the duration, so that a
+    profile with ECUs never yields an empty log.
+    """
 
     ecus: tuple[EcuSpec, ...]
     duration: float
@@ -321,6 +284,8 @@ class SimProfile:
         ids = [e.identifier for e in self.ecus]
         if len(set(ids)) != len(ids):
             raise ValueError("ECU identifiers must be distinct")
+        if self.ecus and all(e.period > self.duration for e in self.ecus):
+            raise ValueError(f"ECU periods all exceed duration {self.duration!r}, so no record would be emitted")
 
 
 @dataclass(frozen=True)
@@ -472,18 +437,18 @@ def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
     return _concat_sorted([log, injected])
 
 
-def format_record(record: TrafficRecord) -> str:
-    """One CSV row: Timestamp,CAN_ID,DLC,Data_Field,Label (uppercase hex)."""
-    data = record.payload.hex(" ").upper()
-    return f"{record.timestamp!r},{record.can_id:04X},{record.dlc},{data},{record.label}"
-
-
 # rows formatted per write call, which bounds the text held at once
 _WRITE_CHUNK = 1 << 16
 
 
 def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
-    """The log as CSV rows, each equal to ``format_record(log[i])``."""
+    """The log as CSV rows under ``LOG_HEADER``, one per frame.
+
+    A row is ``Timestamp,CAN_ID,DLC,Data_Field,Label``: the ``repr`` of the
+    timestamp, the identifier as ``%04X``, the DLC in decimal, the first
+    ``dlc`` payload bytes as uppercase hex pairs joined by single spaces
+    (empty for DLC 0), and the label, e.g. ``0.123,0130,2,AB CD,0``.
+    """
     if header:
         stream.write(LOG_HEADER + "\n")
     id_text = {i: f"{i:04X}" for i in np.unique(log.can_id).tolist()}

@@ -477,14 +477,6 @@ class NormalizationParams:
             raise ValueError("feature max must be >= feature min")
 
 
-def fit_minmax(columns: np.ndarray) -> NormalizationParams:
-    """Column-wise (min, max) over a 2-D sample array."""
-    columns = np.asarray(columns, dtype=np.float64)
-    if columns.ndim != 2 or columns.shape[0] == 0:
-        raise EmptyColumn("fit requires a non-empty 2-D array")
-    return NormalizationParams(columns.min(axis=0), columns.max(axis=0))
-
-
 def apply_minmax(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """(x - min) / (max - min), clamped into [0, 1]; degenerate features map to 0."""
     values = np.asarray(values, dtype=np.float64)

@@ -409,11 +409,6 @@ class Network:
             grad = layer.backward(grad)
         self.layers[updated[0]].backward(grad, input_grad=False)
 
-    def loss_and_backward(self, x: np.ndarray, onehot: np.ndarray) -> float:
-        loss, grad = cross_entropy(self.forward(x), onehot)
-        self.backward(grad)
-        return loss
-
     def trainable_layers(self) -> list[Layer]:
         return [l for l in self.layers if l.trainable]
 

@@ -31,6 +31,7 @@ from .nncore import (
     Softmax,
     _cross_entropy,
     cross_entropy,
+    network_from_descriptor,
     one_hot,
 )
 
@@ -207,8 +208,6 @@ def mmd_distance(source: np.ndarray, target: np.ndarray) -> float:
 
 def clone_model(model: Network) -> Network:
     """Independent copy with identical parameters (freeze flags reset)."""
-    from .nncore import network_from_descriptor
-
     copy = network_from_descriptor(model.describe())
     np.copyto(copy.param_buffer, model.param_buffer)
     return copy

@@ -2,12 +2,13 @@ import bisect
 import csv
 import io
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from canids import canbus, ingest
-from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, TrafficRecord, WindowOutOfRange
+from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, WindowOutOfRange
 from canids.ingest import (
     PAYLOAD_WIDTH,
     AllRowsMissing,
@@ -445,7 +446,7 @@ def legacy_from_raw(records, kinds=None):
 
 
 def legacy_format_record(record):
-    """Reference ``canbus.format_record``: one f-string per payload byte."""
+    """Reference ``canbus.write_log`` row of a ``LogRow``: one f-string per payload byte."""
     data = " ".join(f"{b:02X}" for b in record.payload)
     return f"{record.timestamp!r},{record.can_id:04X},{record.dlc},{data},{record.label}"
 
@@ -519,8 +520,31 @@ def legacy_prepare_table(paths, policy, outliers=None):
     return table, kinds_known, len(flagged)
 
 
+_PLAIN_TYPES = (("timestamp", float), ("can_id", int), ("dlc", int), ("label", int), ("payload", bytes))
+
+
+@dataclass(frozen=True)
+class LogRow:
+    """One log row of the reference simulator. ``kind`` tags injected attack rows."""
+
+    timestamp: float
+    can_id: int
+    dlc: int
+    payload: bytes
+    label: int
+    kind: str = ""
+
+    def __post_init__(self):
+        # numpy scalars come from seeded draws; pin plain types so that
+        # ``legacy_format_record`` writes ``repr(float)``, not ``np.float64(...)``
+        for name, plain in _PLAIN_TYPES:
+            value = getattr(self, name)
+            if type(value) is not plain:
+                object.__setattr__(self, name, plain(value))
+
+
 def traffic_log(records):
-    """A ``canbus.TrafficLog`` holding the given ``TrafficRecord`` rows in order."""
+    """A ``canbus.TrafficLog`` holding the given ``LogRow`` rows in order."""
     payload = np.zeros((len(records), MAX_DLC), dtype=np.uint8)
     for i, r in enumerate(records):
         payload[i, : len(r.payload)] = list(r.payload)
@@ -534,7 +558,7 @@ def traffic_log(records):
     )
 
 
-# Reference simulator: one TrafficRecord per frame, Python-list sorts and bisect.
+# Reference simulator: one LogRow per frame, Python-list sorts and bisect.
 
 
 def _legacy_ecu_payloads(ecu, count, rng):
@@ -556,7 +580,7 @@ def _by_time(record):
 
 
 def legacy_generate_traffic(profile):
-    """Reference ``canbus.generate_traffic``: a sorted list of ``TrafficRecord``."""
+    """Reference ``canbus.generate_traffic``: a sorted list of ``LogRow``."""
     if not profile.ecus:
         raise canbus.EmptySchedule("profile contains no ECUs")
     rng = np.random.default_rng(profile.seed)
@@ -567,7 +591,7 @@ def legacy_generate_traffic(profile):
         payloads = _legacy_ecu_payloads(ecu, n, rng)
         for k in range(1, n + 1):
             t = k * ecu.period * (1.0 + jitter[k - 1])
-            records.append(TrafficRecord(t, ecu.identifier, ecu.dlc, payloads[k - 1], label=0))
+            records.append(LogRow(t, ecu.identifier, ecu.dlc, payloads[k - 1], label=0))
     records.sort(key=_by_time)
     return records
 
@@ -579,7 +603,7 @@ def _legacy_inject_fuzzing(spec, n, rng):
     out = []
     for t, can_id, dlc in zip(times, ids, dlcs):
         payload = bytes(int(b) for b in rng.integers(0, 256, size=int(dlc)))
-        out.append(TrafficRecord(float(t), int(can_id), int(dlc), payload, 1, "fuzzing"))
+        out.append(LogRow(float(t), int(can_id), int(dlc), payload, 1, "fuzzing"))
     return out
 
 
@@ -607,12 +631,12 @@ def _legacy_inject_spoofing(spec, n, rng, log):
             pos = int(rng.integers(0, len(payload)))
             delta = int(rng.integers(1, 256))
             payload[pos] = (payload[pos] + delta) % 256
-        out.append(TrafficRecord(float(t), target, len(payload), bytes(payload), 1, "spoofing"))
+        out.append(LogRow(float(t), target, len(payload), bytes(payload), 1, "spoofing"))
     return out
 
 
 def legacy_inject_attack(log, spec):
-    """Reference ``canbus.inject_attack`` over a list of ``TrafficRecord``."""
+    """Reference ``canbus.inject_attack`` over a list of ``LogRow``."""
     if not log:
         raise WindowOutOfRange("cannot inject into an empty log")
     if spec.start < log[0].timestamp or spec.end > log[-1].timestamp:
@@ -622,7 +646,7 @@ def legacy_inject_attack(log, spec):
     if spec.kind == "flooding":
         payload = bytes(MAX_DLC)
         injected = [
-            TrafficRecord(spec.start + k / spec.rate, canbus.FLOODING_ID, MAX_DLC, payload, 1, "flooding")
+            LogRow(spec.start + k / spec.rate, canbus.FLOODING_ID, MAX_DLC, payload, 1, "flooding")
             for k in range(n)
         ]
     elif spec.kind == "fuzzing":
@@ -635,14 +659,14 @@ def legacy_inject_attack(log, spec):
 
 
 def legacy_log_text(records):
-    """Reference ``write_log`` and ``write_kinds`` output: one ``format_record`` row per record."""
-    log = "".join(canbus.format_record(r) + "\n" for r in records)
+    """Reference ``write_log`` and ``write_kinds`` output: one ``legacy_format_record`` row per record."""
+    log = "".join(legacy_format_record(r) + "\n" for r in records)
     kinds = "".join((r.kind or "normal") + "\n" for r in records)
     return canbus.LOG_HEADER + "\n" + log, kinds
 
 
 def legacy_from_traffic(records):
-    """Reference ``RecordTable.from_traffic`` over ``TrafficRecord`` rows: ``float(int)`` data values."""
+    """Reference ``RecordTable.from_traffic`` over ``LogRow`` rows: ``float(int)`` data values."""
     if not records:
         raise EmptyInput("no records to tabulate")
     payload = np.zeros((len(records), PAYLOAD_WIDTH), dtype=np.uint8)

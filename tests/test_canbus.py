@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import math
 import re
 
@@ -13,19 +15,29 @@ from canids.canbus import (
     EcuSpec,
     EmptySchedule,
     EmptySpoofTargets,
+    KIND_NAMES,
+    LOG_HEADER,
     MAX_RECORDS,
     MalformedFrame,
     SimProfile,
     TooManyRecords,
-    TrafficRecord,
+    TrafficLog,
     WindowOutOfRange,
     crc15,
     decode_frame,
     encode_frame,
-    format_record,
     generate_traffic,
     inject_attack,
+    write_log,
 )
+from helpers import LogRow, traffic_log
+
+
+def log_text(log):
+    text = io.StringIO()
+    write_log(log, text)
+    return text.getvalue()
+
 
 # ---------------------------------------------------------------------------
 # Independent CRC oracles.
@@ -179,12 +191,10 @@ class TestGenerateTraffic:
             jitter=0.0,
             seed=1,
         )
-        records = generate_traffic(profile)
-        assert len(records) == 10
-        for k, rec in enumerate(records, start=1):
-            assert rec.timestamp == k * 0.1 * 1.0
-            assert rec.can_id == 0x130
-            assert rec.label == 0
+        log = generate_traffic(profile)
+        assert log.timestamp.tolist() == [k * 0.1 * 1.0 for k in range(1, 11)]
+        assert log.can_id.tolist() == [0x130] * 10
+        assert log.label.tolist() == [0] * 10
 
     def test_same_seed_byte_identical(self):
         profile = SimProfile(
@@ -196,9 +206,7 @@ class TestGenerateTraffic:
             jitter=0.05,
             seed=99,
         )
-        lines_a = [format_record(r) for r in generate_traffic(profile)]
-        lines_b = [format_record(r) for r in generate_traffic(profile)]
-        assert lines_a == lines_b
+        assert log_text(generate_traffic(profile)) == log_text(generate_traffic(profile))
 
     def test_emission_count_matches_counting_oracle(self):
         ecus = (
@@ -208,8 +216,7 @@ class TestGenerateTraffic:
         )
         profile = SimProfile(ecus=ecus, duration=60.0, jitter=0.05, seed=7)
         expected = sum(math.floor(profile.duration / e.period) for e in ecus)
-        records = generate_traffic(profile)
-        assert len(records) == expected
+        assert len(generate_traffic(profile)) == expected
 
     def test_sorted_by_timestamp(self):
         profile = SimProfile(
@@ -218,7 +225,7 @@ class TestGenerateTraffic:
             jitter=0.2,
             seed=3,
         )
-        ts = [r.timestamp for r in generate_traffic(profile)]
+        ts = generate_traffic(profile).timestamp.tolist()
         assert ts == sorted(ts)
 
     @pytest.mark.parametrize(
@@ -236,6 +243,13 @@ class TestGenerateTraffic:
     def test_empty_schedule_rejected(self):
         with pytest.raises(EmptySchedule):
             generate_traffic(SimProfile(ecus=(), duration=1.0))
+
+    def test_profile_emitting_nothing_rejected(self):
+        with pytest.raises(ValueError, match="^ECU periods all exceed duration 1.0"):
+            SimProfile(ecus=(EcuSpec(0x130, 5.0), EcuSpec(0x131, 1.5)), duration=1.0)
+        # one ECU whose period fits the duration is enough; the other emits nothing
+        log = generate_traffic(SimProfile(ecus=(EcuSpec(0x130, 5.0), EcuSpec(0x131, 1.0)), duration=1.0))
+        assert log.can_id.tolist() == [0x131]
 
 
 @pytest.fixture
@@ -257,57 +271,58 @@ class TestInjectAttack:
     def test_flooding_count_and_identifier(self, base_log):
         spec = AttackSpec("flooding", start=4.0, end=6.0, rate=100.0, seed=5)
         merged = inject_attack(base_log, spec)
-        injected = [r for r in merged if r.label == 1]
-        assert len(injected) == 200
-        assert all(r.can_id == 0x000 for r in injected)
-        assert all(r.kind == "flooding" for r in injected)
+        injected = merged.label == 1
+        assert injected.sum() == 200
+        assert np.all(merged.can_id[injected] == 0x000)
+        assert np.all(merged.kind[injected] == KIND_NAMES.index("flooding"))
 
     def test_spoofing_ids_restricted_to_targets(self, base_log):
         spec = AttackSpec(
             "spoofing", start=2.0, end=5.0, rate=40.0, spoof_targets=(0x2B0, 0x130), seed=8
         )
-        injected = [r for r in inject_attack(base_log, spec) if r.label == 1]
-        assert injected
-        assert {r.can_id for r in injected} <= {0x2B0, 0x130}
+        merged = inject_attack(base_log, spec)
+        ids = set(merged.can_id[merged.label == 1].tolist())
+        assert ids
+        assert ids <= {0x2B0, 0x130}
 
     def test_fuzzing_matches_seeded_rng_replay(self, base_log):
         spec = AttackSpec("fuzzing", start=3.0, end=4.0, rate=50.0, seed=21)
-        injected = [r for r in inject_attack(base_log, spec) if r.label == 1]
-        assert len(injected) == 50
+        merged = inject_attack(base_log, spec)
+        ids = merged.can_id[merged.label == 1]
+        assert len(ids) == 50
 
         # independent replay of the documented draw order
         rng = np.random.default_rng(21)
         rng.uniform(3.0, 4.0, size=50)
         expected_ids = rng.integers(0, 0x800, size=50)
-        assert sorted(r.can_id for r in injected) == sorted(int(i) for i in expected_ids)
+        assert sorted(ids.tolist()) == sorted(expected_ids.tolist())
 
     def test_originals_untouched_and_only_attacks_added(self, base_log):
         spec = AttackSpec("fuzzing", start=1.0, end=2.0, rate=30.0, seed=2)
         merged = inject_attack(base_log, spec)
-        assert [r for r in merged if r.label == 0] == list(base_log)
-        assert all(r.kind == "fuzzing" for r in merged if r.label == 1)
+        normal = merged.label == 0
+        for field in dataclasses.fields(TrafficLog):
+            assert np.array_equal(getattr(merged, field.name)[normal], getattr(base_log, field.name)), field.name
+        assert np.all(merged.kind[~normal] == KIND_NAMES.index("fuzzing"))
 
     def test_merged_log_sorted(self, base_log):
         spec = AttackSpec("flooding", start=1.0, end=9.0, rate=25.0, seed=0)
-        ts = [r.timestamp for r in inject_attack(base_log, spec)]
+        ts = inject_attack(base_log, spec).timestamp.tolist()
         assert ts == sorted(ts)
 
     def test_determinism(self, base_log):
         spec = AttackSpec("spoofing", 2.0, 4.0, 80.0, spoof_targets=(0x0A0,), seed=13)
-        a = [format_record(r) for r in inject_attack(base_log, spec)]
-        b = [format_record(r) for r in inject_attack(base_log, spec)]
-        assert a == b
+        assert log_text(inject_attack(base_log, spec)) == log_text(inject_attack(base_log, spec))
 
     def test_spoofed_payload_differs_in_one_byte(self, base_log):
         spec = AttackSpec("spoofing", 2.0, 8.0, 20.0, spoof_targets=(0x0A0,), seed=4)
-        legit = next(r for r in base_log if r.can_id == 0x0A0)
-        for rec in inject_attack(base_log, spec):
-            if rec.label == 1:
-                diffs = sum(a != b for a, b in zip(rec.payload, legit.payload))
-                assert diffs == 1  # constant-rule ECU: every legit payload identical
+        legit = base_log.payload[np.flatnonzero(base_log.can_id == 0x0A0)[0]]
+        merged = inject_attack(base_log, spec)
+        diffs = (merged.payload[merged.label == 1] != legit).sum(axis=1)
+        assert diffs.tolist() == [1] * 120  # constant-rule ECU: every legit payload identical
 
     def test_window_out_of_range(self, base_log):
-        last = base_log[-1].timestamp
+        last = float(base_log.timestamp[-1])
         with pytest.raises(WindowOutOfRange):
             inject_attack(base_log, AttackSpec("flooding", 1.0, last + 5.0, 10.0))
 
@@ -348,5 +363,5 @@ def test_non_finite_spec_value_is_rejected(field, build, bad):
 
 class TestLogFormat:
     def test_row_layout(self):
-        rec = format_record(TrafficRecord(0.123, 0x130, 2, bytes([0xAB, 0xCD]), 0))
-        assert rec == "0.123,0130,2,AB CD,0"
+        log = traffic_log([LogRow(0.123, 0x130, 2, bytes([0xAB, 0xCD]), 0)])
+        assert log_text(log) == LOG_HEADER + "\n0.123,0130,2,AB CD,0\n"

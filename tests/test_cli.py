@@ -440,6 +440,7 @@ class TestSpecErrors:
             ("seed=x", "line 8: profile seed= value must be an integer, got 'x'"),
             ("speed=3", "line 8: profile speed= is not a profile key"),
             ("duration=inf", "profile duration must be finite, got inf"),
+            ("duration=0.01", "profile ECU periods all exceed duration 0.01, so no record would be emitted"),
         ],
     )
     def test_profile_line(self, tmp_path, capsys, line, message):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from canids.canbus import AttackSpec, EcuSpec, SimProfile, TrafficRecord, generate_traffic, inject_attack
+from canids.canbus import AttackSpec, EcuSpec, SimProfile, generate_traffic, inject_attack
 from canids.ingest import (
     AllRowsMissing,
     CorruptContainer,
@@ -16,6 +16,7 @@ from canids.ingest import (
     InvalidHexDigit,
     LengthMismatch,
     MAX_PAYLOAD_BYTES,
+    NormalizationParams,
     PayloadTooLong,
     RawRecord,
     RecordTable,
@@ -27,7 +28,6 @@ from canids.ingest import (
     dec_to_hex,
     encode_table,
     fit_feature_params,
-    fit_minmax,
     hex_to_dec,
     impute_missing,
     load_dataset,
@@ -38,7 +38,7 @@ from canids.ingest import (
     save_dataset,
     split_dataset,
 )
-from helpers import traffic_log
+from helpers import LogRow, traffic_log
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -345,28 +345,29 @@ class TestCorrelationMatrix:
 
 class TestMinMax:
     def test_bounds_and_midpoint(self):
-        params = fit_minmax(np.array([[0.0], [10.0]]))
+        params = NormalizationParams([0.0], [10.0])
         assert apply_minmax(np.array([0.0]), params)[0] == 0.0
         assert apply_minmax(np.array([10.0]), params)[0] == 1.0
         assert apply_minmax(np.array([5.0]), params)[0] == 0.5
 
     def test_degenerate_feature_maps_to_zero(self):
-        params = fit_minmax(np.array([[7.0], [7.0]]))
+        params = NormalizationParams([7.0], [7.0])
         assert apply_minmax(np.array([7.0]), params)[0] == 0.0
 
     def test_out_of_range_clamped(self):
-        params = fit_minmax(np.array([[0.0], [10.0]]))
+        params = NormalizationParams([0.0], [10.0])
         assert apply_minmax(np.array([-5.0]), params)[0] == 0.0
         assert apply_minmax(np.array([15.0]), params)[0] == 1.0
 
     def test_empty_fit(self):
+        table = RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 0, b"", 0)]))
         with pytest.raises(EmptyColumn):
-            fit_minmax(np.empty((0, 3)))
+            fit_feature_params(table.take(np.arange(0)))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_apply_fit_in_unit_interval(self, values):
         col = np.asarray(values)[:, None]
-        params = fit_minmax(col)
+        params = NormalizationParams(col.min(axis=0), col.max(axis=0))
         out = apply_minmax(col, params)
         assert np.all((out >= 0.0) & (out <= 1.0))
         if col.max() > col.min():
@@ -379,28 +380,28 @@ class TestEncode:
         table = RecordTable.from_traffic(
             traffic_log(
                 [
-                    TrafficRecord(0.0, 0x100, 8, bytes(range(8)), 0),
-                    TrafficRecord(1.0, 0x700, 0, b"", 1),
+                    LogRow(0.0, 0x100, 8, bytes(range(8)), 0),
+                    LogRow(1.0, 0x700, 0, b"", 1),
                 ]
             )
         )
         return fit_feature_params(table)
 
     def test_minimum_id_empty_payload(self, params):
-        x, y = encode_table(RecordTable.from_traffic(traffic_log([TrafficRecord(0.0, 0x100, 0, b"", 0)])), params)
+        x, y = encode_table(RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 0, b"", 0)])), params)
         assert x[0, 0] == 0.0
         assert np.all(x[0, 2:] == 0.0)
         assert y.tolist() == [0]
 
     def test_full_byte_scales_to_one(self, params):
-        x, _ = encode_table(RecordTable.from_traffic(traffic_log([TrafficRecord(0.0, 0x100, 1, b"\xff", 0)])), params)
+        x, _ = encode_table(RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 1, b"\xff", 0)])), params)
         assert x[0, 2] == 1.0
 
     def test_shape_and_range(self, params):
         rng = np.random.default_rng(2)
         for _ in range(20):
             dlc = int(rng.integers(0, 9))
-            rec = TrafficRecord(
+            rec = LogRow(
                 0.0,
                 int(rng.integers(0x100, 0x701)),
                 dlc,

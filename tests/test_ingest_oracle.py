@@ -1,20 +1,19 @@
 """Bit-exact oracle for the ingest fast paths.
 
-``parse_log``, ``impute_missing``, ``RecordTable.from_raw`` and
-``canbus.format_record`` must give what the per-token reference copies in
-``helpers`` give, down to the bytes of the prepared container. Inputs whose
-handling changed on purpose (signed or non-ASCII hex digits, identifiers
-above 29 bits, non-finite timestamps) are left out here and tested on their
-own in ``test_ingest.py``.
+``parse_log``, ``impute_missing`` and ``RecordTable.from_raw`` must give
+what the per-token reference copies in ``helpers`` give, down to the bytes
+of the prepared container. Inputs whose handling changed on purpose (signed
+or non-ASCII hex digits, identifiers above 29 bits, non-finite timestamps)
+are left out here and tested on their own in ``test_ingest.py``.
 """
 
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import (
-    legacy_format_record,
     legacy_from_raw,
     legacy_impute_missing,
     legacy_parse_log,
@@ -23,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids import canbus, ingest
-from canids.canbus import TrafficRecord
 from canids.ingest import AllRowsMissing, EmptyInput, RecordTable, impute_missing, parse_log
 
 GARBLES = ("blank_timestamp", "nonhex_id", "negative_dlc", "bad_payload", "unknown_label")
@@ -169,7 +167,9 @@ def test_garbled_simulated_log_matches_legacy(seed):
     )
     log = canbus.generate_traffic(profile)
     log = canbus.inject_attack(log, canbus.AttackSpec("fuzzing", 5.0, 8.0, 40.0, seed=seed))
-    lines = [canbus.format_record(r) for r in log]
+    text = io.StringIO()
+    canbus.write_log(log, text, header=False)
+    lines = text.getvalue().splitlines()
     rng = np.random.default_rng(seed)
     for row in rng.choice(len(lines), size=40, replace=False).tolist():
         _garble(lines, row, GARBLES[row % len(GARBLES)])
@@ -182,13 +182,3 @@ def test_every_garble_kind_on_an_empty_payload_row():
         _garble(lines, 1, kind)
         assert_same_ingest("\n".join(lines))
 
-
-@given(
-    st.floats(0, 1e6, allow_nan=False),
-    st.integers(0, 0x7FF),
-    st.binary(max_size=64),
-    st.integers(0, 1),
-)
-def test_format_record_matches_legacy(timestamp, can_id, payload, label):
-    rec = TrafficRecord(timestamp, can_id, len(payload), payload, label)
-    assert canbus.format_record(rec) == legacy_format_record(rec)

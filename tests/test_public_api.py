@@ -1,0 +1,18 @@
+"""The names ``import canids`` exports, and members taken off the public surface."""
+
+import canids
+from canids import canbus, ingest
+from canids.nncore import Network
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in canids.__all__ if not hasattr(canids, name)] == []
+
+
+def test_removed_members_stay_removed():
+    assert "TrafficRecord" not in canids.__all__
+    assert not hasattr(canbus, "TrafficRecord") and not hasattr(canbus, "format_record")
+    assert not hasattr(canbus.TrafficLog, "__getitem__")
+    assert not hasattr(canbus.CanFrame, "crc")
+    assert not hasattr(Network, "loss_and_backward")
+    assert not hasattr(ingest, "fit_minmax")

@@ -2,14 +2,15 @@
 
 ``generate_traffic`` and ``inject_attack`` build a ``TrafficLog`` of numpy
 columns; ``helpers.legacy_generate_traffic``/``legacy_inject_attack`` build
-one ``TrafficRecord`` per frame and sort Python lists. For the same profile
-and attack sequence both must write the same log and ``.kinds`` text, raise
-the same error type, and tabulate to the same ``RecordTable`` columns.
+one ``helpers.LogRow`` per frame and sort Python lists. For the same profile
+and attack sequence both must hold the same columns (dtype and bytes), write
+the same log and ``.kinds`` text, raise the same error type, and tabulate to
+the same ``RecordTable`` columns.
 """
 
+import dataclasses
 import io
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +20,13 @@ from canids.canbus import (
     AttackSpec,
     EcuSpec,
     SimProfile,
-    TrafficRecord,
     generate_traffic,
     inject_attack,
 )
 from canids.ingest import RecordTable
 from helpers import (
+    LogRow,
+    legacy_format_record,
     legacy_from_traffic,
     legacy_generate_traffic,
     legacy_inject_attack,
@@ -84,11 +86,12 @@ def _simulate(generate, inject, profile, attacks):
     return log
 
 
-def assert_same_table(table, reference):
-    for name in ("timestamp", "can_id", "dlc", "payload", "data_value", "label", "kind"):
-        got, want = getattr(table, name), getattr(reference, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert np.array_equal(got, want), name
+def assert_same_columns(got, want):
+    """Every column of two dataclasses of arrays has equal dtype, shape and bytes."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 # flooding frames on timestamps the ECUs already use, a spoof of a DLC-0 ECU and of an unseen ID
@@ -112,16 +115,16 @@ def test_columnar_simulator_matches_record_oracle(scenario):
     if isinstance(records, type):
         assert log is records
         return
+    assert_same_columns(log, traffic_log(records))
     text, kinds = io.StringIO(), io.StringIO()
     canbus.write_log(log, text)
     canbus.write_kinds(log, kinds)
     assert (text.getvalue(), kinds.getvalue()) == legacy_log_text(records)
-    assert_same_table(RecordTable.from_traffic(log), legacy_from_traffic(records))
-    assert [log[i] for i in range(len(log))] == records
+    assert_same_columns(RecordTable.from_traffic(log), legacy_from_traffic(records))
 
 
 frames = st.builds(
-    lambda t, can_id, payload, label, kind: TrafficRecord(t, can_id, len(payload), payload, label, kind),
+    lambda t, can_id, payload, label, kind: LogRow(t, can_id, len(payload), payload, label, kind),
     st.floats(0.0, 1e6, allow_nan=False),
     st.integers(0, 0x7FF),
     st.binary(max_size=8),
@@ -131,10 +134,10 @@ frames = st.builds(
 
 
 @given(st.lists(frames, min_size=1, max_size=20))
-@example([TrafficRecord(0.5, 0x130, 8, b"\xff" * 8, 1, "fuzzing")])  # value 2**64 - 1, above 2**53
+@example([LogRow(0.5, 0x130, 8, b"\xff" * 8, 1, "fuzzing")])  # value 2**64 - 1, above 2**53
 def test_from_traffic_matches_record_oracle(records):
     log = traffic_log(records)
-    assert_same_table(RecordTable.from_traffic(log), legacy_from_traffic(records))
+    assert_same_columns(RecordTable.from_traffic(log), legacy_from_traffic(records))
     text = io.StringIO()
     canbus.write_log(log, text, header=False)
-    assert text.getvalue() == "".join(canbus.format_record(r) + "\n" for r in records)
+    assert text.getvalue() == "".join(legacy_format_record(r) + "\n" for r in records)
