@@ -20,6 +20,7 @@ from .canbus import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .ingest import (
     NormalizationParams,
+    ParsedLog,
     PreparedDataset,
     RawRecord,
     RecordTable,
@@ -49,6 +50,7 @@ __all__ = [
     "EcuSpec",
     "MetricsReport",
     "NormalizationParams",
+    "ParsedLog",
     "PreparedDataset",
     "RawRecord",
     "RecordTable",

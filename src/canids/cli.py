@@ -9,6 +9,7 @@ command reproduces its output files byte for byte. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -252,33 +253,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _not_text(path: Path) -> ingest.NotText:
-    """The error for a file that failed to decode, naming its first byte that is not UTF-8.
-
-    A streamed decode reports offsets within one buffered chunk, so the file is decoded again whole.
-    """
+def _decoded(path: Path, data: bytes) -> str:
+    """``data`` as UTF-8 text, or ``NotText`` naming the offset of its first byte that is not."""
     try:
-        path.read_bytes().decode()
+        return data.decode()
     except UnicodeDecodeError as exc:
-        return ingest.NotText(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-    return ingest.NotText(f"{path}: not UTF-8 text")
+        raise ingest.NotText(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parsed(path: Path) -> ingest.ParsedLog:
+    """The log at ``path``, checked to be UTF-8 text, parsed."""
+    data = path.read_bytes()
+    _decoded(path, data)
+    return ingest.parse_log(data)
 
 
 def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, bool]:
     """All logs cleaned and tabulated at once, and whether each has a ``.kinds`` sidecar."""
-    records: list[ingest.RawRecord] = []
+    logs: list[ingest.ParsedLog] = []
     kinds: list[str] | None = []
     for path in map(Path, paths):
-        try:
-            with open(path, newline="") as fh:
-                parsed = ingest.parse_log(fh)
-        except UnicodeDecodeError:
-            raise _not_text(path) from None
+        parsed = _parsed(path)
         sidecar = path.with_name(path.name + ".kinds")
-        try:
-            log_kinds = sidecar.read_text().splitlines() if sidecar.exists() else None
-        except UnicodeDecodeError:
-            raise _not_text(sidecar) from None
+        log_kinds = _decoded(sidecar, sidecar.read_bytes()).splitlines() if sidecar.exists() else None
         if log_kinds is not None and len(log_kinds) != len(parsed):
             raise ValueError(
                 f"{path}: kinds sidecar has {len(log_kinds)} rows for {len(parsed)} records; "
@@ -286,11 +283,12 @@ def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, b
             )
         if kinds is None or log_kinds is None:  # a log without kinds leaves every kind unknown
             kinds = None
-        else:  # droprow keeps the kinds of the rows it keeps
-            kinds += [k for r, k in zip(parsed, log_kinds)
-                      if policy != "droprow" or not r.missing_fields()]
-        records.extend(ingest.impute_missing(parsed, policy))
-    return ingest.RecordTable.from_raw(records, kinds), kinds is not None
+        elif policy == "droprow":  # droprow keeps the kinds of the rows it keeps
+            kinds += itertools.compress(log_kinds, (~parsed.missing.any(axis=1)).tolist())
+        else:
+            kinds += log_kinds
+        logs.append(ingest.impute_missing(parsed, policy))
+    return ingest.RecordTable.from_raw(ingest.ParsedLog.concat(logs), kinds), kinds is not None
 
 
 # --outliers column name -> RecordTable.feature_columns() key

@@ -1,25 +1,37 @@
 """Log ingestion and data preparation.
 
 Raw CSV logs (five columns: Timestamp, CAN_ID, DLC, Data_Field, Label) are
-parsed into records with per-field missing flags, cleaned, and turned into
+parsed into columns with a per-field missing mask, cleaned, and turned into
 length-16 feature vectors with deterministic train/validation/test splits.
 Preparation runs in the fixed order cleaning -> integration -> transformation,
 and normalization statistics always come from the training partition alone.
 
-A ``RawRecord`` holds each observed field in one canonical form, which
-``impute_missing`` keeps and ``RecordTable.from_raw`` relies on:
-  timestamp    a finite float
-  can_id_hex   uppercase hex digits, no prefix, value at most 0x1FFFFFFF
-               (the 29-bit CAN 2.0B extended maximum); leading zeros kept
-  dlc          an int in [0, MAX_PAYLOAD_BYTES] (64, the CAN FD maximum),
-               not checked against the payload length
-  data_hex     uppercase two-digit hex bytes joined by single spaces
-               ("0A FF"), at most MAX_PAYLOAD_BYTES of them; "" for an
-               empty payload with DLC 0
-  label_text   "0" or "1"
-A cell that does not parse to this form (non-hex or signed digits, an
-over-long identifier or data field, a DLC above 64, a non-finite
-timestamp, ...) becomes ``None``.
+``parse_log`` returns a ``ParsedLog``, whose columns ``impute_missing``
+keeps and ``RecordTable.from_raw`` tabulates:
+  timestamp   float64, finite
+  can_id      int64, at most 0x1FFFFFFF (the 29-bit CAN 2.0B extended maximum)
+  dlc         int64 in [0, MAX_PAYLOAD_BYTES] (64, the CAN FD maximum), not
+              checked against the payload length
+  data        uint8 (n, width): each payload's bytes, zero padded; width is at
+              least PAYLOAD_WIDTH and at most MAX_PAYLOAD_BYTES
+  data_len    int64, the payload length in bytes (0 for an empty payload)
+  label       uint8, 0 or 1
+  missing     bool (n, 5), one flag per field in the order above (data and
+              data_len being one field); a missing field's columns hold 0
+A cell that does not parse (non-hex or signed digits, an over-long
+identifier or data field, a DLC above 64, a non-finite timestamp, ...) is
+missing.
+
+A row in the form ``canbus.write_log`` writes takes a vectorized fast
+path: five cells split by commas and ended by a line feed, a timestamp of
+at most 32 characters from [0-9.eE+-], 1 to 8 uppercase hex digits of
+identifier, a DLC of 1 or 2 decimal digits, at most 64 uppercase two-digit
+hex bytes joined by single spaces, and the label 0 or 1. Every other row
+(quotes, carriage returns, lowercase, "0x"-prefixed or padded cells, label
+words, bad tokens, long payloads, a last line with no line feed) goes
+through csv and the per-cell parsers into the same columns. A log holding
+a quote character goes that way whole, because a quoted cell may span
+lines.
 
 Feature layout (all components in [0, 1]):
   position 0      identifier, min-max normalized over the training split
@@ -35,15 +47,14 @@ import functools
 import io
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .canbus import ATTACK_KINDS, KIND_NAMES, MAX_DLC, TrafficLog
+from .canbus import ATTACK_KINDS, KIND_NAMES, TrafficLog
 
 N_FEATURES = 16
 PAYLOAD_WIDTH = 8
@@ -64,10 +75,6 @@ SIDECAR_KINDS = ("normal", *ATTACK_KINDS)
 
 class EmptyInput(ValueError):
     """No data rows in the input."""
-
-
-class InvalidHexDigit(ValueError):
-    """String contains a character outside [0-9A-Fa-f]."""
 
 
 class TooFewValues(ValueError):
@@ -120,13 +127,19 @@ class NotText(ValueError):
 
 
 _FIELDS = ("timestamp", "can_id_hex", "dlc", "data_hex", "label_text")
+_TS, _ID, _DLC, _DATA, _LABEL = range(len(_FIELDS))  # columns of ParsedLog.missing
 _NOTHING_MISSING: frozenset[str] = frozenset()
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 @dataclass(frozen=True, slots=True)
 class RawRecord:
-    """One parsed log row; ``None`` marks a missing/malformed field."""
+    """One row of a ``ParsedLog`` as text fields; ``None`` marks a missing field.
+
+    The identifier is uppercase hex without leading zeros, the data field
+    uppercase two-digit hex bytes joined by single spaces ("0A FF", "" for
+    an empty payload) and the label "0" or "1".
+    """
 
     timestamp: float | None
     can_id_hex: str | None
@@ -146,12 +159,60 @@ class RawRecord:
         return frozenset(name for name in _FIELDS if getattr(self, name) is None)
 
 
+@dataclass(eq=False)
+class ParsedLog:
+    """Parsed log rows as columns; the module docstring gives their dtypes."""
+
+    timestamp: np.ndarray
+    can_id: np.ndarray
+    dlc: np.ndarray
+    data: np.ndarray
+    data_len: np.ndarray
+    label: np.ndarray
+    missing: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __iter__(self) -> Iterator[RawRecord]:
+        """One ``RawRecord`` per row, built on demand a block of rows at a time."""
+        width = self.data.shape[1]
+        columns = (self.timestamp, self.can_id, self.dlc, self.data_len, self.label, self.missing)
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            raw = self.data[block].tobytes()
+            for i, (t, c, d, n, y, miss) in enumerate(zip(*(col[block].tolist() for col in columns))):
+                yield RawRecord(
+                    None if miss[_TS] else t,
+                    None if miss[_ID] else f"{c:X}",
+                    None if miss[_DLC] else d,
+                    None if miss[_DATA] else raw[i * width : i * width + n].hex(" ").upper(),
+                    None if miss[_LABEL] else str(y),
+                )
+
+    def take(self, rows: np.ndarray) -> "ParsedLog":
+        """The rows an index array or boolean mask selects, in its order."""
+        return ParsedLog(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @staticmethod
+    def concat(logs: Sequence["ParsedLog"]) -> "ParsedLog":
+        """The rows of ``logs`` in order, as wide as the widest."""
+        if len(logs) == 1:
+            return logs[0]
+        columns = {f.name: np.concatenate([getattr(log, f.name) for log in logs]) for f in fields(ParsedLog)
+                   if f.name != "data"}
+        data = np.zeros((len(columns["label"]), max(log.data.shape[1] for log in logs)), dtype=np.uint8)
+        for log, end in zip(logs, np.cumsum([len(log) for log in logs]).tolist()):
+            data[end - len(log) : end, : log.data.shape[1]] = log.data
+        return ParsedLog(data=data, **columns)
+
+
 def _is_hex(text: str) -> bool:
     """Non-empty and ASCII hex digits only (``int(text, 16)`` also takes signs and ``_``)."""
     return bool(text) and _HEX_DIGITS.issuperset(text)
 
 
-def _parse_timestamp(cell: str) -> float | None:
+def _parse_timestamp(cell: str | bytes) -> float | None:
     try:
         value = float(cell)
     except ValueError:
@@ -160,13 +221,14 @@ def _parse_timestamp(cell: str) -> float | None:
 
 
 @functools.lru_cache(maxsize=4096)  # a log repeats a few thousand identifiers
-def _parse_can_id(cell: str) -> str | None:
+def _parse_can_id(cell: str) -> int | None:
     cell = cell.strip()
     if cell.lower().startswith("0x"):
         cell = cell[2:]
-    if not _is_hex(cell) or int(cell, 16) > MAX_CAN_ID:
+    if not _is_hex(cell):
         return None
-    return cell.upper()
+    value = int(cell, 16)
+    return value if value <= MAX_CAN_ID else None
 
 
 def _parse_dlc(cell: str) -> int | None:
@@ -177,92 +239,218 @@ def _parse_dlc(cell: str) -> int | None:
     return value if 0 <= value <= MAX_PAYLOAD_BYTES else None
 
 
-def _parse_data(cell: str, dlc: int | None) -> str | None:
+def _parse_data(cell: str, dlc: int | None) -> bytes | None:
     cell = cell.strip()
     if not cell:
         # an empty data field is legitimate only for a zero-length payload
-        return "" if dlc == 0 else None
+        return b"" if dlc == 0 else None
     try:
         data = bytes.fromhex(cell)
         if data.hex(" ").upper() == cell:
-            return cell if len(data) <= MAX_PAYLOAD_BYTES else None  # already canonical
+            return data if len(data) <= MAX_PAYLOAD_BYTES else None  # already canonical
     except ValueError:
         pass
     tokens = cell.split()
     if len(tokens) > MAX_PAYLOAD_BYTES or not all(len(tok) <= 2 and _is_hex(tok) for tok in tokens):
         return None
-    return " ".join(t.upper().zfill(2) for t in tokens)
+    return bytes(int(tok, 16) for tok in tokens)
 
 
-def _parse_label(cell: str) -> str | None:
-    cell = cell.strip()
-    if cell in ("0", "1"):
-        return cell
-    if cell.lower() == "normal":
-        return "0"
-    if cell.lower() == "attack":
-        return "1"
+def _parse_label(cell: str) -> int | None:
+    cell = cell.strip().lower()
+    if cell in ("0", "normal"):
+        return 0
+    if cell in ("1", "attack"):
+        return 1
     return None
 
 
-def parse_log(source: str | Iterable[str]) -> list[RawRecord]:
-    """Parse comma-separated rows into RawRecords, row order preserved.
-
-    The header row is optional. Malformed cells become missing flags instead
-    of aborting; rows with neither an identifier nor a data field are dropped.
-    """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    records = []
-    for i, row in enumerate(csv.reader(source)):
+def _parse_rows(text: str, at_start: bool) -> ParsedLog:
+    """The rows of ``text`` through csv and the per-cell parsers; ``at_start`` if it begins the log."""
+    rows = []
+    for i, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
         if not any(map(str.strip, row)):
             continue
-        if i == 0 and row[0].strip().lower() == "timestamp":
+        if at_start and i == 0 and row[0].strip().lower() == "timestamp":
             continue
         if len(row) < 5:
             row += [""] * (5 - len(row))
-        can_id_hex = _parse_can_id(row[1])
         dlc = _parse_dlc(row[2])
-        data_hex = _parse_data(row[3], dlc)
-        if can_id_hex is None and not data_hex:
-            continue
-        records.append(
-            RawRecord(_parse_timestamp(row[0]), can_id_hex, dlc, data_hex, _parse_label(row[4]))
-        )
-    if not records:
-        raise EmptyInput("no data rows found")
-    return records
+        rows.append((_parse_timestamp(row[0]), _parse_can_id(row[1]), dlc, _parse_data(row[3], dlc),
+                     _parse_label(row[4])))
+
+    n = len(rows)
+    timestamp, can_id, dlc, data, label = zip(*rows) if rows else [()] * len(_FIELDS)
+    payloads = [d or b"" for d in data]
+    width = max([PAYLOAD_WIDTH, *map(len, payloads)])
+
+    def column(values, dtype):
+        return np.array([0 if v is None else v for v in values], dtype=dtype).reshape(n)
+
+    return ParsedLog(
+        timestamp=column(timestamp, np.float64),
+        can_id=column(can_id, np.int64),
+        dlc=column(dlc, np.int64),
+        data=np.frombuffer(bytearray(b"".join(p.ljust(width, b"\0") for p in payloads)),
+                           dtype=np.uint8).reshape(n, width),
+        data_len=column(map(len, payloads), np.int64),
+        label=column(label, np.uint8),
+        missing=np.array([[v is None for v in row] for row in rows], dtype=bool).reshape(n, len(_FIELDS)),
+    )
 
 
-def hex_to_dec(text: str) -> int:
-    """Exact base-16 value of a hex string, ignoring internal spaces.
-
-    Arbitrary precision: payload fields of up to 19 bytes (152 bits) and
-    beyond convert without loss. Only bare hex digits are accepted (no
-    signs or 0x prefixes), so the result is always nonnegative.
-    """
-    cleaned = text.replace(" ", "")
-    if not _is_hex(cleaned):
-        raise InvalidHexDigit(f"invalid hex string {text!r}")
-    return int(cleaned, 16)
+def _byte_set(chars: bytes) -> np.ndarray:
+    table = np.zeros(256, dtype=bool)
+    table[list(chars)] = True
+    return table
 
 
-def data_bytes(data_hex: str) -> bytes:
-    """Payload bytes of a canonical data field (``"0A FF"``; ``""`` is empty).
+_HEX_UPPER = _byte_set(b"0123456789ABCDEF")
+_DECIMAL = _byte_set(b"0123456789")
+_TIMESTAMP_BYTES = _byte_set(b"0123456789.eE+-")
+_NIBBLE = np.zeros(256, dtype=np.uint8)
+_NIBBLE[list(b"0123456789ABCDEF")] = np.arange(16)
 
-    Its big-endian value equals ``hex_to_dec(data_hex)``.
-    """
+_BLOCK_ROWS = 65_536  # lines the fast path takes at once, which bounds its temporaries
+_MAX_TIMESTAMP_CHARS = 32
+_MAX_ID_DIGITS = 8  # enough for MAX_CAN_ID
+
+
+def _number_cells(buf: np.ndarray, begin: np.ndarray, size: np.ndarray, allowed: np.ndarray,
+                  base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell ``buf[begin:begin + size]`` as a number in ``base``, and whether its bytes are all ``allowed``."""
+    value = np.zeros(len(begin), dtype=np.int64)
+    valid = np.ones(len(begin), dtype=bool)
+    for j in range(int(size.max(initial=0))):
+        byte = buf.take(begin + j, mode="clip")
+        here = j < size
+        valid &= allowed[byte] | ~here
+        value = np.where(here, value * base + _NIBBLE[byte], value)
+    return value, valid
+
+
+def _payload_cells(buf: np.ndarray, begin: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of each data cell of ``length`` "XX" pairs joined by spaces, and whether it has that form."""
+    data = np.zeros((len(begin), max(PAYLOAD_WIDTH, int(length.max(initial=0)))), dtype=np.uint8)
+    valid = np.ones(len(begin), dtype=bool)
+    for k in range(int(length.max(initial=0))):
+        here = k < length
+        high, low = buf.take(begin + 3 * k, mode="clip"), buf.take(begin + 3 * k + 1, mode="clip")
+        valid &= (_HEX_UPPER[high] & _HEX_UPPER[low]) | ~here
+        if k:
+            valid &= (buf.take(begin + 3 * k - 1, mode="clip") == ord(" ")) | ~here
+        data[:, k] = np.where(here, (_NIBBLE[high] << 4) | _NIBBLE[low], 0)
+    return data, valid
+
+
+def _timestamp_cells(buf: np.ndarray, begin: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each timestamp cell as float64 (NaN if it does not parse), and whether its bytes are [0-9.eE+-]."""
+    text = np.zeros((int(size.max(initial=1)), len(begin)), dtype=np.uint8)  # one row per character
+    valid = np.ones(len(begin), dtype=bool)
+    for j in range(len(text)):
+        byte = buf.take(begin + j, mode="clip")
+        here = j < size
+        valid &= _TIMESTAMP_BYTES[byte] | ~here
+        text[j] = np.where(here, byte, 0)
+    cells = np.ascontiguousarray(text.T).view(f"S{len(text)}").ravel()
     try:
-        return bytes.fromhex(data_hex)
-    except ValueError:
-        raise InvalidHexDigit(f"data field {data_hex!r} is not space-separated hex bytes") from None
+        return cells.astype(np.float64), valid
+    except ValueError:  # a cell such as "1e" or "1.2.3"; float() agrees with numpy on the rest
+        return np.array([_parse_timestamp(c) for c in cells.tolist()], dtype=np.float64), valid
 
 
-def dec_to_hex(value: int) -> str:
-    """Canonical uppercase hex (no prefix, no leading zeros) of a nonnegative int."""
-    if value < 0:
-        raise ValueError("negative values have no hex representation here")
-    return format(value, "X")
+def _canonical_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ParsedLog]:
+    """Which of the consecutive lines ``buf[starts:ends]`` are canonical rows, and those rows parsed."""
+    comma = np.flatnonzero(buf[starts[0] : ends[-1]] == ord(",")) + starts[0]
+    first = np.searchsorted(comma, starts)
+    ok = np.diff(first, append=len(comma)) == 4
+    rows = np.flatnonzero(ok)
+    at = first[rows]
+    begin = [starts[rows], *(comma[at + k] + 1 for k in range(4))]  # where each of the five cells begins
+    size = [stop - start - 1 for start, stop in zip(begin, [*begin[1:], ends[rows] + 1])]
+    fits = (
+        (size[_TS] >= 1) & (size[_TS] <= _MAX_TIMESTAMP_CHARS)
+        & (size[_ID] >= 1) & (size[_ID] <= _MAX_ID_DIGITS)
+        & (size[_DLC] >= 1) & (size[_DLC] <= 2)
+        & ((size[_DATA] == 0) | ((size[_DATA] % 3 == 2) & (size[_DATA] <= 3 * MAX_PAYLOAD_BYTES - 1)))
+        & (size[_LABEL] == 1)
+    )
+    rows = rows[fits]
+    begin = [b[fits] for b in begin]
+    size = [s[fits] for s in size]
+
+    timestamp, valid = _timestamp_cells(buf, begin[_TS], size[_TS])
+    can_id, valid_id = _number_cells(buf, begin[_ID], size[_ID], _HEX_UPPER, 16)
+    dlc, valid_dlc = _number_cells(buf, begin[_DLC], size[_DLC], _DECIMAL, 10)
+    data_len = (size[_DATA] + 1) // 3
+    data, valid_data = _payload_cells(buf, begin[_DATA], data_len)
+    label = buf[begin[_LABEL]] - np.uint8(ord("0"))
+    valid &= valid_id & valid_dlc & valid_data & (label <= 1)
+    ok[:] = False
+    ok[rows[valid]] = True
+
+    missing = np.column_stack((
+        ~np.isfinite(timestamp),
+        can_id > MAX_CAN_ID,
+        dlc > MAX_PAYLOAD_BYTES,
+        (data_len == 0) & (dlc != 0),  # a DLC above 64 is missing, so not 0 either
+        np.zeros(len(label), dtype=bool),
+    ))[valid]
+    return ok, ParsedLog(
+        timestamp=np.where(missing[:, _TS], 0.0, timestamp[valid]),
+        can_id=np.where(missing[:, _ID], 0, can_id[valid]),
+        dlc=np.where(missing[:, _DLC], 0, dlc[valid]),
+        data=data[valid],
+        data_len=data_len[valid],
+        label=label[valid],
+        missing=missing,
+    )
+
+
+def parse_log(source: bytes | str | IO[str]) -> ParsedLog:
+    """Parse comma-separated rows into a ``ParsedLog``, row order preserved.
+
+    ``source`` is the log as UTF-8 bytes, as text, or as a text stream. Lines
+    end at a line feed, a carriage return or both. The header row is
+    optional. Malformed cells become missing flags instead of aborting; rows
+    with neither an identifier nor a data field are dropped.
+    """
+    if isinstance(source, str):
+        source = source.encode()
+    elif not isinstance(source, bytes):
+        source = source.read().encode()
+    buf = np.frombuffer(source, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    fast_lines = 0 if b'"' in source else len(ends)
+    if len(source) > (ends[-1] + 1 if len(ends) else 0):  # a last line with no line feed
+        ends = np.append(ends, len(source))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+
+    slow = np.ones(len(ends), dtype=bool)
+    parts, keys = [], []  # rows in the order parsed, keyed by the line each part's row starts on
+    for lo in range(0, fast_lines, _BLOCK_ROWS):
+        block = slice(lo, min(lo + _BLOCK_ROWS, fast_lines))
+        ok, part = _canonical_rows(buf, starts[block], ends[block])
+        slow[block] = ~ok
+        parts.append(part)
+        keys.append(np.flatnonzero(ok) + lo)
+    lines = np.flatnonzero(slow)
+    for run in np.split(lines, np.flatnonzero(np.diff(lines) != 1) + 1) if len(lines) else []:
+        part = _parse_rows(source[starts[run[0]] : ends[run[-1]] + 1].decode(), at_start=run[0] == 0)
+        parts.append(part)
+        keys.append(np.full(len(part), run[0]))
+    if not parts:
+        raise EmptyInput("no data rows found")
+    log = ParsedLog.concat(parts)
+    if len(lines):
+        log = log.take(np.argsort(np.concatenate(keys), kind="stable"))
+    dropped = log.missing[:, _ID] & (log.missing[:, _DATA] | (log.data_len == 0))
+    if dropped.any():
+        log = log.take(~dropped)
+    if not len(log):
+        raise EmptyInput("no data rows found")
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +475,11 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
     if not 1 <= max_outliers <= n - 2:
         raise ValueError("max_outliers must lie in [1, n - 2]")
 
-    remaining = list(range(n))
+    keep = np.ones(n, dtype=bool)  # x[keep] keeps the order the removals left
     removed: list[int] = []
     statistics: list[tuple[float, float]] = []
     for i in range(1, max_outliers + 1):
-        sub = x[remaining]
+        sub = x[keep]
         sd = sub.std(ddof=1)
         if sd == 0:
             break
@@ -303,7 +491,8 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
         t = stats.t.ppf(p, m - 2)
         lam = (m - 1) * t / math.sqrt((m - 2 + t * t) * m)
         statistics.append((r_i, lam))
-        removed.append(remaining.pop(j))
+        removed.append(int(np.flatnonzero(keep)[j]))
+        keep[removed[-1]] = False
 
     flagged = 0
     for i, (r_i, lam) in enumerate(statistics, start=1):
@@ -312,99 +501,78 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
     return set(removed[:flagged])
 
 
-def _label_int(text: str | None) -> int | None:
-    if text in ("0", "1"):
-        return int(text)
-    return None
-
-
-def _mean_or_raise(values: list[float], column: str) -> float:
-    if not values:
+def _mean_or_raise(values: np.ndarray, column: str) -> float:
+    if not len(values):
         raise AllRowsMissing(f"cannot impute {column}: no observed values")
     return float(np.mean(values))
 
 
-class _ObservedMeans:
-    """Means of the observed fields of ``records``, each computed on first use."""
+def _payload_means(log: ParsedLog) -> list[int]:
+    """Rounded mean of each payload position, over the rows long enough to have it.
 
-    def __init__(self, records: Sequence[RawRecord]):
-        self.records = records
-
-    @functools.cached_property
-    def timestamp(self) -> float:
-        return _mean_or_raise([r.timestamp for r in self.records if r.timestamp is not None], "Timestamp")
-
-    @functools.cached_property
-    def can_id(self) -> float:
-        texts = [r.can_id_hex for r in self.records if r.can_id_hex is not None]
-        value = {text: hex_to_dec(text) for text in set(texts)}
-        return _mean_or_raise([value[text] for text in texts], "CAN_ID")
-
-    @functools.cached_property
-    def dlc(self) -> float:
-        return _mean_or_raise([r.dlc for r in self.records if r.dlc is not None], "DLC")
-
-    @functools.cached_property
-    def label(self) -> float:
-        labels = [v for r in self.records if (v := _label_int(r.label_text)) is not None]
-        return _mean_or_raise(labels, "Label")
-
-    @functools.cached_property
-    def payload(self) -> list[int]:
-        """Rounded mean of each payload position, over the rows long enough to have it.
-
-        Bytes are at most 255, so the integer sums are exact in float64 and
-        ``total / count`` is the correctly rounded mean ``np.mean`` gives.
-        """
-        totals: list[int] = []
-        counts: list[int] = []
-        for text, rows in Counter(r.data_hex for r in self.records if r.data_hex).items():
-            data = data_bytes(text)
-            if len(data) > len(totals):
-                totals += [0] * (len(data) - len(totals))
-                counts += [0] * (len(data) - len(counts))
-            for pos, byte in enumerate(data):
-                totals[pos] += byte * rows
-                counts[pos] += rows
-        return [round(total / count) for total, count in zip(totals, counts)]
+    Bytes are at most 255, so the integer sums are exact and ``total / count``
+    is the correctly rounded mean ``np.mean`` gives.
+    """
+    seen = ~log.missing[:, _DATA] & (log.data_len > 0)
+    lengths = log.data_len[seen]
+    width = int(lengths.max(initial=0))
+    totals = log.data[seen, :width].sum(axis=0, dtype=np.int64)  # bytes past a row's length are 0
+    counts = (lengths[:, None] > np.arange(width)).sum(axis=0)
+    return [round(total / count) for total, count in zip(totals.tolist(), counts.tolist())]
 
 
-def impute_missing(records: Sequence[RawRecord], policy: str = "droprow") -> list[RawRecord]:
+def impute_missing(log: ParsedLog, policy: str = "droprow") -> ParsedLog:
     """Resolve missing flags: drop flagged rows, or fill them with column means.
 
     ``fieldmean`` imputes the timestamp, identifier, DLC, and label from
     rounded column means, and the data field byte-wise from per-position
-    means (positions never observed fall back to zero). Clean rows come back
-    as the same objects; each mean is computed once, and only if a row
-    needs it, so ``AllRowsMissing`` names a column some row lacks.
+    means (positions never observed fall back to zero). A log with nothing
+    missing comes back as itself. Each mean is computed only if a row needs
+    it, so ``AllRowsMissing`` names a column some row lacks; when several
+    fail, it names the one a row-by-row fill would reach first.
     """
     if policy not in IMPUTE_POLICIES:
         raise ValueError(f"unknown imputation policy {policy!r}")
+    missing = log.missing
+    incomplete = missing.any(axis=1)
+    if not incomplete.any():
+        return log
     if policy == "droprow":
-        return [r for r in records if not r.missing_fields()]
+        return log.take(~incomplete)
 
-    out = list(records)
-    means = _ObservedMeans(records)
-    for i, r in enumerate(records):
-        if not r.missing_fields():
-            continue
-        dlc = r.dlc if r.dlc is not None else round(means.dlc)
-        data_hex = r.data_hex
-        if data_hex is None:
-            if dlc > 0 and not means.payload:
-                raise AllRowsMissing("cannot impute Data_Field: no observed values")
-            data_hex = bytes(means.payload[:dlc]).ljust(dlc, b"\0").hex(" ").upper()
-        label_text = r.label_text
-        if label_text is None:
-            label_text = "1" if means.label >= 0.5 else "0"
-        can_id_hex = r.can_id_hex
-        if can_id_hex is None:
-            can_id_hex = dec_to_hex(round(means.can_id))
-        timestamp = r.timestamp
-        if timestamp is None:
-            timestamp = means.timestamp
-        out[i] = RawRecord(timestamp, can_id_hex, dlc, data_hex, label_text)
-    return out
+    seen = ~missing
+    dlc = log.dlc
+    if missing[:, _DLC].any():
+        dlc = np.where(missing[:, _DLC], round(_mean_or_raise(dlc[seen[:, _DLC]], "DLC")), dlc)
+    data, data_len = log.data, log.data_len
+    fill = missing[:, _DATA]
+    payload_gap = None  # the first row needing payload bytes when no row has any
+    if fill.any():
+        means = _payload_means(log)
+        needy = np.flatnonzero(fill & (dlc > 0))
+        if len(needy) and not means:
+            payload_gap = int(needy[0])
+        width = max(data.shape[1], int(dlc[fill].max()))
+        row = np.zeros(width, dtype=np.uint8)
+        row[: len(means)] = means
+        data = np.pad(data, ((0, 0), (0, width - data.shape[1])))
+        data[fill] = np.where(np.arange(width) < dlc[fill, None], row, 0)
+        data_len = np.where(fill, dlc, data_len)
+    # every row lacks an all-missing column, so that error belongs to row 0,
+    # where a row-by-row fill checks DLC, Data_Field, Label, CAN_ID, Timestamp in turn
+    if payload_gap == 0:
+        raise AllRowsMissing("cannot impute Data_Field: no observed values")
+    label, can_id, timestamp = log.label, log.can_id, log.timestamp
+    if missing[:, _LABEL].any():
+        mean = _mean_or_raise(label[seen[:, _LABEL]], "Label")
+        label = np.where(missing[:, _LABEL], np.uint8(mean >= 0.5), label)
+    if missing[:, _ID].any():
+        can_id = np.where(missing[:, _ID], round(_mean_or_raise(can_id[seen[:, _ID]], "CAN_ID")), can_id)
+    if missing[:, _TS].any():
+        timestamp = np.where(missing[:, _TS], _mean_or_raise(timestamp[seen[:, _TS]], "Timestamp"), timestamp)
+    if payload_gap is not None:
+        raise AllRowsMissing("cannot impute Data_Field: no observed values")
+    return ParsedLog(timestamp, can_id, dlc, data, data_len, label, np.zeros_like(missing))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +659,17 @@ def apply_minmax(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+def _big_endian_values(data: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Each row's first ``length`` bytes of ``data`` as one big-endian number, rounded to float64."""
+    value = np.zeros(len(length), dtype=np.uint64)
+    for j in range(min(8, data.shape[1])):  # Horner's rule over the bytes a uint64 holds
+        value = np.where(j < length, (value << np.uint64(8)) | data[:, j], value)
+    out = value.astype(np.float64)  # correctly rounded, as float(int) is
+    for i in np.flatnonzero(length > 8).tolist():
+        out[i] = float(int.from_bytes(data[i, : length[i]].tobytes(), "big"))
+    return out
+
+
 @dataclass
 class RecordTable:
     """Columnar view of cleaned records; payload truncated/padded to 8 bytes.
@@ -511,45 +690,38 @@ class RecordTable:
         return len(self.label)
 
     @classmethod
-    def from_raw(cls, records: Sequence[RawRecord], kinds: Sequence[str] | None = None) -> "RecordTable":
-        """Tabulate cleaned records whose fields are in the canonical forms of the module docstring.
+    def from_raw(cls, log: ParsedLog, kinds: Sequence[str] | None = None) -> "RecordTable":
+        """Tabulate a cleaned ``ParsedLog``, one kind name per row if ``kinds`` is given.
 
-        An identifier above ``MAX_CAN_ID`` raises ``IdOutOfRange``, a data
-        field that is not hex bytes ``InvalidHexDigit``, one longer than
-        ``MAX_PAYLOAD_BYTES`` ``PayloadTooLong``, and a missing field or a
-        label other than "0"/"1" a plain ``ValueError``.
+        A row with a missing field or a label other than 0/1 raises a plain
+        ``ValueError``, an identifier above ``MAX_CAN_ID`` ``IdOutOfRange``,
+        and a data field longer than ``MAX_PAYLOAD_BYTES`` ``PayloadTooLong``.
         """
-        if not records:
+        if not len(log):
             raise EmptyInput("no records to tabulate")
-        if kinds is not None and len(kinds) != len(records):
+        if kinds is not None and len(kinds) != len(log):
             raise LengthMismatch("kinds sidecar length differs from record count")
         unknown = sorted(set(kinds or ()) - set(SIDECAR_KINDS))
         if unknown:
             raise UnknownKind(f"kinds sidecar names unknown kinds {unknown[:5]}")
-        labels = [r.label_text for r in records]
-        if any(r.missing_fields() for r in records) or not set(labels) <= {"0", "1"}:
+        if log.missing.any() or (log.label > 1).any():
             raise ValueError("records must be cleaned before tabulation")
-        id_value = {text: hex_to_dec(text) for text in {r.can_id_hex for r in records}}
-        too_long = sorted(text for text, value in id_value.items() if value > MAX_CAN_ID)
-        if too_long:
-            raise IdOutOfRange(f"identifiers above 29 bits: {too_long[:5]}")
-        n = len(records)
-        payload = bytearray(n * PAYLOAD_WIDTH)
-        data_value = []
-        for i, r in enumerate(records):
-            data = data_bytes(r.data_hex)
-            if len(data) > MAX_PAYLOAD_BYTES:
-                raise PayloadTooLong(f"row {i}: {len(data)}-byte data field exceeds {MAX_PAYLOAD_BYTES}")
-            head = data[:PAYLOAD_WIDTH]
-            payload[i * PAYLOAD_WIDTH : i * PAYLOAD_WIDTH + len(head)] = head
-            data_value.append(float(int.from_bytes(data, "big")))
+        too_long = np.unique(log.can_id[log.can_id > MAX_CAN_ID])
+        if len(too_long):
+            raise IdOutOfRange(f"identifiers above 29 bits: {[f'{v:X}' for v in too_long[:5].tolist()]}")
+        over = np.flatnonzero(log.data_len > MAX_PAYLOAD_BYTES)
+        if len(over):
+            raise PayloadTooLong(
+                f"row {over[0]}: {log.data_len[over[0]]}-byte data field exceeds {MAX_PAYLOAD_BYTES}"
+            )
+        n = len(log)
         return cls(
-            timestamp=np.array([r.timestamp for r in records], dtype=np.float64),
-            can_id=np.array([id_value[r.can_id_hex] for r in records], dtype=np.int64),
-            dlc=np.array([r.dlc for r in records], dtype=np.int64),
-            payload=np.frombuffer(payload, dtype=np.uint8).reshape(n, PAYLOAD_WIDTH),
-            data_value=np.array(data_value, dtype=np.float64),
-            label=(np.array(labels) == "1").astype(np.uint8),
+            timestamp=log.timestamp.astype(np.float64),
+            can_id=log.can_id.astype(np.int64),
+            dlc=log.dlc.astype(np.int64),
+            payload=log.data[:, :PAYLOAD_WIDTH].copy(),
+            data_value=_big_endian_values(log.data, log.data_len),
+            label=log.label.astype(np.uint8),
             kind=np.array(
                 ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * n,
                 dtype="<U8",
@@ -561,15 +733,12 @@ class RecordTable:
         """The simulator's columns as a table; ``data_value`` is each payload's big-endian value."""
         if not len(log):
             raise EmptyInput("no records to tabulate")
-        value = np.zeros(len(log), dtype=np.uint64)
-        for j in range(MAX_DLC):  # Horner's rule over each row's first dlc bytes
-            value = np.where(j < log.dlc, (value << np.uint64(8)) | log.payload[:, j], value)
         return cls(
             timestamp=log.timestamp.astype(np.float64),
             can_id=log.can_id.astype(np.int64),
             dlc=log.dlc.astype(np.int64),
             payload=log.payload[:, :PAYLOAD_WIDTH].astype(np.uint8),
-            data_value=value.astype(np.float64),  # correctly rounded, as float(int) is
+            data_value=_big_endian_values(log.payload, log.dlc),
             label=log.label.astype(np.uint8),
             kind=np.array(KIND_NAMES, dtype="<U8")[log.kind],
         )

@@ -18,8 +18,6 @@ from canids.ingest import (
     PreparedDataset,
     RawRecord,
     RecordTable,
-    dec_to_hex,
-    hex_to_dec,
 )
 
 
@@ -270,6 +268,21 @@ def legacy_grad_check(network, inputs, labels, h=1e-5, block=64):
 # ---------------------------------------------------------------------------
 
 
+def hex_to_dec(text):
+    """Exact base-16 value of a hex string, ignoring internal spaces."""
+    cleaned = text.replace(" ", "")
+    if not cleaned or not set(cleaned) <= set("0123456789abcdefABCDEF"):
+        raise ValueError(f"invalid hex string {text!r}")
+    return int(cleaned, 16)
+
+
+def dec_to_hex(value):
+    """Canonical uppercase hex (no prefix, no leading zeros) of a nonnegative int."""
+    if value < 0:
+        raise ValueError("negative values have no hex representation here")
+    return format(value, "X")
+
+
 def _legacy_missing(rec):
     return frozenset(
         name
@@ -460,7 +473,7 @@ def _legacy_read_kinds(path):
 
 def _legacy_load_cleaned(path, policy):
     with open(path, newline="") as fh:
-        records = ingest.parse_log(fh)
+        records = legacy_parse_log(fh)
     kinds = _legacy_read_kinds(path)
     if kinds is not None and len(kinds) != len(records):
         raise ValueError(
@@ -470,7 +483,7 @@ def _legacy_load_cleaned(path, policy):
     if kinds is not None and policy == "droprow":
         pairs = [(r, k) for r, k in zip(records, kinds) if not r.missing_fields()]
         return [p[0] for p in pairs], [p[1] for p in pairs]
-    return ingest.impute_missing(records, policy), kinds
+    return legacy_impute_missing(records, policy), kinds
 
 
 _LEGACY_OUTLIER_COLUMNS = ("timestamp", "can_id", "dlc", "data_field")
@@ -480,10 +493,10 @@ def _legacy_outlier_values(records, column):
     if column == "timestamp":
         return [r.timestamp for r in records]
     if column == "can_id":
-        return [float(ingest.hex_to_dec(r.can_id_hex)) for r in records]
+        return [float(hex_to_dec(r.can_id_hex)) for r in records]
     if column == "dlc":
         return [float(r.dlc) for r in records]
-    return [float(int.from_bytes(ingest.data_bytes(r.data_hex), "big")) for r in records]
+    return [float(hex_to_dec(r.data_hex)) if r.data_hex else 0.0 for r in records]
 
 
 def legacy_prepare_table(paths, policy, outliers=None):
@@ -516,7 +529,7 @@ def legacy_prepare_table(paths, policy, outliers=None):
         if kinds_known:
             all_kinds = [k for i, k in enumerate(all_kinds) if i not in flagged]
 
-    table = RecordTable.from_raw(all_records, all_kinds if kinds_known else None)
+    table = legacy_from_raw(all_records, all_kinds if kinds_known else None)
     return table, kinds_known, len(flagged)
 
 
@@ -681,3 +694,49 @@ def legacy_from_traffic(records):
         label=np.array([r.label for r in records], dtype=np.uint8),
         kind=np.array([r.kind for r in records], dtype="<U8"),
     )
+
+
+GARBLES = ("blank_timestamp", "nonhex_id", "negative_dlc", "bad_payload", "unknown_label")
+
+
+def garble_row(lines, row, kind):
+    """Spoil one cell of ``lines[row]`` the way perfbench's paper-ingest workload does."""
+    cells = lines[row].split(",")
+    if kind == "blank_timestamp":
+        cells[0] = ""
+    elif kind == "nonhex_id":
+        cells[1] = "G" + cells[1][1:]
+    elif kind == "negative_dlc":
+        cells[2] = "-1"
+    elif kind == "bad_payload":
+        cells[3] = " ".join(["ZZ"] + cells[3].split()[1:])
+    else:
+        cells[4] = "?"
+    lines[row] = ",".join(cells)
+
+
+def garbled_log_lines(seed, rows=40):
+    """``write_log`` rows of a small simulated log, with ``rows`` of them garbled by ``garble_row``.
+
+    One ECU sends empty payloads, so some garbled rows have none.
+    """
+    profile = canbus.SimProfile(
+        ecus=(
+            canbus.EcuSpec(0x0A0, 0.05, 4, "constant"),
+            canbus.EcuSpec(0x130, 0.05, 8, "counter"),
+            canbus.EcuSpec(0x2B0, 0.05, 8, "sensor"),
+            canbus.EcuSpec(0x3C0, 0.1, 0, "constant"),
+        ),
+        duration=20.0,
+        jitter=0.05,
+        seed=seed,
+    )
+    log = canbus.generate_traffic(profile)
+    log = canbus.inject_attack(log, canbus.AttackSpec("fuzzing", 5.0, 8.0, 40.0, seed=seed))
+    text = io.StringIO()
+    canbus.write_log(log, text, header=False)
+    lines = text.getvalue().splitlines()
+    rng = np.random.default_rng(seed)
+    for row in rng.choice(len(lines), size=rows, replace=False).tolist():
+        garble_row(lines, row, GARBLES[row % len(GARBLES)])
+    return lines

@@ -160,7 +160,7 @@ def test_tabulates_once_before_the_outlier_test(tmp_path, logs, monkeypatch):
 
 def test_no_record_list_outlives_tabulation(tmp_path, logs, monkeypatch):
     def live_records():
-        return sum(isinstance(obj, ingest.RawRecord) for obj in gc.get_objects())
+        return sum(isinstance(obj, (ingest.RawRecord, ingest.ParsedLog)) for obj in gc.get_objects())
 
     def counted(fn):
         def wrapper(*args, **kwargs):

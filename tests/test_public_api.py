@@ -16,3 +16,5 @@ def test_removed_members_stay_removed():
     assert not hasattr(canbus.CanFrame, "crc")
     assert not hasattr(Network, "loss_and_backward")
     assert not hasattr(ingest, "fit_minmax")
+    for name in ("hex_to_dec", "dec_to_hex", "data_bytes", "_ObservedMeans", "InvalidHexDigit"):
+        assert not hasattr(ingest, name), name
