@@ -3,7 +3,8 @@
 Frames are handled at the data-link logical level: no bit stuffing, no
 arbitration timing, standard 11-bit identifiers only. The simulator emits
 periodic per-ECU traffic and can inject three attack types (flooding,
-fuzzing, spoofing) as labeled records.
+fuzzing, spoofing) as labeled records. A record's kind is a uint8 code into
+``KIND_NAMES``; only the ``.kinds`` sidecar spells it out by name.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ PAYLOAD_RULES = ("constant", "counter", "sensor")
 
 LOG_HEADER = "Timestamp,CAN_ID,DLC,Data_Field,Label"
 
-# TrafficLog.kind codes: 0 is normal traffic, 1.. the attack kinds in order
-KIND_NAMES = ("",) + ATTACK_KINDS
+# kind codes index this table: 0 is normal traffic, 1.. the attack kinds in order
+KIND_NAMES = ("normal",) + ATTACK_KINDS
 
 # most records one simulation may hold (~53x the paper's 1,257,303-row log)
 MAX_RECORDS = 2**26
@@ -213,7 +214,7 @@ def _concat_sorted(blocks: Sequence[TrafficLog]) -> TrafficLog:
 
 
 def _block(timestamp: np.ndarray, can_id, dlc, payload: np.ndarray, kind: str) -> TrafficLog:
-    """Rows of one kind, labeled 1 unless the kind is "" (normal traffic).
+    """Rows of one kind, labeled 1 unless the kind is "normal".
 
     A scalar ``can_id`` or ``dlc`` applies to every row.
     """
@@ -223,7 +224,7 @@ def _block(timestamp: np.ndarray, can_id, dlc, payload: np.ndarray, kind: str) -
         can_id=np.broadcast_to(np.asarray(can_id, dtype=np.int64), n),
         dlc=np.broadcast_to(np.asarray(dlc, dtype=np.int64), n),
         payload=payload,
-        label=np.full(n, kind != "", dtype=np.uint8),
+        label=np.full(n, kind != "normal", dtype=np.uint8),
         kind=np.full(n, KIND_NAMES.index(kind), dtype=np.uint8),
     )
 
@@ -358,7 +359,7 @@ def generate_traffic(profile: SimProfile) -> TrafficLog:
         jitter = rng.uniform(-profile.jitter, profile.jitter, size=n)
         timestamp = np.arange(1, n + 1) * ecu.period * (1.0 + jitter)
         payload = _ecu_payloads(ecu, n, rng)
-        blocks.append(_block(timestamp, ecu.identifier, ecu.dlc, payload, ""))
+        blocks.append(_block(timestamp, ecu.identifier, ecu.dlc, payload, "normal"))
     return _concat_sorted(blocks)
 
 
@@ -465,6 +466,6 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
 
 
 def write_kinds(log: TrafficLog, stream: IO[str]) -> None:
-    """Sidecar with one attack-kind name per data row ("normal" for label 0)."""
-    names = [(name or "normal") + "\n" for name in KIND_NAMES]
+    """Sidecar with one ``KIND_NAMES`` name per data row ("normal" for label 0)."""
+    names = [name + "\n" for name in KIND_NAMES]
     stream.write("".join(names[k] for k in log.kind.tolist()))

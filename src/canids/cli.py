@@ -9,7 +9,6 @@ command reproduces its output files byte for byte. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -269,26 +268,25 @@ def _parsed(path: Path) -> ingest.ParsedLog:
 
 
 def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, bool]:
-    """All logs cleaned and tabulated at once, and whether each has a ``.kinds`` sidecar."""
+    """All logs cleaned and tabulated at once, and whether each has a ``.kinds`` sidecar (checked whole)."""
     logs: list[ingest.ParsedLog] = []
-    kinds: list[str] | None = []
+    kinds: list[np.ndarray] = []
     for path in map(Path, paths):
         parsed = _parsed(path)
         sidecar = path.with_name(path.name + ".kinds")
-        log_kinds = _decoded(sidecar, sidecar.read_bytes()).splitlines() if sidecar.exists() else None
-        if log_kinds is not None and len(log_kinds) != len(parsed):
-            raise ValueError(
-                f"{path}: kinds sidecar has {len(log_kinds)} rows for {len(parsed)} records; "
-                "remove the sidecar or regenerate the log"
-            )
-        if kinds is None or log_kinds is None:  # a log without kinds leaves every kind unknown
-            kinds = None
-        elif policy == "droprow":  # droprow keeps the kinds of the rows it keeps
-            kinds += itertools.compress(log_kinds, (~parsed.missing.any(axis=1)).tolist())
-        else:
-            kinds += log_kinds
+        if sidecar.exists():
+            names = _decoded(sidecar, sidecar.read_bytes()).splitlines()
+            if len(names) != len(parsed):
+                raise ValueError(
+                    f"{path}: kinds sidecar has {len(names)} rows for {len(parsed)} records; "
+                    "remove the sidecar or regenerate the log"
+                )
+            codes = ingest.kind_codes(names)
+            # droprow keeps the kinds of the rows it keeps
+            kinds.append(codes[~parsed.missing.any(axis=1)] if policy == "droprow" else codes)
         logs.append(ingest.impute_missing(parsed, policy))
-    return ingest.RecordTable.from_raw(ingest.ParsedLog.concat(logs), kinds), kinds is not None
+    known = len(kinds) == len(logs)  # a log without kinds leaves every kind unknown
+    return ingest.RecordTable.from_raw(ingest.ParsedLog.concat(logs), np.concatenate(kinds) if known else None), known
 
 
 # --outliers column name -> RecordTable.feature_columns() key
@@ -325,7 +323,7 @@ def cmd_prepare(args) -> int:
         provenance=";".join(args.input),
     )
     if not kinds_known:  # unknown kinds are not "normal": the container gets no sidecar
-        ds.train_kind = ds.val_kind = ds.test_kind = np.array([], dtype="<U8")
+        ds.train_kind = ds.val_kind = ds.test_kind = np.zeros(0, dtype=np.uint8)
     ingest.save_dataset(ds, args.output)
     sizes = ds.sizes()
     print(f"prepared {sum(sizes)} records -> train {sizes[0]}, validation {sizes[1]}, test {sizes[2]}")

@@ -22,6 +22,10 @@ A cell that does not parse (non-hex or signed digits, an over-long
 identifier or data field, a DLC above 64, a non-finite timestamp, ...) is
 missing.
 
+In ``RecordTable`` and ``PreparedDataset`` an attack kind is a uint8 code
+into ``canbus.KIND_NAMES`` (0 is normal traffic); names appear only in the
+``.kinds`` files, which ``kind_codes`` and ``load_dataset`` read.
+
 A row in the form ``canbus.write_log`` writes takes a vectorized fast
 path: five cells split by commas and ended by a line feed, a timestamp of
 at most 32 characters from [0-9.eE+-], 1 to 8 uppercase hex digits of
@@ -54,7 +58,7 @@ from typing import IO, Iterator, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .canbus import ATTACK_KINDS, KIND_NAMES, TrafficLog
+from .canbus import KIND_NAMES, TrafficLog
 
 N_FEATURES = 16
 PAYLOAD_WIDTH = 8
@@ -69,8 +73,7 @@ MAX_CAN_ID = 0x1FFFFFFF
 # largest payload of a frame (CAN FD); also the largest DLC a log may give
 MAX_PAYLOAD_BYTES = 64
 
-# the names a kinds sidecar may hold, one per row
-SIDECAR_KINDS = ("normal", *ATTACK_KINDS)
+_KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
 class EmptyInput(ValueError):
@@ -106,7 +109,7 @@ class CorruptContainer(ValueError):
 
 
 class UnknownKind(ValueError):
-    """A kinds sidecar names a kind outside ``SIDECAR_KINDS``."""
+    """A kind name or code outside ``KIND_NAMES``."""
 
 
 class IdOutOfRange(ValueError):
@@ -653,10 +656,18 @@ def apply_minmax(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
             f"params cover {params.mins.shape[0]} features, input has {values.shape[-1]}"
         )
     span = params.maxs - params.mins
-    safe = np.where(span == 0, 1.0, span)
-    out = (values - params.mins) / safe
-    out = np.where(span == 0, 0.0, out)
-    return np.clip(out, 0.0, 1.0)
+    out = np.subtract(values, params.mins)  # the only array as large as values
+    out /= np.where(span == 0, 1.0, span)
+    out[..., span == 0] = 0.0
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def kind_codes(names: Sequence[str]) -> np.ndarray:
+    """Each name's uint8 code into ``KIND_NAMES``; any other name raises ``UnknownKind``."""
+    unknown = sorted(set(names) - _KIND_CODES.keys())
+    if unknown:
+        raise UnknownKind(f"kinds sidecar names unknown kinds {unknown[:5]}")
+    return np.array([_KIND_CODES[name] for name in names], dtype=np.uint8)
 
 
 def _big_endian_values(data: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -690,20 +701,22 @@ class RecordTable:
         return len(self.label)
 
     @classmethod
-    def from_raw(cls, log: ParsedLog, kinds: Sequence[str] | None = None) -> "RecordTable":
-        """Tabulate a cleaned ``ParsedLog``, one kind name per row if ``kinds`` is given.
+    def from_raw(cls, log: ParsedLog, kinds: np.ndarray | None = None) -> "RecordTable":
+        """Tabulate a cleaned ``ParsedLog``, one kind code per row if ``kinds`` is given (else normal).
 
         A row with a missing field or a label other than 0/1 raises a plain
         ``ValueError``, an identifier above ``MAX_CAN_ID`` ``IdOutOfRange``,
-        and a data field longer than ``MAX_PAYLOAD_BYTES`` ``PayloadTooLong``.
+        a data field longer than ``MAX_PAYLOAD_BYTES`` ``PayloadTooLong``, and
+        a kind code outside ``KIND_NAMES`` ``UnknownKind``.
         """
         if not len(log):
             raise EmptyInput("no records to tabulate")
-        if kinds is not None and len(kinds) != len(log):
+        kinds = np.zeros(len(log), dtype=np.uint8) if kinds is None else kinds
+        if len(kinds) != len(log):
             raise LengthMismatch("kinds sidecar length differs from record count")
-        unknown = sorted(set(kinds or ()) - set(SIDECAR_KINDS))
-        if unknown:
-            raise UnknownKind(f"kinds sidecar names unknown kinds {unknown[:5]}")
+        unknown = np.setdiff1d(kinds, np.arange(len(KIND_NAMES)))
+        if len(unknown):
+            raise UnknownKind(f"kind codes {unknown[:5].tolist()} lie outside KIND_NAMES")
         if log.missing.any() or (log.label > 1).any():
             raise ValueError("records must be cleaned before tabulation")
         too_long = np.unique(log.can_id[log.can_id > MAX_CAN_ID])
@@ -714,7 +727,6 @@ class RecordTable:
             raise PayloadTooLong(
                 f"row {over[0]}: {log.data_len[over[0]]}-byte data field exceeds {MAX_PAYLOAD_BYTES}"
             )
-        n = len(log)
         return cls(
             timestamp=log.timestamp.astype(np.float64),
             can_id=log.can_id.astype(np.int64),
@@ -722,26 +734,15 @@ class RecordTable:
             payload=log.data[:, :PAYLOAD_WIDTH].copy(),
             data_value=_big_endian_values(log.data, log.data_len),
             label=log.label.astype(np.uint8),
-            kind=np.array(
-                ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * n,
-                dtype="<U8",
-            ),
+            kind=np.array(kinds, dtype=np.uint8),
         )
 
     @classmethod
     def from_traffic(cls, log: TrafficLog) -> "RecordTable":
-        """The simulator's columns as a table; ``data_value`` is each payload's big-endian value."""
-        if not len(log):
-            raise EmptyInput("no records to tabulate")
-        return cls(
-            timestamp=log.timestamp.astype(np.float64),
-            can_id=log.can_id.astype(np.int64),
-            dlc=log.dlc.astype(np.int64),
-            payload=log.payload[:, :PAYLOAD_WIDTH].astype(np.uint8),
-            data_value=_big_endian_values(log.payload, log.dlc),
-            label=log.label.astype(np.uint8),
-            kind=np.array(KIND_NAMES, dtype="<U8")[log.kind],
-        )
+        """``from_raw`` on the simulator's columns, its payload and DLC as the data field."""
+        view = ParsedLog(log.timestamp, log.can_id, log.dlc, data=log.payload, data_len=log.dlc, label=log.label,
+                         missing=np.zeros((len(log), len(_FIELDS)), dtype=bool))
+        return cls.from_raw(view, log.kind)
 
     def take(self, idx: np.ndarray) -> "RecordTable":
         return RecordTable(*(getattr(self, f.name)[idx] for f in fields(self)))
@@ -798,9 +799,9 @@ class PreparedDataset:
     norm: NormalizationParams
     provenance: str = ""
     seed: int = 0
-    train_kind: np.ndarray = field(default_factory=lambda: np.array([], dtype="<U8"))
-    val_kind: np.ndarray = field(default_factory=lambda: np.array([], dtype="<U8"))
-    test_kind: np.ndarray = field(default_factory=lambda: np.array([], dtype="<U8"))
+    train_kind: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
+    val_kind: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
+    test_kind: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
 
     def sizes(self) -> tuple[int, int, int]:
         return len(self.train_y), len(self.val_y), len(self.test_y)
@@ -882,10 +883,9 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
         fh.write(CONTAINER_MAGIC)
         fh.write(struct.pack("<4Q", N_FEATURES, *(len(y) for _, y in parts)))
         for x, y in parts:
-            fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(y, dtype=np.uint8).tobytes())
-        pairs = np.column_stack([ds.norm.mins, ds.norm.maxs]).ravel()
-        fh.write(np.ascontiguousarray(pairs, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(x, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(y, dtype=np.uint8).data)
+        fh.write(np.column_stack([ds.norm.mins, ds.norm.maxs]).astype("<f8").data)
 
     manifest = path.with_name(path.name + ".manifest")
     sizes = ds.sizes()
@@ -903,8 +903,7 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
                 ("validation", ds.val_kind),
                 ("test", ds.test_kind),
             ):
-                for kind in kinds:
-                    fh.write(f"{partition},{kind or 'normal'}\n")
+                fh.writelines(f"{partition},{KIND_NAMES[code]}\n" for code in kinds.tolist())
 
 
 def _sidecar_text(path: Path) -> str:
@@ -958,19 +957,17 @@ def load_dataset(path: str | Path) -> PreparedDataset:
             raise CorruptContainer(f"{manifest}: seed {meta['seed']!r} is not an integer") from None
     kinds_path = path.with_name(path.name + ".kinds")
     if kinds_path.exists():
-        per_part: dict[str, list[str]] = {"train": [], "validation": [], "test": []}
+        per_part: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
         for lineno, line in enumerate(_sidecar_text(kinds_path).splitlines(), 1):
             partition, sep, kind = line.partition(",")
             if not sep or partition not in per_part:
                 raise CorruptContainer(
                     f"{kinds_path} line {lineno}: expected train|validation|test,<kind>, got {line!r}"
                 )
-            if kind not in SIDECAR_KINDS:
+            if kind not in _KIND_CODES:
                 raise CorruptContainer(f"{kinds_path} line {lineno}: unknown kind {kind!r}")
-            per_part[partition].append("" if kind == "normal" else kind)
-        ds.train_kind = np.array(per_part["train"], dtype="<U8")
-        ds.val_kind = np.array(per_part["validation"], dtype="<U8")
-        ds.test_kind = np.array(per_part["test"], dtype="<U8")
+            per_part[partition].append(_KIND_CODES[kind])
+        ds.train_kind, ds.val_kind, ds.test_kind = (np.array(codes, dtype=np.uint8) for codes in per_part.values())
         if ds.sizes() != tuple(len(per_part[p]) for p in ("train", "validation", "test")):
             raise CorruptContainer("kinds sidecar does not match partition sizes")
     return ds

@@ -2,6 +2,7 @@
 
 The attack class (label 1) is the positive class. Degenerate denominators
 yield 0.0 plus a flag instead of raising, so comparison tables always fill.
+Attack kinds come in as codes into ``canbus.KIND_NAMES`` and go out by name.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .canbus import KIND_NAMES
 
 
 class LengthMismatch(ValueError):
@@ -162,17 +165,17 @@ def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float]]]:
 
 
 def per_kind_recall(labels, predictions, kinds) -> dict[str, float]:
-    """Recall restricted to each tagged attack kind (empty tags ignored)."""
+    """Recall over the attack rows of each attack kind code present, keyed by its ``KIND_NAMES`` name."""
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
     kinds = np.asarray(kinds)
     if not len(labels) == len(predictions) == len(kinds):
         raise LengthMismatch("labels, predictions, and kinds must align")
     out = {}
-    for kind in sorted(set(kinds.tolist()) - {"", "normal"}):
-        mask = (kinds == kind) & (labels == 1)
+    for code, name in enumerate(KIND_NAMES[1:], 1):
+        mask = (kinds == code) & (labels == 1)
         if mask.any():
-            out[kind] = float((predictions[mask] == 1).mean())
+            out[name] = float((predictions[mask] == 1).mean())
     return out
 
 

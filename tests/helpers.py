@@ -452,8 +452,8 @@ def legacy_from_raw(records, kinds=None):
             data_value[i] = float(hex_to_dec(rec.data_hex))
         label[i] = _legacy_label_int(rec.label_text)
     kind = np.array(
-        ["" if k == "normal" else k for k in kinds] if kinds is not None else [""] * n,
-        dtype="<U8",
+        [kind_code(k) for k in kinds] if kinds is not None else [kind_code("")] * n,
+        dtype=np.uint8,
     )
     return RecordTable(timestamp, can_id, dlc, payload, data_value, label, kind)
 
@@ -556,6 +556,11 @@ class LogRow:
                 object.__setattr__(self, name, plain(value))
 
 
+def kind_code(name):
+    """The code into ``canbus.KIND_NAMES`` of a reference kind name ("" or "normal" for normal traffic)."""
+    return canbus.KIND_NAMES.index(name or "normal")
+
+
 def traffic_log(records):
     """A ``canbus.TrafficLog`` holding the given ``LogRow`` rows in order."""
     payload = np.zeros((len(records), MAX_DLC), dtype=np.uint8)
@@ -567,7 +572,7 @@ def traffic_log(records):
         dlc=np.array([r.dlc for r in records], dtype=np.int64),
         payload=payload,
         label=np.array([r.label for r in records], dtype=np.uint8),
-        kind=np.array([canbus.KIND_NAMES.index(r.kind) for r in records], dtype=np.uint8),
+        kind=np.array([kind_code(r.kind) for r in records], dtype=np.uint8),
     )
 
 
@@ -692,7 +697,7 @@ def legacy_from_traffic(records):
         payload=payload,
         data_value=np.array([float(int.from_bytes(r.payload, "big")) for r in records]),
         label=np.array([r.label for r in records], dtype=np.uint8),
-        kind=np.array([r.kind for r in records], dtype="<U8"),
+        kind=np.array([kind_code(r.kind) for r in records], dtype=np.uint8),
     )
 
 

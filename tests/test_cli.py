@@ -337,6 +337,16 @@ class TestExitCodes:
         assert run_command(argv) == 1
         assert "unknown kinds ['garbage_kind_name']" in capsys.readouterr().err
 
+    def test_unknown_log_sidecar_kind_on_a_dropped_row_is_1(self, tmp_path, capsys):
+        # the sidecar is checked whole when it is read, before droprow drops row 2
+        log = tmp_path / "log.csv"
+        log.write_text("0.1,0100,2,AA BB,0\n0.2,0100,x,AA BB,0\n0.3,0000,8,00 00 00 00 00 00 00 00,1\n")
+        (tmp_path / "log.csv.kinds").write_text("normal\nbogus\nflooding\n")
+        output = tmp_path / "data.bin"
+        assert run_command(["prepare", "--input", str(log), "--output", str(output), "--impute", "droprow"]) == 1
+        assert "kinds sidecar names unknown kinds ['bogus']" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_non_utf8_checkpoint_evaluate_is_1(self, pipeline, capsys):
         tmp_path, log, data = pipeline
         ckpt = tmp_path / "model.ckpt"

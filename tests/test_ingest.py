@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from canids.canbus import AttackSpec, EcuSpec, SimProfile, generate_traffic, inject_attack
+from canids.canbus import KIND_NAMES, AttackSpec, EcuSpec, SimProfile, generate_traffic, inject_attack
 from canids.ingest import (
     AllRowsMissing,
     CorruptContainer,
@@ -28,6 +28,7 @@ from canids.ingest import (
     encode_table,
     fit_feature_params,
     impute_missing,
+    kind_codes,
     load_dataset,
     parse_log,
     pearson,
@@ -390,6 +391,7 @@ class TestMinMax:
     def test_degenerate_feature_maps_to_zero(self):
         params = NormalizationParams([7.0], [7.0])
         assert apply_minmax(np.array([7.0]), params)[0] == 0.0
+        assert apply_minmax(np.array([[9.0], [-1.0]]), params).tolist() == [[0.0], [0.0]]
 
     def test_out_of_range_clamped(self):
         params = NormalizationParams([0.0], [10.0])
@@ -450,10 +452,16 @@ class TestEncode:
             assert np.all((x >= 0.0) & (x <= 1.0))
 
     def test_unknown_sidecar_kind_rejected(self):
+        codes = kind_codes(["normal", "fuzzing"])
+        assert codes.dtype == np.uint8 and codes.tolist() == [0, KIND_NAMES.index("fuzzing")]
+        with pytest.raises(UnknownKind, match=r"unknown kinds \['garbage_kind_name'\]"):
+            kind_codes(["normal", "garbage_kind_name"])
         records = parse_log("0.0,0100,1,11,0\n0.1,0100,1,11,1")
-        assert RecordTable.from_raw(records, ["normal", "fuzzing"]).kind.tolist() == ["", "fuzzing"]
-        with pytest.raises(UnknownKind):
-            RecordTable.from_raw(records, ["normal", "garbage_kind_name"])
+        assert RecordTable.from_raw(records, codes).kind.tolist() == [0, 2]
+        assert RecordTable.from_raw(records).kind.tolist() == [0, 0]
+        for bad in ([0, len(KIND_NAMES)], [0, 255], [-1, 0]):
+            with pytest.raises(UnknownKind, match="outside KIND_NAMES"):
+                RecordTable.from_raw(records, np.array(bad))
 
     def test_id_above_29_bits_rejected(self):
         # parse_log marks such identifiers missing; a hand-built log still cannot pass
@@ -502,7 +510,7 @@ class TestSplitDataset:
             payload=rng.integers(0, 256, (n, 8)).astype(np.uint8),
             data_value=rng.uniform(size=n),
             label=rng.integers(0, 2, n).astype(np.uint8),
-            kind=np.array([""] * n, dtype="<U8"),
+            kind=np.zeros(n, dtype=np.uint8),
         )
 
     def test_floor_sizes_n10(self):
@@ -571,6 +579,10 @@ class TestContainerRoundTrip:
         assert loaded.provenance == "unit-test"
         assert loaded.seed == 11
         assert np.array_equal(loaded.test_kind, ds.test_kind)
+        for got in (ds, loaded):
+            for kind in (got.train_kind, got.val_kind, got.test_kind):
+                assert kind.dtype == np.uint8
+        assert set(ds.train_kind.tolist()) == {0, KIND_NAMES.index("flooding")}
 
     def test_save_deterministic(self, tmp_path):
         ds = self.make_dataset()

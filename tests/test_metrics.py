@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from canids.canbus import KIND_NAMES
 from canids.metrics import (
     ConfusionMatrix,
     EmptyMatrix,
@@ -189,9 +190,10 @@ class TestPerKindRecall:
     def test_breakdown(self):
         labels = np.array([1, 1, 1, 1, 0, 0])
         preds = np.array([1, 0, 1, 1, 0, 1])
-        kinds = np.array(["flooding", "flooding", "fuzzing", "spoofing", "", ""])
+        kinds = np.array([1, 1, 2, 3, 0, 0], dtype=np.uint8)  # codes into KIND_NAMES
         out = per_kind_recall(labels, preds, kinds)
         assert out == {"flooding": 0.5, "fuzzing": 1.0, "spoofing": 1.0}
+        assert list(out) == ["flooding", "fuzzing", "spoofing"]
 
     def test_evaluate_predictions_combines_everything(self):
         rng = np.random.default_rng(6)
@@ -199,7 +201,7 @@ class TestPerKindRecall:
         labels[:2] = [0, 1]
         scores = np.clip(labels + rng.normal(0, 0.4, 200), 0, 1)
         preds = (scores >= 0.5).astype(int)
-        kinds = np.where(labels == 1, "fuzzing", "")
+        kinds = np.where(labels == 1, KIND_NAMES.index("fuzzing"), 0).astype(np.uint8)
         report = evaluate_predictions(labels, preds, scores=scores, kinds=kinds)
         assert report.roc_auc is not None
         assert report.roc_auc == pytest.approx(rank_sum_auc(scores, labels), abs=1e-12)

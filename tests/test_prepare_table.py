@@ -82,7 +82,7 @@ def legacy_prepare(paths, policy, outliers, output):
     table, kinds_known, flagged = legacy_prepare_table(paths, policy, outliers)
     ds = ingest.split_dataset(table, seed=3, provenance=";".join(paths))
     if not kinds_known:
-        ds.train_kind = ds.val_kind = ds.test_kind = np.array([], dtype="<U8")
+        ds.train_kind = ds.val_kind = ds.test_kind = np.zeros(0, dtype=np.uint8)
     ingest.save_dataset(ds, output)
     return table, flagged
 

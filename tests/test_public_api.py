@@ -16,5 +16,9 @@ def test_removed_members_stay_removed():
     assert not hasattr(canbus.CanFrame, "crc")
     assert not hasattr(Network, "loss_and_backward")
     assert not hasattr(ingest, "fit_minmax")
-    for name in ("hex_to_dec", "dec_to_hex", "data_bytes", "_ObservedMeans", "InvalidHexDigit"):
+    for name in ("hex_to_dec", "dec_to_hex", "data_bytes", "_ObservedMeans", "InvalidHexDigit", "SIDECAR_KINDS"):
         assert not hasattr(ingest, name), name
+
+
+def test_one_kind_name_table():
+    assert canbus.KIND_NAMES == ("normal", "flooding", "fuzzing", "spoofing")
