@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import NormalizationParams
+from .ingest import BinaryReader, NormalizationParams
 from .nncore import MalformedDescriptor, Network, network_from_descriptor
 
 MAGIC = b"CANCKPT1"
@@ -68,67 +68,38 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise CorruptCheckpoint("unexpected end of file")
-        out = self.blob[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def text(self) -> str:
-        """A u32-length-prefixed UTF-8 string."""
-        raw = self.take(self.u32())
-        try:
-            return raw.decode()
-        except UnicodeDecodeError:
-            raise CorruptCheckpoint(f"string at byte {self.off - len(raw)} is not UTF-8") from None
-
-    def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
-
-
 def load_checkpoint(path: str | Path) -> tuple[Network, NormalizationParams, int, str]:
-    """Rebuild the network and return (model, norm params, seed, config digest)."""
-    reader = _Reader(Path(path).read_bytes())
+    """Rebuild the network and return (model, norm params, seed, config digest).
+
+    Another format version raises ``VersionMismatch``, any other fault ``CorruptCheckpoint``.
+    """
+    reader = BinaryReader(path, CorruptCheckpoint)
     if reader.take(len(MAGIC)) != MAGIC:
-        raise CorruptCheckpoint(f"{path} has no CANCKPT1 magic")
-    version = reader.u32()
+        raise reader.corrupt("no CANCKPT1 magic")
+    (version,) = reader.unpack("<I")
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"format version {version}, expected {FORMAT_VERSION}")
+        raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
     descriptor = reader.text()
-    seed = reader.u64()
+    (seed,) = reader.unpack("<Q")
     digest = reader.text()
-    n_norm = reader.u32()
-    pairs = reader.f64_array(2 * n_norm).reshape(n_norm, 2) if n_norm else np.zeros((0, 2))
-    norm = NormalizationParams(pairs[:, 0].copy(), pairs[:, 1].copy())
+    (n_norm,) = reader.unpack("<I")
+    norm = reader.pairs(n_norm)
+    (n_arrays,) = reader.unpack("<I")
 
     try:
-        model = network_from_descriptor(descriptor)
+        model = network_from_descriptor(descriptor, max_params=reader.remaining // 8)  # 8 bytes a parameter
     except MalformedDescriptor as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from None
+        raise reader.corrupt(str(exc)) from None
     params = model.parameters()
-    n_arrays = reader.u32()
     if n_arrays != len(params):
-        raise CorruptCheckpoint(
-            f"descriptor implies {len(params)} parameter arrays, file has {n_arrays}"
-        )
+        raise reader.corrupt(f"descriptor implies {len(params)} parameter arrays, file has {n_arrays}")
     for p in params:
-        ndim = reader.u32()
-        shape = tuple(reader.u64() for _ in range(ndim))
+        (ndim,) = reader.unpack("<I")
+        shape = reader.unpack(f"<{ndim}Q")
         if shape != p.shape:
-            raise CorruptCheckpoint(f"array shape {shape} does not match layer shape {p.shape}")
-        np.copyto(p, reader.f64_array(int(np.prod(shape))).reshape(shape))
-    if reader.off != len(reader.blob):
-        raise CorruptCheckpoint(f"{len(reader.blob) - reader.off} trailing bytes")
+            raise reader.corrupt(f"array shape {shape} does not match layer shape {p.shape}")
+        np.copyto(p, reader.array("<f8", shape))
+    reader.finish()
+    if not np.isfinite(model.param_buffer).all():
+        raise reader.corrupt("parameters hold NaN or infinity")
     return model, norm, seed, digest

@@ -28,12 +28,8 @@ KINK_MARGIN = 1e-4
 
 
 def _config_tokens(path: str) -> list[str]:
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: config is not UTF-8 text (byte {exc.start})") from None
     tokens = []
-    for raw in text.splitlines():
+    for raw in ingest.read_utf8(path, ValueError).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -113,13 +109,9 @@ def parse_profile(path: str) -> canbus.SimProfile:
     ECU lines are ``hexid,period[,dlc[,rule]]``, e.g. ``130,0.02,8,counter``.
     Every fault raises ``MalformedSpec`` naming the file, the line and the key.
     """
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise MalformedSpec(f"{path}: profile is not UTF-8 text (byte {exc.start})") from None
     duration, jitter, seed = None, 0.0, 0
     ecus = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(ingest.read_utf8(path, MalformedSpec).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -252,30 +244,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _decoded(path: Path, data: bytes) -> str:
-    """``data`` as UTF-8 text, or ``NotText`` naming the offset of its first byte that is not."""
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        raise ingest.NotText(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
-def _parsed(path: Path) -> ingest.ParsedLog:
-    """The log at ``path``, checked to be UTF-8 text, parsed."""
-    data = path.read_bytes()
-    _decoded(path, data)
-    return ingest.parse_log(data)
-
-
 def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, bool]:
     """All logs cleaned and tabulated at once, and whether each has a ``.kinds`` sidecar (checked whole)."""
     logs: list[ingest.ParsedLog] = []
     kinds: list[np.ndarray] = []
     for path in map(Path, paths):
-        parsed = _parsed(path)
+        data = path.read_bytes()
+        ingest.decode_text(path, data, ingest.NotText)  # a check only: parse_log reads the bytes
+        parsed = ingest.parse_log(data)
+        del data  # freed before imputation and tabulation, as the log's bytes are no longer read
         sidecar = path.with_name(path.name + ".kinds")
         if sidecar.exists():
-            names = _decoded(sidecar, sidecar.read_bytes()).splitlines()
+            names = ingest.read_utf8(sidecar, ingest.NotText).splitlines()
             if len(names) != len(parsed):
                 raise ValueError(
                     f"{path}: kinds sidecar has {len(names)} rows for {len(parsed)} records; "
@@ -374,7 +354,7 @@ def _evaluate_model(model, x, y, kind) -> metrics.MetricsReport:
 def cmd_evaluate(args) -> int:
     model, norm, _, _ = checkpoint.load_checkpoint(args.checkpoint)
     ds = ingest.load_dataset(args.data)
-    if len(norm.mins) and not np.array_equal(norm.mins, ds.norm.mins):
+    if len(norm.mins) and not (np.array_equal(norm.mins, ds.norm.mins) and np.array_equal(norm.maxs, ds.norm.maxs)):
         print("warning: checkpoint and dataset normalization differ", file=sys.stderr)
     x, y, kind = _split_arrays(ds, args.split)
     report = _evaluate_model(model, x, y, kind)

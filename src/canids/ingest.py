@@ -125,6 +125,72 @@ class NotText(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Reading files: one text decoder and one binary reader for every input
+# ---------------------------------------------------------------------------
+
+
+def decode_text(path: str | Path, data: bytes | memoryview, error: type[ValueError], at: int = 0) -> str:
+    """``data`` decoded as UTF-8 whatever the locale, or ``error`` naming the file and its first bad byte.
+
+    ``at`` is where ``data`` begins in the file, so the offset named is the file's.
+    """
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {at + exc.start})") from None
+
+
+def read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    return decode_text(path, Path(path).read_bytes(), error)
+
+
+class BinaryReader:
+    """Bounds-checked little-endian reads through a file's bytes; every fault raises ``error`` naming the file."""
+
+    def __init__(self, path: str | Path, error: type[ValueError]):
+        self.path, self.error = path, error
+        self.view = memoryview(Path(path).read_bytes())
+        self.offset = 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self.view) - self.offset
+
+    def corrupt(self, message: str) -> ValueError:
+        return self.error(f"{self.path}: {message}")
+
+    def take(self, size: int) -> memoryview:
+        if size > self.remaining:
+            raise self.corrupt("unexpected end of file")
+        self.offset += size
+        return self.view[self.offset - size : self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, shape: tuple[int, ...]) -> np.ndarray:
+        """The next array: a read-only view of the file's bytes, which the caller copies once."""
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
+
+    def text(self) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        (size,) = self.unpack("<I")
+        return decode_text(self.path, self.take(size), self.error, at=self.offset - size)
+
+    def pairs(self, count: int) -> NormalizationParams:
+        """``count`` (min, max) float64 pairs."""
+        mins, maxs = self.array("<f8", (count, 2)).T.copy()
+        try:
+            return NormalizationParams(mins, maxs)
+        except ValueError as exc:
+            raise self.corrupt(f"normalization pairs: {exc}") from None
+
+    def finish(self) -> None:
+        if self.remaining:
+            raise self.corrupt(f"{self.remaining} trailing bytes")
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
@@ -644,6 +710,8 @@ class NormalizationParams:
         object.__setattr__(self, "maxs", np.asarray(self.maxs, dtype=np.float64))
         if self.mins.shape != self.maxs.shape:
             raise ValueError("mins and maxs must have matching shapes")
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
+            raise ValueError("feature mins and maxs must be finite")
         if np.any(self.maxs < self.mins):
             raise ValueError("feature max must be >= feature min")
 
@@ -872,6 +940,8 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
     train/validation/test partitions; per partition the row-major float64
     feature matrix followed by a uint8 label array; 16 (min, max) float64
     pairs of the normalization parameters. All integers little-endian.
+    Kinds that are not uint8 codes into ``KIND_NAMES`` raise ``UnknownKind``
+    before any file is written.
     """
     path = Path(path)
     parts = [
@@ -879,6 +949,10 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
         (ds.val_x, ds.val_y),
         (ds.test_x, ds.test_y),
     ]
+    kinds = (ds.train_kind, ds.val_kind, ds.test_kind) if ds.has_kinds() else ()
+    for codes in kinds:
+        if codes.dtype != np.uint8 or codes.max(initial=0) >= len(KIND_NAMES):
+            raise UnknownKind(f"kinds must be uint8 codes into KIND_NAMES, got {codes.dtype} {codes[:5].tolist()}")
     with open(path, "wb") as fh:
         fh.write(CONTAINER_MAGIC)
         fh.write(struct.pack("<4Q", N_FEATURES, *(len(y) for _, y in parts)))
@@ -896,59 +970,41 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
         f"features={N_FEATURES}\n"
         f"train={sizes[0]}\nvalidation={sizes[1]}\ntest={sizes[2]}\n"
     )
-    if ds.has_kinds():
+    if kinds:
         with open(path.with_name(path.name + ".kinds"), "w") as fh:
-            for partition, kinds in (
-                ("train", ds.train_kind),
-                ("validation", ds.val_kind),
-                ("test", ds.test_kind),
-            ):
-                fh.writelines(f"{partition},{KIND_NAMES[code]}\n" for code in kinds.tolist())
-
-
-def _sidecar_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise CorruptContainer(f"{path} is not valid text: {exc.reason} at byte {exc.start}") from None
+            for partition, codes in zip(("train", "validation", "test"), kinds):
+                fh.writelines(f"{partition},{KIND_NAMES[code]}\n" for code in codes.tolist())
 
 
 def load_dataset(path: str | Path) -> PreparedDataset:
+    """A container with its manifest and kinds sidecar, if present; any fault raises ``CorruptContainer``.
+
+    Labels must be 0 or 1 and features finite in [0, 1], as ``encode_table`` writes them.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
-        raise CorruptContainer(f"{path} has no CANIDS1 magic")
-    off = len(CONTAINER_MAGIC)
-    try:
-        n_feat, n_train, n_val, n_test = struct.unpack_from("<4Q", blob, off)
-    except struct.error as exc:
-        raise CorruptContainer(str(exc)) from None
-    off += 32
+    reader = BinaryReader(path, CorruptContainer)
+    if reader.take(len(CONTAINER_MAGIC)) != CONTAINER_MAGIC:
+        raise reader.corrupt("no CANIDS1 magic")
+    n_feat, *sizes = reader.unpack("<4Q")
     if n_feat != N_FEATURES:
-        raise CorruptContainer(f"unexpected feature width {n_feat}")
-    expected = off + sum(n * (8 * n_feat + 1) for n in (n_train, n_val, n_test)) + 16 * n_feat
-    if len(blob) != expected:
-        raise CorruptContainer(f"size mismatch: {len(blob)} bytes, expected {expected}")
+        raise reader.corrupt(f"unexpected feature width {n_feat}")
+    arrays = []
+    for partition, count in zip(("train", "validation", "test"), sizes):
+        x = reader.array("<f8", (count, n_feat)).copy()
+        y = reader.array(np.uint8, (count,)).copy()
+        if not (x.min(initial=0.0) >= 0 and x.max(initial=0.0) <= 1):  # NaN fails both
+            raise reader.corrupt(f"{partition} features must be finite and lie in [0, 1]")
+        if y.max(initial=0) > 1:
+            raise reader.corrupt(f"{partition} labels must be 0 or 1")
+        arrays += [x, y]
+    norm = reader.pairs(n_feat)
+    reader.finish()
 
-    def read_part(count: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal off
-        x = np.frombuffer(blob, dtype="<f8", count=count * n_feat, offset=off)
-        off += 8 * count * n_feat
-        y = np.frombuffer(blob, dtype=np.uint8, count=count, offset=off)
-        off += count
-        return x.reshape(count, n_feat).copy(), y.copy()
-
-    train_x, train_y = read_part(n_train)
-    val_x, val_y = read_part(n_val)
-    test_x, test_y = read_part(n_test)
-    pairs = np.frombuffer(blob, dtype="<f8", count=2 * n_feat, offset=off).reshape(n_feat, 2)
-    norm = NormalizationParams(pairs[:, 0].copy(), pairs[:, 1].copy())
-
-    ds = PreparedDataset(train_x, train_y, val_x, val_y, test_x, test_y, norm=norm)
+    ds = PreparedDataset(*arrays, norm=norm)
     manifest = path.with_name(path.name + ".manifest")
     if manifest.exists():
         meta = dict(
-            line.split("=", 1) for line in _sidecar_text(manifest).splitlines() if "=" in line
+            line.split("=", 1) for line in read_utf8(manifest, CorruptContainer).splitlines() if "=" in line
         )
         ds.provenance = meta.get("source", "")
         try:
@@ -958,7 +1014,7 @@ def load_dataset(path: str | Path) -> PreparedDataset:
     kinds_path = path.with_name(path.name + ".kinds")
     if kinds_path.exists():
         per_part: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
-        for lineno, line in enumerate(_sidecar_text(kinds_path).splitlines(), 1):
+        for lineno, line in enumerate(read_utf8(kinds_path, CorruptContainer).splitlines(), 1):
             partition, sep, kind = line.partition(",")
             if not sep or partition not in per_part:
                 raise CorruptContainer(
@@ -968,8 +1024,9 @@ def load_dataset(path: str | Path) -> PreparedDataset:
                 raise CorruptContainer(f"{kinds_path} line {lineno}: unknown kind {kind!r}")
             per_part[partition].append(_KIND_CODES[kind])
         ds.train_kind, ds.val_kind, ds.test_kind = (np.array(codes, dtype=np.uint8) for codes in per_part.values())
-        if ds.sizes() != tuple(len(per_part[p]) for p in ("train", "validation", "test")):
-            raise CorruptContainer("kinds sidecar does not match partition sizes")
+        counts = tuple(len(per_part[p]) for p in ("train", "validation", "test"))
+        if ds.sizes() != counts:
+            raise CorruptContainer(f"{kinds_path}: {counts} kinds per partition, container holds {ds.sizes()}")
     return ds
 
 

@@ -470,9 +470,13 @@ _LAYER_TOKENS: dict[str, tuple[type[Layer], int]] = {
 }
 
 
-def network_from_descriptor(descriptor: str) -> Network:
-    """Rebuild a layer stack from its ``describe()`` string (weights unset)."""
-    layers: list[Layer] = []
+def network_from_descriptor(descriptor: str, max_params: int | None = None) -> Network:
+    """Rebuild a layer stack from its ``describe()`` string (weights unset).
+
+    A stack holding more than ``max_params`` parameters raises
+    ``MalformedDescriptor`` before any layer is built.
+    """
+    tokens = []
     for token in descriptor.split("|"):
         name, *args = token.split(":")
         if name not in _LAYER_TOKENS:
@@ -481,7 +485,19 @@ def network_from_descriptor(descriptor: str) -> Network:
         if len(args) != n_fields:
             raise MalformedDescriptor(f"layer token {token!r} needs {n_fields} fields")
         try:
-            layers.append(layer_cls(*(int(a) for a in args)))
+            tokens.append((token, layer_cls, [int(a) for a in args]))
+        except ValueError as exc:
+            raise MalformedDescriptor(f"layer token {token!r}: {exc}") from None
+    # conv1d:C:F:K holds F*K*C weights and F biases, dense:I:O holds I*O weights and O biases;
+    # a token with a dimension below 1 holds none, as its layer refuses to be built
+    needed = sum(math.prod(dims) + dims[1] for _, layer_cls, dims in tokens
+                 if layer_cls.trainable and min(dims) > 0)
+    if max_params is not None and needed > max_params:
+        raise MalformedDescriptor(f"layers need {needed} parameters, at most {max_params} fit")
+    layers: list[Layer] = []
+    for token, layer_cls, dims in tokens:
+        try:
+            layers.append(layer_cls(*dims))
         except ValueError as exc:
             raise MalformedDescriptor(f"layer token {token!r}: {exc}") from None
     return Network(layers)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from canids import canbus, ingest
 from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, WindowOutOfRange
@@ -745,3 +746,42 @@ def garbled_log_lines(seed, rows=40):
     for row in rng.choice(len(lines), size=rows, replace=False).tolist():
         garble_row(lines, row, GARBLES[row % len(GARBLES)])
     return lines
+
+
+# ---------------------------------------------------------------------------
+# Byte mutations for the fuzz tests: each op takes the data, a position and
+# an argument, and wraps both into range, so any integers make a valid step
+# ---------------------------------------------------------------------------
+
+
+def truncate(data: bytes, at: int, _: int) -> bytes:
+    return data[: at % (len(data) + 1)]
+
+
+def flip(data: bytes, at: int, bit: int) -> bytes:
+    if not data:
+        return data
+    at %= len(data)
+    return data[:at] + bytes([data[at] ^ (1 << (bit % 8))]) + data[at + 1 :]
+
+
+def insert(garbage: list[bytes], data: bytes, at: int, token: int) -> bytes:
+    at %= len(data) + 1
+    return data[:at] + garbage[token % len(garbage)] + data[at:]
+
+
+def delete(data: bytes, at: int, span: int) -> bytes:
+    at %= len(data) + 1
+    return data[:at] + data[at + 1 + span % 12 :]
+
+
+def mutation_steps(ops):
+    """Hypothesis strategy: one to four (op, position, argument) steps."""
+    return st.lists(st.tuples(st.sampled_from(ops), st.integers(0, 10**6), st.integers(0, 10**3)),
+                    min_size=1, max_size=4)
+
+
+def mutate(data: bytes, steps) -> bytes:
+    for op, at, arg in steps:
+        data = op(data, at, arg)
+    return data

@@ -136,8 +136,71 @@ class TestValidation:
             + struct.pack("<I", 0)  # no normalization pairs
             + struct.pack("<I", 0)  # no parameter arrays
         )
-        with pytest.raises(CorruptCheckpoint, match="not UTF-8"):
+        with pytest.raises(CorruptCheckpoint) as exc:
             load_checkpoint(path)
+        # magic, version and length come first; the digest follows the descriptor, the seed and its own length
+        at = 16 if field == "descriptor" else 16 + len(descriptor) + 12
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte at byte {at})"
+
+    def test_descriptor_needing_more_bytes_than_the_file_holds(self, tmp_path):
+        # built, dense:1000000:1000000 would need 7.28 TiB; the bound is checked before any layer is built
+        descriptor = b"dense:1000000:1000000|softmax"
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            MAGIC
+            + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", len(descriptor))
+            + descriptor
+            + struct.pack("<Q", 0)  # seed
+            + struct.pack("<I", 0)  # empty config digest
+            + struct.pack("<I", 0)  # no normalization pairs
+            + struct.pack("<I", 2)  # two parameter arrays, and no bytes for them
+        )
+        with pytest.raises(CorruptCheckpoint) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: layers need 1000001000000 parameters, at most 0 fit"
+
+    @pytest.mark.parametrize("mins, maxs, message", [
+        (5.0, 4.0, "feature max must be >= feature min"),
+        (np.nan, 4.0, "feature mins and maxs must be finite"),
+        (0.0, np.inf, "feature mins and maxs must be finite"),
+    ])
+    def test_bad_normalization_pair(self, tmp_path, mins, maxs, message):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            MAGIC
+            + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", 4)
+            + b"relu"
+            + struct.pack("<Q", 0)  # seed
+            + struct.pack("<I", 0)  # empty config digest
+            + struct.pack("<I", 1)  # one normalization pair
+            + struct.pack("<2d", mins, maxs)
+            + struct.pack("<I", 0)  # no parameter arrays
+        )
+        with pytest.raises(CorruptCheckpoint) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: normalization pairs: {message}"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter(self, tmp_path, value):
+        net = v1_network()
+        net.param_buffer[5] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(CorruptCheckpoint) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: parameters hold NaN or infinity"
+
+    def test_short_or_long_file_messages(self, tmp_path):
+        blob = V1_FILE.read_bytes()
+        path = tmp_path / "model.ckpt"
+        for edited, message in [(blob[:-1], "unexpected end of file"), (blob + b"xy", "2 trailing bytes"),
+                                (b"", "unexpected end of file"), (b"CANCKPT2" + blob[8:], "no CANCKPT1 magic")]:
+            path.write_bytes(edited)
+            with pytest.raises(CorruptCheckpoint) as exc:
+                load_checkpoint(path)
+            assert str(exc.value) == f"{path}: {message}"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"

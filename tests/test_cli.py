@@ -1,13 +1,20 @@
 import json
+import os
 import re
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from canids.baselines import build_mlp
 from canids.checkpoint import save_checkpoint
 from canids.cli import MalformedSpec, parse_attack, parse_profile, run_command
-from canids.ingest import load_dataset
+from canids.ingest import NormalizationParams, load_dataset, save_dataset
 from canids.plenet import build_plenet
+from helpers import toy_dataset
 
 PROFILE = """\
 # three periodic transmitters
@@ -269,7 +276,7 @@ class TestConfigFile:
         cfg = tmp_path / "train.cfg"
         cfg.write_bytes(b"epochs=\xff\n")
         assert run_command(["train", "--data", "x.bin", "--output", "x.ckpt", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}: config is not UTF-8 text (byte 7)\n"
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (invalid start byte at byte 7)\n"
 
 
 class TestGradcheckCommand:
@@ -361,11 +368,12 @@ class TestExitCodes:
     def test_non_utf8_container_sidecar_evaluate_is_1(self, pipeline, sidecar, capsys):
         tmp_path, log, data = pipeline
         side = tmp_path / f"data.bin.{sidecar}"
+        at = side.stat().st_size + len(b"source=")
         side.write_bytes(side.read_bytes() + b"source=\xff\xfe\n")
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_plenet(seed=0), ckpt)
         assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
-        assert "not valid text" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {side}: not UTF-8 text (invalid start byte at byte {at})\n"
 
     @pytest.mark.parametrize("suffix", ["", ".kinds"])
     def test_non_utf8_log_or_log_sidecar_prepare_is_1(self, tmp_path, profile_path, suffix, capsys):
@@ -378,6 +386,32 @@ class TestExitCodes:
         spoiled.write_bytes(bytes(blob))
         assert run_command(["prepare", "--input", str(log), "--output", str(tmp_path / "x.bin")]) == 1
         assert capsys.readouterr().err == f"error: {spoiled}: not UTF-8 text (invalid start byte at byte {at})\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob[:-1], "unexpected end of file"),
+        (lambda blob: blob + b"\0", "1 trailing bytes"),
+        (lambda blob: blob[:7] + bytes([blob[7] ^ 1]) + blob[8:], "unexpected feature width 17"),
+        (lambda blob: blob[:-8] + struct.pack("<d", -1.0), "normalization pairs: feature max must be >= feature min"),
+    ])
+    def test_mutated_container_evaluate_is_1(self, pipeline, edit, message, capsys):
+        tmp_path, log, data = pipeline
+        data.write_bytes(edit(data.read_bytes()))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_plenet(seed=0), ckpt)
+        assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
+    def test_evaluate_warns_when_normalization_maxs_differ(self, pipeline, capsys):
+        tmp_path, log, data = pipeline
+        norm = load_dataset(data).norm
+        ckpt = tmp_path / "model.ckpt"
+        warning = "warning: checkpoint and dataset normalization differ\n"
+        save_checkpoint(build_plenet(seed=0), ckpt, norm=norm)
+        run_ok(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+        assert capsys.readouterr().err == ""
+        save_checkpoint(build_plenet(seed=0), ckpt, norm=NormalizationParams(norm.mins, norm.maxs + np.eye(16)[0]))
+        run_ok(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+        assert capsys.readouterr().err == warning
 
     def test_over_long_id_prepare(self, tmp_path, capsys):
         rows = [f"0.{i},0{i}30,1,0{i},{i % 2}" for i in range(10)]
@@ -467,7 +501,8 @@ class TestSpecErrors:
         profile = tmp_path / "profile.cfg"
         profile.write_bytes(PROFILE.encode() + b"ecu=\xff\n")
         assert run_command(["simulate", "--profile", str(profile), "-o", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == f"error: {profile}: profile is not UTF-8 text (byte {len(PROFILE) + 4})\n"
+        at = len(PROFILE) + 4
+        assert capsys.readouterr().err == f"error: {profile}: not UTF-8 text (invalid start byte at byte {at})\n"
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -578,3 +613,32 @@ def test_evaluate_without_kinds_has_no_recall_columns(tmp_path, profile_path, ca
     run_ok(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
     header = capsys.readouterr().out.splitlines()[0]
     assert header.startswith("model") and "recall[" not in header
+
+
+def test_utf8_inputs_read_under_an_ascii_locale(tmp_path, profile_path):
+    """A profile, a config and a container manifest holding non-ASCII text load whatever the locale."""
+    profile_path.write_bytes((PROFILE + "# caf\u00e9 au lait\n").encode())
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_bytes("# r\u00e9glage\nno_kinds=true\n".encode())
+    log, data = tmp_path / "log.csv", tmp_path / "data.bin"
+    save_dataset(toy_dataset(), data)
+    manifest = tmp_path / "data.bin.manifest"
+    manifest.write_bytes(re.sub(rb"source=.*\n", "source=caf\u00e9.csv\n".encode(), manifest.read_bytes()))
+    code = (
+        "import locale, sys\n"
+        "from canids.cli import run_command\n"
+        "from canids.ingest import load_dataset\n"
+        "print(locale.getpreferredencoding(False))\n"
+        "assert run_command(['simulate', '--profile', sys.argv[1], '-o', sys.argv[2], '--config', sys.argv[3]]) == 0\n"
+        "print(ascii(load_dataset(sys.argv[4]).provenance))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="POSIX",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code, str(profile_path), str(log), str(cfg),
+                             str(data)], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    encoding, *_, provenance = result.stdout.splitlines()
+    assert encoding.lower().replace("-", "") != "utf8"  # else the run shows nothing
+    assert provenance == ascii("caf\u00e9.csv")
+    assert log.exists() and not (tmp_path / "log.csv.kinds").exists()  # the config's no_kinds=true was read

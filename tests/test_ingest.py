@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from scipy import stats
 
 from canids.canbus import KIND_NAMES, AttackSpec, EcuSpec, SimProfile, generate_traffic, inject_attack
 from canids.ingest import (
+    CONTAINER_MAGIC,
+    N_FEATURES,
     AllRowsMissing,
     CorruptContainer,
     EmptyColumn,
@@ -398,6 +401,12 @@ class TestMinMax:
         assert apply_minmax(np.array([-5.0]), params)[0] == 0.0
         assert apply_minmax(np.array([15.0]), params)[0] == 1.0
 
+    @pytest.mark.parametrize("mins, maxs", [([np.nan], [1.0]), ([0.0], [np.nan]), ([np.nan], [np.nan]),
+                                            ([-np.inf], [1.0]), ([0.0], [np.inf])])
+    def test_non_finite_pairs_rejected(self, mins, maxs):
+        with pytest.raises(ValueError, match="feature mins and maxs must be finite"):
+            NormalizationParams(mins, maxs)
+
     def test_empty_fit(self):
         table = RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 0, b"", 0)]))
         with pytest.raises(EmptyColumn):
@@ -633,9 +642,22 @@ class TestContainerRoundTrip:
         path = tmp_path / "data.bin"
         save_dataset(self.make_dataset(), path)
         side = tmp_path / f"data.bin.{sidecar}"
+        at = side.stat().st_size + len(b"source=")
         side.write_bytes(side.read_bytes() + b"source=\xff\xfe\n")
-        with pytest.raises(CorruptContainer, match="not valid text"):
+        with pytest.raises(CorruptContainer) as exc:
             load_dataset(path)
+        assert str(exc.value) == f"{side}: not UTF-8 text (invalid start byte at byte {at})"
+
+    def test_kinds_sidecar_of_the_wrong_length_rejected(self, tmp_path):
+        ds = self.make_dataset()
+        path = tmp_path / "data.bin"
+        save_dataset(ds, path)
+        kinds = tmp_path / "data.bin.kinds"
+        kinds.write_text("".join(kinds.read_text().splitlines(keepends=True)[1:]))
+        with pytest.raises(CorruptContainer) as exc:
+            load_dataset(path)
+        train, val, test = ds.sizes()
+        assert str(exc.value) == f"{kinds}: {(train - 1, val, test)} kinds per partition, container holds {ds.sizes()}"
 
     @pytest.mark.parametrize("seed", ["abc", "", "1.5"])
     def test_non_integer_manifest_seed_rejected(self, tmp_path, seed):
@@ -645,3 +667,74 @@ class TestContainerRoundTrip:
         manifest.write_text(manifest.read_text().replace("seed=11", f"seed={seed}"))
         with pytest.raises(CorruptContainer, match="not an integer"):
             load_dataset(path)
+
+    @staticmethod
+    def label_offset(ds, partition):
+        """Where ``partition``'s label bytes begin in the container."""
+        offset = len(CONTAINER_MAGIC) + 32
+        for name, count in zip(("train", "validation", "test"), ds.sizes()):
+            if name == partition:
+                return offset + 8 * N_FEATURES * count
+            offset += (8 * N_FEATURES + 1) * count
+
+    def test_short_or_long_container_rejected(self, tmp_path):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        blob = path.read_bytes()
+        for edited, message in [(blob[:-9], "unexpected end of file"), (blob + b"xyz", "3 trailing bytes"),
+                                (blob[:5], "unexpected end of file"), (b"CANIDS2" + blob[7:], "no CANIDS1 magic")]:
+            path.write_bytes(edited)
+            with pytest.raises(CorruptContainer) as exc:
+                load_dataset(path)
+            assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("partition", ["train", "validation", "test"])
+    @pytest.mark.parametrize("label", [2, 255])
+    def test_label_other_than_0_or_1_rejected(self, tmp_path, partition, label):
+        ds = self.make_dataset()
+        path = tmp_path / "data.bin"
+        save_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        blob[self.label_offset(ds, partition) + 3] = label
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptContainer) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: {partition} labels must be 0 or 1"
+
+    @pytest.mark.parametrize("partition", ["train", "validation", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.5, -0.25, 1 + 2**-52])
+    def test_feature_not_finite_or_outside_unit_interval_rejected(self, tmp_path, partition, value):
+        ds = self.make_dataset()
+        path = tmp_path / "data.bin"
+        save_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        at = self.label_offset(ds, partition) - 8  # the partition's last feature
+        blob[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptContainer) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: {partition} features must be finite and lie in [0, 1]"
+
+    @pytest.mark.parametrize("mins, maxs, message", [
+        (5.0, 4.0, "feature max must be >= feature min"),
+        (np.nan, 4.0, "feature mins and maxs must be finite"),
+        (0.0, np.nan, "feature mins and maxs must be finite"),
+    ])
+    def test_bad_normalization_pair_rejected(self, tmp_path, mins, maxs, message):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        blob = bytearray(path.read_bytes())
+        blob[-16 * N_FEATURES : -16 * (N_FEATURES - 1)] = struct.pack("<2d", mins, maxs)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptContainer) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: normalization pairs: {message}"
+
+    @pytest.mark.parametrize("kinds", [np.zeros(3, dtype="<U8"), np.array([0, 9, 0], dtype=np.uint8),
+                                       np.array([0, 1, 2])])
+    def test_kinds_that_are_not_codes_rejected_before_writing(self, tmp_path, kinds):
+        ds = self.make_dataset()
+        ds.train_x, ds.train_y, ds.train_kind = ds.train_x[:3], ds.train_y[:3], kinds
+        with pytest.raises(UnknownKind, match="kinds must be uint8 codes into KIND_NAMES"):
+            save_dataset(ds, tmp_path / "data.bin")
+        assert list(tmp_path.iterdir()) == []

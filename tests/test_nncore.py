@@ -359,6 +359,19 @@ class TestNetwork:
         assert rebuilt.describe() == net.describe()
         assert rebuilt.param_count() == net.param_count()
 
+    @pytest.mark.parametrize("build", [build_plenet, build_mlp])
+    def test_descriptor_parameter_bound(self, build):
+        net = build(seed=0)
+        descriptor, count = net.describe(), net.param_count()
+        assert network_from_descriptor(descriptor, max_params=count).param_count() == count
+        with pytest.raises(MalformedDescriptor, match=f"layers need {count} parameters, at most {count - 1} fit"):
+            network_from_descriptor(descriptor, max_params=count - 1)
+
+    def test_negative_dimensions_do_not_offset_the_bound(self):
+        # summed as they stand, the second token's count would cancel the first's, which would then be built
+        with pytest.raises(MalformedDescriptor, match="layers need 1000001000000 parameters, at most 10000000 fit"):
+            network_from_descriptor("dense:1000000:1000000|dense:-1000000:1000000", max_params=10**7)
+
     @pytest.mark.parametrize(
         "descriptor",
         ["conv1d:1", "dense:16", "dense:16:2:9", "relu:1", "dense:a:2", "dense:0:2", "lstm:4", ""],

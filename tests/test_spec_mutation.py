@@ -9,10 +9,10 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from canids.canbus import AttackSpec, SimProfile
 from canids.cli import MalformedSpec, parse_attack, parse_profile
+from helpers import delete, flip, insert, mutate, mutation_steps, truncate
 
 PROFILE = "# two transmitters\nduration=10\njitter=0.02\nseed=5\necu=0A0,0.02,4,constant\necu=2B0,0.02,8,sensor\n"
 ATTACK = "spoofing:10:12:100:2B0,130"
@@ -21,25 +21,8 @@ GARBAGE = [b"", b" ", b"=", b",", b":", b"#", b"\n", b"\r", b"\x00", b"\xff", b"
            b"-inf", b"-1", b"0", b"1e999", b"0x10", b"ZZ", b"ecu=", b"duration=", b"seed=", b"9" * 5000]
 
 
-def _truncate(data: bytes, at: int, _: int) -> bytes:
-    return data[: at % (len(data) + 1)]
-
-
-def _flip(data: bytes, at: int, bit: int) -> bytes:
-    if not data:
-        return data
-    at %= len(data)
-    return data[:at] + bytes([data[at] ^ (1 << (bit % 8))]) + data[at + 1 :]
-
-
 def _insert(data: bytes, at: int, token: int) -> bytes:
-    at %= len(data) + 1
-    return data[:at] + GARBAGE[token % len(GARBAGE)] + data[at:]
-
-
-def _delete(data: bytes, at: int, span: int) -> bytes:
-    at %= len(data) + 1
-    return data[:at] + data[at + 1 + span % 12 :]
+    return insert(GARBAGE, data, at, token)
 
 
 def _replace_field(data: bytes, at: int, token: int) -> bytes:
@@ -49,21 +32,7 @@ def _replace_field(data: bytes, at: int, token: int) -> bytes:
     return b"".join(parts)
 
 
-mutations = st.lists(
-    st.tuples(
-        st.sampled_from([_truncate, _flip, _insert, _delete, _replace_field]),
-        st.integers(0, 10**6),
-        st.integers(0, 10**3),
-    ),
-    min_size=1,
-    max_size=4,
-)
-
-
-def mutate(data: bytes, steps) -> bytes:
-    for op, at, arg in steps:
-        data = op(data, at, arg)
-    return data
+mutations = mutation_steps([truncate, flip, _insert, delete, _replace_field])
 
 
 @pytest.fixture(scope="module")
