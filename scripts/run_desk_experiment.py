@@ -32,7 +32,7 @@ def main() -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     profile_path = outdir / "profile.cfg"
-    profile_path.write_text(profile_text(args.seed))
+    profile_path.write_text(profile_text(args.seed), encoding="utf-8")
 
     log = outdir / "desk.csv"
     data = outdir / "desk.bin"

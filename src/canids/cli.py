@@ -9,7 +9,10 @@ command reproduces its output files byte for byte. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -205,15 +208,15 @@ def render_table(rows: dict[str, metrics.MetricsReport]) -> str:
 def write_reports(rows: dict[str, metrics.MetricsReport], text_path, json_path) -> str:
     table = render_table(rows)
     if text_path:
-        Path(text_path).write_text(table)
+        Path(text_path).write_text(table, encoding="utf-8")
     if json_path:
         payload = {name: _rounded(rep) for name, rep in rows.items()}
-        Path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(json_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return table
 
 
 def write_history_csv(history: plenet.TrainHistory, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_acc,val_acc,train_loss,val_loss\n")
         for i in range(len(history)):
             fh.write(
@@ -227,6 +230,11 @@ def write_history_csv(history: plenet.TrainHistory, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _argv_text(arg: str) -> str:
+    """A command-line argument's bytes read as UTF-8 whatever the locale, invalid bytes surrogate-escaped."""
+    return os.fsencode(arg).decode("utf-8", "surrogateescape")
+
+
 def cmd_simulate(args) -> int:
     profile = parse_profile(args.profile)
     if args.seed is not None:
@@ -235,13 +243,22 @@ def cmd_simulate(args) -> int:
     for i, spec_text in enumerate(args.attack or []):
         log = canbus.inject_attack(log, parse_attack(spec_text, seed=profile.seed + 101 + i))
     out = Path(args.output)
-    with open(out, "w") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         canbus.write_log(log, fh)
     if not args.no_kinds:
-        with open(out.with_name(out.name + ".kinds"), "w") as fh:
+        with open(out.with_name(out.name + ".kinds"), "w", encoding="utf-8") as fh:
             canbus.write_kinds(log, fh)
     print(f"wrote {len(log)} records to {out}")
     return 0
+
+
+@contextlib.contextmanager
+def _naming(what: str | Path, *errors: type[ValueError]):
+    """Any of ``errors`` raised inside again, of its type, with ``what`` (the files at fault) before its message."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{what}: {exc}") from None
 
 
 def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, bool]:
@@ -251,7 +268,8 @@ def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, b
     for path in map(Path, paths):
         data = path.read_bytes()
         ingest.decode_text(path, data, ingest.NotText)  # a check only: parse_log reads the bytes
-        parsed = ingest.parse_log(data)
+        with _naming(path, ingest.EmptyInput):
+            parsed = ingest.parse_log(data)
         del data  # freed before imputation and tabulation, as the log's bytes are no longer read
         sidecar = path.with_name(path.name + ".kinds")
         if sidecar.exists():
@@ -261,12 +279,15 @@ def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, b
                     f"{path}: kinds sidecar has {len(names)} rows for {len(parsed)} records; "
                     "remove the sidecar or regenerate the log"
                 )
-            codes = ingest.kind_codes(names)
+            codes = ingest.kind_codes(names, sidecar)
             # droprow keeps the kinds of the rows it keeps
             kinds.append(codes[~parsed.missing.any(axis=1)] if policy == "droprow" else codes)
-        logs.append(ingest.impute_missing(parsed, policy))
+        with _naming(path, ingest.AllRowsMissing):
+            logs.append(ingest.impute_missing(parsed, policy))
     known = len(kinds) == len(logs)  # a log without kinds leaves every kind unknown
-    return ingest.RecordTable.from_raw(ingest.ParsedLog.concat(logs), np.concatenate(kinds) if known else None), known
+    with _naming(", ".join(paths), ingest.EmptyInput):
+        table = ingest.RecordTable.from_raw(ingest.ParsedLog.concat(logs), np.concatenate(kinds) if known else None)
+    return table, known
 
 
 # --outliers column name -> RecordTable.feature_columns() key
@@ -276,15 +297,22 @@ _OUTLIER_COLUMNS = {"timestamp": "Timestamp", "can_id": "CAN_ID", "dlc": "DLC",
 
 def cmd_prepare(args) -> int:
     table, kinds_known = _cleaned_table(args.input, args.impute)
+    inputs = ", ".join(args.input)
     if args.outliers:
         column, alpha, max_outliers = args.outliers
         values = table.feature_columns()[_OUTLIER_COLUMNS[column]]
-        flagged = ingest.rosner_outliers(values, max_outliers=max_outliers, alpha=alpha)
+        try:
+            flagged = ingest.rosner_outliers(values, max_outliers=max_outliers, alpha=alpha)
+        except ValueError as exc:
+            raise type(exc)(f"{inputs}: --outliers {column}: {exc}") from None
         table = table.take(np.delete(np.arange(len(table)), list(flagged)))
         print(f"outlier test dropped {len(flagged)} rows", file=sys.stderr)
 
     if args.correlation_report:
-        result = ingest.correlation_matrix(table.feature_columns())
+        try:
+            result = ingest.correlation_matrix(table.feature_columns())
+        except ValueError as exc:
+            raise type(exc)(f"{inputs}: --correlation-report: {exc}") from None
         lines = ["feature_a,feature_b,r,p,significant"]
         for i, a in enumerate(result.names):
             for j, b in enumerate(result.names):
@@ -293,14 +321,14 @@ def cmd_prepare(args) -> int:
                         f"{a},{b},{result.r[i, j]!r},{result.p[i, j]!r},"
                         f"{int(result.significant[i, j])}"
                     )
-        Path(args.correlation_report).write_text("\n".join(lines) + "\n")
+        Path(args.correlation_report).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     ds = ingest.split_dataset(
         table,
         test_fraction=args.test_fraction,
         val_fraction=args.val_fraction,
         seed=args.seed,
-        provenance=";".join(args.input),
+        provenance=";".join(_argv_text(path) for path in args.input),
     )
     if not kinds_known:  # unknown kinds are not "normal": the container gets no sidecar
         ds.train_kind = ds.val_kind = ds.test_kind = np.zeros(0, dtype=np.uint8)
@@ -452,6 +480,17 @@ def _int_at_least(low: int):
 
 
 _seed = _int_at_least(0)  # the type of every --seed
+_positive = _int_at_least(1)
+
+
+def _learning_rate(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
 
 
 def _outlier_spec(text: str) -> tuple[str, float, int]:
@@ -471,10 +510,10 @@ def _outlier_spec(text: str) -> tuple[str, float, int]:
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=50)
+    p.add_argument("--epochs", type=_positive, default=200)
+    p.add_argument("--batch-size", type=_positive, default=64)
+    p.add_argument("--lr", type=_learning_rate, default=1e-3)
+    p.add_argument("--patience", type=_positive, default=50)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,17 +570,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train and score plenet, knn, dt, and mlp")
     p.add_argument("--data", required=True)
-    p.add_argument("--knn-k", type=int, default=12)
-    p.add_argument("--tree-depth", type=int, default=10)
-    p.add_argument("--tree-min-leaf", type=int, default=5)
+    p.add_argument("--knn-k", type=_positive, default=12)
+    p.add_argument("--tree-depth", type=_int_at_least(0), default=10)
+    p.add_argument("--tree-min-leaf", type=_positive, default=5)
     p.add_argument("--output", help="write the text table here")
     p.add_argument("--json", help="write the JSON report here")
     _add_train_options(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seeds", type=_int_at_least(1), default=20)
-    p.add_argument("--batch", type=_int_at_least(1), default=4)
+    p.add_argument("--seeds", type=_positive, default=20)
+    p.add_argument("--batch", type=_positive, default=4)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -121,7 +121,7 @@ class PayloadTooLong(ValueError):
 
 
 class NotText(ValueError):
-    """A log or kinds sidecar that is not UTF-8 text."""
+    """A log or kinds sidecar that is not UTF-8 text, or text that cannot be written as one line of UTF-8."""
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +730,12 @@ def apply_minmax(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def kind_codes(names: Sequence[str]) -> np.ndarray:
-    """Each name's uint8 code into ``KIND_NAMES``; any other name raises ``UnknownKind``."""
+def kind_codes(names: Sequence[str], path: str | Path) -> np.ndarray:
+    """Each name's uint8 code into ``KIND_NAMES``; any other name raises ``UnknownKind`` naming the sidecar ``path``."""
     unknown = sorted(set(names) - _KIND_CODES.keys())
     if unknown:
-        raise UnknownKind(f"kinds sidecar names unknown kinds {unknown[:5]}")
+        line = next(i for i, name in enumerate(names, 1) if name not in _KIND_CODES)
+        raise UnknownKind(f"{path}: kinds sidecar names unknown kinds {unknown[:5]}, the first on line {line}")
     return np.array([_KIND_CODES[name] for name in names], dtype=np.uint8)
 
 
@@ -940,7 +941,10 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
     train/validation/test partitions; per partition the row-major float64
     feature matrix followed by a uint8 label array; 16 (min, max) float64
     pairs of the normalization parameters. All integers little-endian.
-    Kinds that are not uint8 codes into ``KIND_NAMES`` raise ``UnknownKind``
+    The manifest and the kinds sidecar are UTF-8 text whatever the locale;
+    a container without kinds removes any kinds sidecar left at ``path``.
+    Kinds that are not uint8 codes into ``KIND_NAMES`` raise ``UnknownKind``,
+    and a provenance that is not one line of UTF-8 text raises ``NotText``,
     before any file is written.
     """
     path = Path(path)
@@ -953,6 +957,19 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
     for codes in kinds:
         if codes.dtype != np.uint8 or codes.max(initial=0) >= len(KIND_NAMES):
             raise UnknownKind(f"kinds must be uint8 codes into KIND_NAMES, got {codes.dtype} {codes[:5].tolist()}")
+    manifest = path.with_name(path.name + ".manifest")
+    source = f"source={ds.provenance}"
+    if len(source.splitlines()) != 1:
+        raise NotText(f"{manifest}: provenance {ds.provenance!r} holds a line break")
+    sizes = ds.sizes()
+    try:
+        manifest_bytes = (
+            f"format=CANIDS1\n{source}\nseed={ds.seed}\nfeatures={N_FEATURES}\n"
+            f"train={sizes[0]}\nvalidation={sizes[1]}\ntest={sizes[2]}\n"
+        ).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise NotText(f"{manifest}: provenance {ds.provenance!r} is not UTF-8 text ({exc.reason})") from None
+
     with open(path, "wb") as fh:
         fh.write(CONTAINER_MAGIC)
         fh.write(struct.pack("<4Q", N_FEATURES, *(len(y) for _, y in parts)))
@@ -960,18 +977,12 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(x, dtype="<f8").data)
             fh.write(np.ascontiguousarray(y, dtype=np.uint8).data)
         fh.write(np.column_stack([ds.norm.mins, ds.norm.maxs]).astype("<f8").data)
-
-    manifest = path.with_name(path.name + ".manifest")
-    sizes = ds.sizes()
-    manifest.write_text(
-        "format=CANIDS1\n"
-        f"source={ds.provenance}\n"
-        f"seed={ds.seed}\n"
-        f"features={N_FEATURES}\n"
-        f"train={sizes[0]}\nvalidation={sizes[1]}\ntest={sizes[2]}\n"
-    )
-    if kinds:
-        with open(path.with_name(path.name + ".kinds"), "w") as fh:
+    manifest.write_bytes(manifest_bytes)
+    kinds_path = path.with_name(path.name + ".kinds")
+    if not kinds:
+        kinds_path.unlink(missing_ok=True)  # an earlier container's kinds are not this one's
+    else:
+        with open(kinds_path, "w", encoding="utf-8") as fh:
             for partition, codes in zip(("train", "validation", "test"), kinds):
                 fh.writelines(f"{partition},{KIND_NAMES[code]}\n" for code in codes.tolist())
 

@@ -18,12 +18,13 @@ and flat tensors (batch, units); a single sample is a batch of one. A
 network takes (batch, features) rows, laid out by its first layer's
 ``layout_rows``.
 
-Backward stop rule: ``Network.backward`` runs down to the lowest updated
-layer -- the lowest trainable layer that is not frozen -- and asks it for
+Freeze boundary: ``Network.frozen_layers`` counts the leading trainable
+layers that training holds fixed; the layers above them are updated.
+``Network.backward`` runs down to the lowest updated layer and asks it for
 no input gradient (``backward(grad, input_grad=False)``). Layers below it
-do not run, so frozen layers there get no gradients, and the method
-returns nothing. A layer's own ``backward`` returns its input gradient by
-default; ``grad_check`` calls those directly to check every parameter.
+do not run, so the frozen layers get no gradients, and the method returns
+nothing. A layer's own ``backward`` returns its input gradient by default;
+``grad_check`` calls those directly to check every parameter.
 
 Parameter storage: a ``Network`` owns one contiguous float64 parameter
 vector (``param_buffer``) and one gradient vector of the same length
@@ -31,17 +32,19 @@ vector (``param_buffer``) and one gradient vector of the same length
 are reshaped views into them, laid out in layer order with ``w`` before
 ``b`` -- the order of ``Network.parameters()`` and of the checkpoint
 file. Zeroing the gradients is one fill, a snapshot is one copy of
-``param_buffer`` and restoring it one copy back, and the optimizer updates
-each contiguous run of unfrozen parameters (``Network.trainable_runs``) in
-one pass. The contract that keeps this sound: never rebind ``layer.w`` (or
-``b``, ``gw``, ``gb``) of a layer inside a network; write through
-``layer.w[...] = ...`` or ``np.copyto``. A layer belongs to at most one
-network. Layers built on their own keep private arrays and work standalone.
+``param_buffer`` and restoring it one copy back, and the optimizer steps
+one slice of the buffer, from the first updated parameter to the end
+(``Network.updated_slice``). The contract that keeps this sound: never
+rebind ``layer.w`` (or ``b``, ``gw``, ``gb``) of a layer inside a network;
+write through ``layer.w[...] = ...`` or ``np.copyto``. A layer belongs to
+at most one network. Layers built on their own keep private arrays and
+work standalone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -182,7 +185,6 @@ class _Affine(Layer):
         self.b = np.zeros(self.weight_matrix(self.w).shape[1])
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self.frozen = False
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params())
@@ -387,6 +389,19 @@ class Network:
                 p, g = next(views)
                 setattr(layer, name, p)
                 setattr(layer, "g" + name, g)
+        self.frozen_layers = 0
+
+    @property
+    def frozen_layers(self) -> int:
+        """How many leading trainable layers training holds fixed; 0 updates every layer."""
+        return self._frozen_layers
+
+    @frozen_layers.setter
+    def frozen_layers(self, count: int) -> None:
+        count = operator.index(count)
+        if not 0 <= count <= len(self.trainable_layers()):
+            raise ValueError(f"frozen_layers must lie in [0, {len(self.trainable_layers())}], got {count}")
+        self._frozen_layers = count
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -396,13 +411,14 @@ class Network:
     def backward(self, grad: np.ndarray) -> None:
         """Accumulate parameter gradients for the loss gradient ``grad`` w.r.t. the output.
 
-        The pass stops at the lowest updated layer: the lowest trainable
-        layer that is not frozen. That layer fills its own gradients and
-        computes no input gradient; the layers below it do not run, so
-        frozen layers there keep whatever their gradients held. Nothing is
-        returned: no caller reads the gradient w.r.t. the network input.
+        The pass stops at the lowest updated layer, the first trainable
+        layer above the ``frozen_layers`` leading ones. That layer fills its
+        own gradients and computes no input gradient; the layers below it do
+        not run, so the frozen layers keep whatever their gradients held.
+        Nothing is returned: no caller reads the gradient w.r.t. the network
+        input.
         """
-        updated = [i for i, l in enumerate(self.layers) if l.trainable and not l.frozen]
+        updated = [i for i, l in enumerate(self.layers) if l.trainable][self.frozen_layers :]
         if not updated:
             return
         for layer in self.layers[: updated[0] : -1]:
@@ -418,26 +434,10 @@ class Network:
     def gradients(self) -> list[np.ndarray]:
         return [g for l in self.trainable_layers() for g in l.grads()]
 
-    def trainable_runs(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Flat views of the maximal contiguous runs of unfrozen parameters, and their gradients.
-
-        Unfrozen neighbours merge into one run, so a network with no frozen
-        layer, or with only a frozen prefix, has exactly one run.
-        """
-        runs: list[list[int]] = []
-        offset = 0
-        for layer in self.trainable_layers():
-            stop = offset + layer.param_count()
-            if not layer.frozen:
-                if runs and runs[-1][1] == offset:
-                    runs[-1][1] = stop
-                else:
-                    runs.append([offset, stop])
-            offset = stop
-        return (
-            [self.param_buffer[a:b] for a, b in runs],
-            [self.grad_buffer[a:b] for a, b in runs],
-        )
+    def updated_slice(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of ``param_buffer`` and ``grad_buffer`` from the first updated parameter to the end."""
+        start = sum(self.layer_param_counts()[: self.frozen_layers])
+        return self.param_buffer[start:], self.grad_buffer[start:]
 
     def zero_grads(self) -> None:
         self.grad_buffer.fill(0.0)
@@ -504,19 +504,18 @@ def network_from_descriptor(descriptor: str, max_params: int | None = None) -> N
 
 
 class Adam:
-    """Adaptive moment estimation over a fixed list of parameter arrays.
+    """Adaptive moment estimation over one parameter array.
 
-    A step updates each array in place, element by element in the order
+    A step updates the array in place, element by element in the order
     ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + ((1-beta2)*g)*g`` and
-    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, using two scratch arrays
-    per parameter array and no other temporaries. Given a network's
-    ``trainable_runs()``, one step is one finite check and one pass over
-    each contiguous run.
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, using two scratch arrays and
+    no other temporaries. Given a network's ``updated_slice()``, one step is
+    one finite check and one pass over the updated parameters.
     """
 
     def __init__(
         self,
-        params: list[np.ndarray],
+        params: np.ndarray,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -528,36 +527,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty_like(params), np.empty_like(params)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ShapeMismatch("gradient list does not match parameter list")
-        for p, g in zip(self.params, grads):
-            if p.shape != g.shape:
-                raise ShapeMismatch(f"parameter {p.shape} vs gradient {g.shape}")
-            if not np.isfinite(g).all():
-                raise NonFiniteGradient("gradient contains NaN or infinity")
+    def step(self, grads: np.ndarray) -> None:
+        p, g, m, v, (a, b) = self.params, grads, self.m, self.v, self._scratch
+        if p.shape != g.shape:
+            raise ShapeMismatch(f"parameter {p.shape} vs gradient {g.shape}")
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient("gradient contains NaN or infinity")
         self.t += 1
-        m_scale = 1 - self.beta1**self.t
-        v_scale = 1 - self.beta2**self.t
-        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1 - self.beta1, out=a)
-            m += a
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(g, 1 - self.beta2, out=a)
-            a *= g
-            v += a
-            np.divide(m, m_scale, out=a)
-            a *= self.lr
-            np.divide(v, v_scale, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p -= a
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1 - self.beta1, out=a)
+        m += a
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, 1 - self.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(v, 1 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
 
 def boundary_margin(network: Network, x: np.ndarray) -> float:

@@ -8,13 +8,16 @@ parameter counts are 30 / 520 / 10,500 / 1,002.
 
 Training is mini-batch Adam on categorical cross-entropy with a seeded
 shuffle per epoch, validation after every epoch, and parameters restored
-from the best-validation-accuracy epoch (earliest on ties).
+from the best-validation-accuracy epoch (earliest on ties). Each step
+updates one slice of the parameter buffer: all of it, or the layers above
+the model's ``frozen_layers`` (the dense head, for a conv-frozen transfer).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -72,6 +75,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -146,7 +151,7 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
         raise ValueError(f"expected {INPUT_LENGTH}-wide feature rows, got {data.train_x.shape}")
 
     rng = np.random.default_rng(cfg.seed)
-    params, grads = model.trainable_runs()
+    params, grads = model.updated_slice()
     opt = Adam(
         params,
         lr=cfg.lr,
@@ -207,7 +212,7 @@ def mmd_distance(source: np.ndarray, target: np.ndarray) -> float:
 
 
 def clone_model(model: Network) -> Network:
-    """Independent copy with identical parameters (freeze flags reset)."""
+    """Independent copy with identical parameters and no frozen layers."""
     copy = network_from_descriptor(model.describe())
     np.copyto(copy.param_buffer, model.param_buffer)
     return copy
@@ -221,15 +226,13 @@ def transfer_finetune(
 ) -> tuple[Network, TrainHistory]:
     """Continue training a copy of the source model on target-domain data.
 
-    ``freeze="conv"`` pins both convolutional layers: they receive no
-    optimizer updates and come out bit-identical. Optimizer state starts
-    fresh either way.
+    ``freeze="conv"`` freezes the leading ``Conv1D`` layers (both of
+    plenet's): they receive no optimizer updates and come out
+    bit-identical. Optimizer state starts fresh either way.
     """
     if freeze not in FREEZE_MODES:
         raise ValueError(f"freeze must be one of {FREEZE_MODES}")
     model = clone_model(source_model)
     if freeze == "conv":
-        for layer in model.layers:
-            if isinstance(layer, Conv1D):
-                layer.frozen = True
+        model.frozen_layers = len(list(takewhile(lambda l: isinstance(l, Conv1D), model.trainable_layers())))
     return train(model, target_data, cfg)

@@ -155,13 +155,13 @@ def legacy_kernels(monkeypatch):
     Per-array Adam, per-layer zeroing, ``np.where`` masking, the 3-D conv
     products, a backward pass through every layer, and per-batch one-hot
     targets scored by the checked ``cross_entropy``. ``plenet.train`` then
-    hands the optimizer one array per unfrozen weight or bias, as it did
+    hands the optimizer one array per updated weight or bias, as it did
     before the flat parameter buffer.
     """
     from canids import nncore, plenet
 
     def per_array_runs(net):
-        live = [l for l in net.trainable_layers() if not l.frozen]
+        live = net.trainable_layers()[net.frozen_layers :]
         return [p for l in live for p in l.params()], [g for l in live for g in l.grads()]
 
     def per_layer_zero_grads(net):
@@ -170,7 +170,7 @@ def legacy_kernels(monkeypatch):
                 g[...] = 0.0
 
     monkeypatch.setattr(plenet, "Adam", LegacyAdam)
-    monkeypatch.setattr(nncore.Network, "trainable_runs", per_array_runs)
+    monkeypatch.setattr(nncore.Network, "updated_slice", per_array_runs)
     monkeypatch.setattr(nncore.Network, "zero_grads", per_layer_zero_grads)
     monkeypatch.setattr(nncore.ReLU, "backward", legacy_relu_backward)
     monkeypatch.setattr(nncore.MaxPool1D, "backward", legacy_maxpool_backward)

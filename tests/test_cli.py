@@ -342,7 +342,18 @@ class TestExitCodes:
         kinds.write_text("\n".join(lines) + "\n")
         argv = ["prepare", "--input", str(log), "--output", str(tmp_path / "again.bin")]
         assert run_command(argv) == 1
-        assert "unknown kinds ['garbage_kind_name']" in capsys.readouterr().err
+        message = f"error: {kinds}: kinds sidecar names unknown kinds ['garbage_kind_name'], the first on line 1\n"
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("impute", ["droprow", "fieldmean"])
+    def test_second_log_without_data_rows_is_named(self, pipeline, impute, capsys):
+        tmp_path, log, _ = pipeline
+        empty = tmp_path / "empty.csv"
+        empty.write_text("Timestamp,CAN_ID,DLC,Data_Field,Label\n")
+        argv = ["prepare", "--input", str(log), "--input", str(empty), "--output", str(tmp_path / "x.bin"),
+                "--impute", impute]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no data rows found\n"
 
     def test_unknown_log_sidecar_kind_on_a_dropped_row_is_1(self, tmp_path, capsys):
         # the sidecar is checked whole when it is read, before droprow drops row 2
@@ -576,6 +587,39 @@ class TestSeedOption:
         run_ok(["simulate", "--profile", str(profile_path), "--seed", "0", "-o", str(tmp_path / "x.csv")])
 
 
+class TestTrainingOptions:
+    """Training and comparison options are checked by argparse, as ``--seed`` is: a bad value is a usage error."""
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            *(("train", "--lr", v) for v in ("-1", "nan", "inf", "-inf", "abc")),
+            *(("train", option, "0") for option in ("--batch-size", "--epochs", "--patience")),
+            ("transfer", "--epochs", "-2"),
+            ("compare", "--tree-depth", "-1"),
+            ("compare", "--tree-min-leaf", "0"),
+            ("compare", "--tree-min-leaf", "-3"),
+            ("compare", "--knn-k", "0"),
+            ("compare", "--lr", "nan"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, command, option, value, capsys):
+        # the container does not exist: the option is refused before any file is opened
+        argv = {
+            "train": ["train", "--data", str(tmp_path / "x.bin"), "--output", str(tmp_path / "x.ckpt")],
+            "transfer": ["transfer", "--source", str(tmp_path / "x.ckpt"), "--data", str(tmp_path / "x.bin"),
+                         "--output", str(tmp_path / "y.ckpt")],
+            "compare": ["compare", "--data", str(tmp_path / "x.bin")],
+        }[command]
+        assert run_command(argv + [option, value]) == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
+    def test_lr_zero_and_tree_depth_zero_are_accepted(self, pipeline):
+        tmp_path, _, data = pipeline
+        run_ok(["compare", "--data", str(data), "--epochs", "1", "--lr", "0", "--tree-depth", "0",
+                "--tree-min-leaf", "1", "--knn-k", "1"])
+
+
 class TestOutlierSpec:
     @pytest.mark.parametrize(
         "spec",
@@ -642,3 +686,36 @@ def test_utf8_inputs_read_under_an_ascii_locale(tmp_path, profile_path):
     assert encoding.lower().replace("-", "") != "utf8"  # else the run shows nothing
     assert provenance == ascii("caf\u00e9.csv")
     assert log.exists() and not (tmp_path / "log.csv.kinds").exists()  # the config's no_kinds=true was read
+
+
+def test_prepare_writes_utf8_under_an_ascii_locale(tmp_path, profile_path):
+    """Under the POSIX locale, a log named in UTF-8 prepares and its name comes back as the provenance.
+
+    A log whose name is not UTF-8 is refused before any file is written, in that locale and in UTF-8 mode.
+    """
+    log = tmp_path / "caf\u00e9.csv"
+    run_ok(["simulate", "--profile", str(profile_path), "--attack", "flooding:2:4:60", "-o", str(log)])
+    odd = Path(os.fsdecode(os.fsencode(tmp_path) + b"/caf\xe9.csv"))
+    for suffix in ("", ".kinds"):
+        Path(f"{odd}{suffix}").write_bytes(Path(f"{log}{suffix}").read_bytes())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="POSIX",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def prepare(path, output, *flags):
+        argv = [sys.executable, *flags, "-m", "canids.cli", "prepare", "--input", os.fsencode(path), "--output",
+                str(output)]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    data = tmp_path / "data.bin"
+    result = prepare(log, data, "-X", "utf8=0")
+    assert result.returncode == 0, result.stderr
+    assert load_dataset(data).provenance == str(log)
+    assert Path(f"{data}.kinds").exists()
+    for flags in (("-X", "utf8=0"), ("-X", "utf8")):
+        refused = tmp_path / "refused.bin"
+        result = prepare(odd, refused, *flags)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {refused}.manifest: provenance ")
+        assert "is not UTF-8 text" in result.stderr
+        assert list(tmp_path.glob("refused.bin*")) == []

@@ -20,6 +20,7 @@ from canids.ingest import (
     LengthMismatch,
     MAX_PAYLOAD_BYTES,
     NormalizationParams,
+    NotText,
     PayloadTooLong,
     RawRecord,
     RecordTable,
@@ -461,10 +462,11 @@ class TestEncode:
             assert np.all((x >= 0.0) & (x <= 1.0))
 
     def test_unknown_sidecar_kind_rejected(self):
-        codes = kind_codes(["normal", "fuzzing"])
+        codes = kind_codes(["normal", "fuzzing"], "log.csv.kinds")
         assert codes.dtype == np.uint8 and codes.tolist() == [0, KIND_NAMES.index("fuzzing")]
-        with pytest.raises(UnknownKind, match=r"unknown kinds \['garbage_kind_name'\]"):
-            kind_codes(["normal", "garbage_kind_name"])
+        message = r"^log.csv.kinds: kinds sidecar names unknown kinds \['bogus', 'garbage_kind_name'\], the first on line 2"
+        with pytest.raises(UnknownKind, match=message + "$"):
+            kind_codes(["normal", "garbage_kind_name", "bogus"], "log.csv.kinds")
         records = parse_log("0.0,0100,1,11,0\n0.1,0100,1,11,1")
         assert RecordTable.from_raw(records, codes).kind.tolist() == [0, 2]
         assert RecordTable.from_raw(records).kind.tolist() == [0, 0]
@@ -599,6 +601,32 @@ class TestContainerRoundTrip:
         save_dataset(ds, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.bin.manifest").read_text() == (tmp_path / "b.bin.manifest").read_text()
+
+    def test_container_without_kinds_removes_an_earlier_sidecar(self, tmp_path):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        ds = self.make_dataset()
+        ds.train_kind = ds.val_kind = ds.test_kind = np.zeros(0, dtype=np.uint8)
+        save_dataset(ds, path)
+        assert not (tmp_path / "data.bin.kinds").exists() and not load_dataset(path).has_kinds()
+
+    @pytest.mark.parametrize("provenance, fault", [("caf\udce9.csv", "is not UTF-8 text (surrogates not allowed)"),
+                                                   ("a.csv\nseed=x", "holds a line break"),
+                                                   ("a.csv\u2028b.csv", "holds a line break")])
+    def test_provenance_that_is_not_one_utf8_line_is_refused_before_writing(self, tmp_path, provenance, fault):
+        ds = self.make_dataset()
+        ds.provenance = provenance
+        with pytest.raises(NotText) as exc:
+            save_dataset(ds, tmp_path / "data.bin")
+        assert str(exc.value) == f"{tmp_path / 'data.bin.manifest'}: provenance {provenance!r} {fault}"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("provenance", ["caf\u00e9.csv;\u30ed\u30b0.csv", "a=b.csv", "", " x\t"])
+    def test_provenance_round_trips(self, tmp_path, provenance):
+        ds = self.make_dataset()
+        ds.provenance = provenance
+        save_dataset(ds, tmp_path / "data.bin")
+        assert load_dataset(tmp_path / "data.bin").provenance == provenance
 
     def test_truncated_container_rejected(self, tmp_path):
         ds = self.make_dataset()

@@ -243,49 +243,49 @@ class TestActivationsAndLoss:
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         p = np.array([1.0, -2.0, 3.0])
-        opt = Adam([p])
-        opt.step([np.zeros(3)])
+        opt = Adam(p)
+        opt.step(np.zeros(3))
         assert p.tolist() == [1.0, -2.0, 3.0]
 
     def test_first_step_magnitude(self):
         # g=1 with defaults: m_hat = v_hat = 1, so the update is -lr/(1+eps)
         p = np.array([0.0])
-        opt = Adam([p], lr=0.001)
-        opt.step([np.array([1.0])])
+        opt = Adam(p, lr=0.001)
+        opt.step(np.array([1.0]))
         assert p[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_two_steps_match_scalar_recurrence(self):
         g = 0.7
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         p = np.array([0.3])
-        opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
         # hand-rolled recurrence
         theta, m, v = 0.3, 0.0, 0.0
         for t in (1, 2):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-            opt.step([np.array([g])])
+            opt.step(np.array([g]))
         assert abs(p[0] - theta) < 1e-15
 
     def test_lr_zero_is_identity(self):
         rng = np.random.default_rng(10)
         p = rng.uniform(size=(4, 3))
         before = p.copy()
-        opt = Adam([p], lr=0.0)
+        opt = Adam(p, lr=0.0)
         for _ in range(5):
-            opt.step([rng.standard_normal((4, 3))])
+            opt.step(rng.standard_normal((4, 3)))
         assert np.array_equal(p, before)
 
     def test_nonfinite_gradient_rejected(self):
-        opt = Adam([np.zeros(2)])
+        opt = Adam(np.zeros(2))
         with pytest.raises(NonFiniteGradient):
-            opt.step([np.array([1.0, np.nan])])
+            opt.step(np.array([1.0, np.nan]))
 
     def test_shape_mismatch(self):
-        opt = Adam([np.zeros(2)])
+        opt = Adam(np.zeros(2))
         with pytest.raises(ShapeMismatch):
-            opt.step([np.zeros(3)])
+            opt.step(np.zeros(3))
 
 
 class TestNetwork:
@@ -325,9 +325,7 @@ class TestNetwork:
         checked = 0
         while checked < 3:
             net = build_plenet(seed=int(rng.integers(0, 2**31)))
-            for layer in net.layers:
-                if isinstance(layer, Conv1D):
-                    layer.frozen = True
+            net.frozen_layers = 2  # both Conv1D layers
             jitter_parameters(net, rng)
             x = rng.uniform(size=(4, 16, 1))
             y = rng.integers(0, 2, 4)
@@ -394,9 +392,7 @@ class TestNetwork:
 
 def _frozen_conv_plenet(seed):
     net = build_plenet(seed=seed)
-    for layer in net.layers:
-        if isinstance(layer, Conv1D):
-            layer.frozen = True
+    net.frozen_layers = 2
     return net
 
 

@@ -125,9 +125,7 @@ class TestBackwardStopsAtLowestUpdatedLayer:
     def test_layers_run_and_gradients(self, monkeypatch, freeze):
         net, full = build_plenet(seed=8), build_plenet(seed=8)
         if freeze == "conv":
-            for layer in net.layers:
-                if isinstance(layer, Conv1D):
-                    layer.frozen = True
+            net.frozen_layers = 2  # both Conv1D layers
         x, targets = np.random.default_rng(8).uniform(size=(8, 16, 1)), one_hot(np.arange(8) % 2)
         legacy_network_backward(full, cross_entropy(full.forward(x), targets)[1])
         calls = self.record_backward_calls(monkeypatch)
@@ -135,16 +133,16 @@ class TestBackwardStopsAtLowestUpdatedLayer:
         lowest = 7 if freeze == "conv" else 0  # the first Dense, or the first Conv1D
         assert [c[0] for c in calls] == [type(l).__name__ for l in reversed(net.layers[lowest:])]
         assert [c[1] for c in calls] == [{}] * (len(calls) - 1) + [{"input_grad": False}]
-        for layer, ref in zip(net.trainable_layers(), full.trainable_layers()):
+        for i, (layer, ref) in enumerate(zip(net.trainable_layers(), full.trainable_layers())):
             for g, g_ref in zip(layer.grads(), ref.grads()):
-                if layer.frozen:
+                if i < net.frozen_layers:
                     assert not g.any()
                 else:
                     assert g.tobytes() == g_ref.tobytes()
 
     def test_nothing_to_update_runs_nothing(self, monkeypatch):
         net = Network([Dense(16, 2), Softmax()])
-        net.layers[0].frozen = True
+        net.frozen_layers = 1
         calls = self.record_backward_calls(monkeypatch)
         assert net.backward(np.ones((3, 2))) is None
         assert calls == []
@@ -247,7 +245,7 @@ class TestLayerViews:
         net = build_plenet(seed=5)
         save_checkpoint(net, tmp_path / "before.ckpt")
         x = np.random.default_rng(5).uniform(size=(8, 16, 1))
-        params, grads = net.trainable_runs()
+        params, grads = net.updated_slice()
         net.zero_grads()
         net.backward(cross_entropy(net.forward(x), one_hot(np.arange(8) % 2))[1])
         Adam(params).step(grads)
@@ -265,34 +263,53 @@ class TestLayerViews:
         assert not any(g.any() for g in net.gradients())
 
 
-class TestTrainableRuns:
+class TestUpdatedSlice:
     @staticmethod
-    def spans(net):
-        params, grads = net.trainable_runs()
-        for p, g in zip(params, grads, strict=True):
-            assert p.shape == g.shape and p.ndim == 1
-        return [(p.ctypes.data - net.param_buffer.ctypes.data) // 8 for p in params], [p.size for p in params]
+    def span(net):
+        params, grads = net.updated_slice()
+        assert params.shape == grads.shape and params.ndim == 1
+        assert np.shares_memory(params, net.param_buffer) or params.size == 0
+        assert np.shares_memory(grads, net.grad_buffer) or grads.size == 0
+        return net.param_buffer.size - params.size, params.size
 
-    def test_unfrozen_is_one_run(self):
-        assert self.spans(build_plenet(seed=0)) == ([0], [12_052])
+    def test_unfrozen_is_the_whole_buffer(self):
+        assert self.span(build_plenet(seed=0)) == (0, 12_052)
 
-    def test_frozen_conv_prefix_is_one_run(self):
+    def test_frozen_conv_prefix(self):
         net = build_plenet(seed=0)
-        for layer in net.layers:
-            if isinstance(layer, Conv1D):
-                layer.frozen = True
-        assert self.spans(net) == ([550], [11_502])
+        net.frozen_layers = 2
+        assert self.span(net) == (550, 11_502)
 
-    def test_frozen_middle_layer_splits_runs(self):
+    def test_each_count_starts_at_its_layer(self):
         rng = np.random.default_rng(0)
         net = Network([Dense(3, 4, rng), ReLU(), Dense(4, 5, rng), ReLU(), Dense(5, 2, rng), Softmax()])
-        net.layers[2].frozen = True
-        assert self.spans(net) == ([0, 41], [16, 12])
+        spans = []
+        for count in range(4):
+            net.frozen_layers = count
+            spans.append(self.span(net))
+        assert spans == [(0, 53), (16, 37), (41, 12), (53, 0)]
 
-    def test_all_frozen_has_no_runs(self):
+    def test_all_frozen_is_empty(self):
         net = Network([Dense(3, 2), Softmax()])
-        net.layers[0].frozen = True
-        assert net.trainable_runs() == ([], [])
+        net.frozen_layers = 1
+        params, grads = net.updated_slice()
+        assert params.size == grads.size == 0
+
+    @pytest.mark.parametrize("count", [-1, 3, 5])
+    def test_out_of_range_count_raises_before_any_step(self, count):
+        net = Network([Dense(3, 4), ReLU(), Dense(4, 2), Softmax()])
+        before = net.snapshot()
+        with pytest.raises(ValueError, match=r"frozen_layers must lie in \[0, 2\]"):
+            net.frozen_layers = count
+        assert net.frozen_layers == 0 and net.snapshot().tobytes() == before.tobytes()
+
+    def test_transfer_freezes_the_leading_convolutions(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr("canids.plenet.train", lambda model, data, cfg: counts.append(model.frozen_layers))
+        source = build_plenet(seed=0)
+        for freeze in ("none", "conv"):
+            transfer_finetune(source, toy_dataset(n=40), TrainConfig(epochs=1), freeze=freeze)
+        assert counts == [0, 2] and source.frozen_layers == 0
 
     def test_no_trainable_layers(self):
         net = Network([ReLU(), Softmax()])

@@ -2,7 +2,7 @@
 
 import canids
 from canids import canbus, ingest
-from canids.nncore import Network
+from canids.nncore import Conv1D, Dense, Network
 
 
 def test_every_exported_name_resolves():
@@ -15,6 +15,8 @@ def test_removed_members_stay_removed():
     assert not hasattr(canbus.TrafficLog, "__getitem__")
     assert not hasattr(canbus.CanFrame, "crc")
     assert not hasattr(Network, "loss_and_backward")
+    assert not hasattr(Network, "trainable_runs")
+    assert not hasattr(Dense(2, 2), "frozen") and not hasattr(Conv1D(1, 2, 2), "frozen")
     assert not hasattr(ingest, "fit_minmax")
     for name in ("hex_to_dec", "dec_to_hex", "data_bytes", "_ObservedMeans", "InvalidHexDigit", "SIDECAR_KINDS"):
         assert not hasattr(ingest, name), name
