@@ -10,8 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from canids.cli import run_command
+from canids.cli import add_bounded_option, run_command
 from canids.experiments import desk_attacks, desk_profile
+from canids.ingest import SEED
+from canids.plenet import EPOCHS
 
 
 def profile_text(seed: int) -> str:
@@ -25,8 +27,8 @@ def profile_text(seed: int) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="desk-run")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--epochs", type=int, default=40)
+    add_bounded_option(parser, "--seed", SEED, default=42)
+    add_bounded_option(parser, "--epochs", EPOCHS, default=40)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import Range
 from .nncore import Dense, Network, ReLU, Softmax
 
 MLP_HIDDEN = (68, 68)
@@ -74,6 +75,9 @@ def _gram_candidates(block: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return candidate
 
 
+K = Range("k", 1)
+
+
 def knn_predict(
     model: KnnModel, queries: np.ndarray, k: int, chunk: int = 256
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +125,9 @@ def knn_predict(
     does. A query for which it does not takes every row as a candidate.
     Non-finite inputs raise ``NonFiniteInput``.
     """
+    K.check(k)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if not 1 <= k <= len(model.x):
+    if k > len(model.x):
         raise KTooLarge(f"k={k} with {len(model.x)} training rows")
     _require_finite("queries", queries)
     unique, inverse = np.unique(queries, axis=0, return_inverse=True)
@@ -203,6 +208,10 @@ def _leaf(y: np.ndarray) -> TreeNode:
     return TreeNode(label=1 if pos >= neg else 0, counts=(neg, pos))
 
 
+MAX_DEPTH = Range("max_depth", 0)
+MIN_LEAF = Range("min_leaf", 1)
+
+
 def tree_fit(
     train_x: np.ndarray, train_y: np.ndarray, max_depth: int = 10, min_leaf: int = 1
 ) -> TreeNode:
@@ -211,6 +220,8 @@ def tree_fit(
     Stops on purity, depth, or the minimum-leaf constraint; leaves predict
     the majority class with ties going to attack.
     """
+    MAX_DEPTH.check(max_depth)
+    MIN_LEAF.check(min_leaf)
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_y, dtype=np.uint8)
     if len(x) == 0:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import BinaryReader, NormalizationParams
+from .ingest import SEED, BinaryReader, NormalizationParams
 from .nncore import MalformedDescriptor, Network, network_from_descriptor
 
 MAGIC = b"CANCKPT1"
@@ -48,6 +48,7 @@ def save_checkpoint(
     seed: int = 0,
     digest: str = "",
 ) -> None:
+    SEED.check(seed)
     norm = norm or NormalizationParams(np.zeros(0), np.zeros(0))
     descriptor = model.describe().encode()
     digest_b = digest.encode()

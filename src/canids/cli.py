@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -43,7 +42,7 @@ def _config_tokens(path: str) -> list[str]:
         if value.lower() == "true":
             tokens.append(flag)
         elif value.lower() != "false":
-            tokens.extend([flag, value])
+            tokens.append(f"{flag}={value}")  # one token, so a value such as "-inf" is not taken for a flag
     return tokens
 
 
@@ -125,9 +124,7 @@ def parse_profile(path: str) -> canbus.SimProfile:
             elif key == "jitter":
                 jitter = _field("value", value)
             elif key == "seed":
-                seed = _field("value", value, int, "an integer")
-                if seed < 0:
-                    raise ValueError(f"must be a non-negative integer, got {seed}")
+                seed = ingest.SEED.check(_field("value", value, int, "an integer"))
             elif key == "ecu":
                 ecus.append(_ecu_spec(value))
             else:
@@ -339,13 +336,7 @@ def cmd_prepare(args) -> int:
 
 
 def _train_config(args) -> plenet.TrainConfig:
-    return plenet.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        patience=args.patience,
-        seed=args.seed,
-    )
+    return plenet.TrainConfig(seed=args.seed, **{b.name: getattr(args, b.name) for b in plenet.TRAIN_BOUNDS})
 
 
 def cmd_train(args) -> int:
@@ -466,54 +457,24 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
-
-
-_seed = _int_at_least(0)  # the type of every --seed
-_positive = _int_at_least(1)
-
-
-def _learning_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
-    return value
+def add_bounded_option(parser: argparse.ArgumentParser, flag: str, bound: ingest.Range, default, note="") -> None:
+    """Option ``flag`` read by ``bound.parse``, so a value outside the range is a usage error; ``--help`` shows it."""
+    parser.add_argument(flag, type=bound.parse, default=default, help=f"{bound}{note}")
 
 
 def _outlier_spec(text: str) -> tuple[str, float, int]:
-    """``column:alpha:max`` of ``--outliers``; bounds that depend on the rows are the test's."""
-    try:
-        column, alpha_text, max_text = text.split(":")
-        alpha, max_outliers = float(alpha_text), int(max_text)
-    except ValueError:
-        msg = f"expected column:alpha:max (alpha a number, max an integer), got {text!r}"
-        raise argparse.ArgumentTypeError(msg) from None
-    if column not in _OUTLIER_COLUMNS:
-        raise argparse.ArgumentTypeError(f"unknown column {column!r}; choose {', '.join(_OUTLIER_COLUMNS)}")
-    if not 0 < alpha < 1 or max_outliers < 1:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1) and max be at least 1, got {text!r}")
-    return column, alpha, max_outliers
+    """``column:alpha:max`` of ``--outliers``; alpha and max are read by ``rosner_outliers``' bounds."""
+    parts = text.split(":")
+    if len(parts) != 3 or parts[0] not in _OUTLIER_COLUMNS:
+        msg = f"expected column:alpha:max with a column of {', '.join(_OUTLIER_COLUMNS)}, got {text!r}"
+        raise argparse.ArgumentTypeError(msg)
+    return parts[0], ingest.ALPHA.parse(parts[1]), ingest.MAX_OUTLIERS.parse(parts[2])
 
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--epochs", type=_positive, default=200)
-    p.add_argument("--batch-size", type=_positive, default=64)
-    p.add_argument("--lr", type=_learning_rate, default=1e-3)
-    p.add_argument("--patience", type=_positive, default=50)
+    add_bounded_option(p, "--seed", ingest.SEED, default=0)
+    for b in plenet.TRAIN_BOUNDS:  # --epochs, --batch-size, --lr, --patience, defaulting as TrainConfig does
+        add_bounded_option(p, "--" + b.name.replace("_", "-"), b, default=getattr(plenet.TrainConfig, b.name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled traffic log")
     p.add_argument("--profile", required=True, help="profile file (duration=, jitter=, ecu= lines)")
     p.add_argument("--attack", action="append", help="kind:start:end:rate[:targets], repeatable")
-    p.add_argument("--seed", type=_seed, default=None, help="overrides the profile seed")
+    add_bounded_option(p, "--seed", ingest.SEED, default=None, note="; overrides the profile seed")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--no-kinds", action="store_true", help="skip the attack-kind sidecar")
     p.set_defaults(func=cmd_simulate)
@@ -534,11 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="parse, clean, encode, and split logs")
     p.add_argument("--input", action="append", required=True, help="log CSV, repeatable")
     p.add_argument("--output", required=True, help="dataset container path")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    add_bounded_option(p, "--seed", ingest.SEED, default=0)
+    add_bounded_option(p, "--test-fraction", ingest.TEST_FRACTION, default=0.2)
+    add_bounded_option(p, "--val-fraction", ingest.VAL_FRACTION, default=0.2)
     p.add_argument("--impute", choices=ingest.IMPUTE_POLICIES, default="droprow")
-    p.add_argument("--outliers", type=_outlier_spec, help="column:alpha:max, e.g. data_field:0.05:10")
+    p.add_argument("--outliers", type=_outlier_spec,
+                   help=f"column:alpha:max, e.g. data_field:0.05:10; alpha {ingest.ALPHA}, "
+                        f"max {ingest.MAX_OUTLIERS} and at most the rows - 2")
     p.add_argument("--correlation-report", help="write pairwise correlation CSV here")
     p.set_defaults(func=cmd_prepare)
 
@@ -570,18 +533,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train and score plenet, knn, dt, and mlp")
     p.add_argument("--data", required=True)
-    p.add_argument("--knn-k", type=_positive, default=12)
-    p.add_argument("--tree-depth", type=_int_at_least(0), default=10)
-    p.add_argument("--tree-min-leaf", type=_positive, default=5)
+    add_bounded_option(p, "--knn-k", baselines.K, default=12, note=", at most the training rows")
+    add_bounded_option(p, "--tree-depth", baselines.MAX_DEPTH, default=10)
+    add_bounded_option(p, "--tree-min-leaf", baselines.MIN_LEAF, default=5)
     p.add_argument("--output", help="write the text table here")
     p.add_argument("--json", help="write the JSON report here")
     _add_train_options(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seeds", type=_positive, default=20)
-    p.add_argument("--batch", type=_positive, default=4)
-    p.add_argument("--seed", type=_seed, default=0)
+    add_bounded_option(p, "--seeds", ingest.Range("seeds", 1), default=20)
+    add_bounded_option(p, "--batch", ingest.Range("batch", 1), default=4)
+    add_bounded_option(p, "--seed", ingest.SEED, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

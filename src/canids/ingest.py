@@ -46,10 +46,13 @@ Feature layout (all components in [0, 1]):
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import functools
 import io
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -122,6 +125,41 @@ class PayloadTooLong(ValueError):
 
 class NotText(ValueError):
     """A log or kinds sidecar that is not UTF-8 text, or text that cannot be written as one line of UTF-8."""
+
+
+class OutOfRange(ValueError, argparse.ArgumentTypeError):
+    """A value outside its parameter's ``Range``; argparse reports it, from an option's type, as a usage error."""
+
+
+@dataclass(frozen=True)
+class Range:
+    """The values of one numeric parameter, declared once beside it; ``ends`` are the brackets, inf never reached."""
+
+    name: str
+    low: int | float
+    high: int | float = math.inf
+    ends: str = "[)"
+    integer: bool = True
+
+    def __str__(self) -> str:
+        return f"{'an integer' if self.integer else 'a number'} in {self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
+
+    def check(self, value):
+        """``value`` if it is a number of the range's kind inside it (NaN never is), else ``OutOfRange``."""
+        if isinstance(value, numbers.Integral if self.integer else numbers.Real) and (
+            self.low < value if self.ends[0] == "(" else self.low <= value
+        ) and (value < self.high if self.ends[1] == ")" else value <= self.high):
+            return value
+        raise OutOfRange(f"{self.name} must be {self}, got {value!r}")
+
+    def parse(self, text: str):
+        """An option's argparse type: ``text`` read as a number of the range's kind, then checked."""
+        with contextlib.suppress(ValueError):
+            text = int(text) if self.integer else float(text)
+        return self.check(text)
+
+
+SEED = Range("seed", 0, 2**64 - 1, "[]")  # every seed: a checkpoint stores it as a u64
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +565,10 @@ def parse_log(source: bytes | str | IO[str]) -> ParsedLog:
 # ---------------------------------------------------------------------------
 
 
+ALPHA = Range("alpha", 0, 1, "()", integer=False)
+MAX_OUTLIERS = Range("max_outliers", 1)  # and at most n - 2, which the rows decide
+
+
 def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0.05) -> set[int]:
     """Indices flagged by the generalized extreme Studentized deviate test.
 
@@ -535,13 +577,13 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
     largest prefix of removals whose statistic exceeds it. A sample with zero
     variance yields the empty set.
     """
+    ALPHA.check(alpha)
+    MAX_OUTLIERS.check(max_outliers)
     x = np.asarray(values, dtype=np.float64)
     n = len(x)
     if n < 25:
         raise TooFewValues(f"need at least 25 values, got {n}")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 1 <= max_outliers <= n - 2:
+    if max_outliers > n - 2:
         raise ValueError("max_outliers must lie in [1, n - 2]")
 
     keep = np.ones(n, dtype=bool)  # x[keep] keeps the order the removals left
@@ -879,6 +921,10 @@ class PreparedDataset:
         return len(self.train_kind) == len(self.train_y) and len(self.train_y) > 0
 
 
+TEST_FRACTION = Range("test_fraction", 0, 1, integer=False)
+VAL_FRACTION = Range("val_fraction", 0, 1, integer=False)
+
+
 def split_dataset(
     table: RecordTable,
     test_fraction: float = 0.2,
@@ -893,11 +939,11 @@ def split_dataset(
     rows become validation. Normalization is fitted on the final training
     rows only and applied to all partitions.
     """
+    TEST_FRACTION.check(test_fraction)
+    VAL_FRACTION.check(val_fraction)
     n = len(table)
     if n == 0:
         raise EmptyInput("cannot split an empty table")
-    if not 0 <= test_fraction < 1 or not 0 <= val_fraction < 1:
-        raise ValueError("fractions must lie in [0, 1)")
     perm = np.random.default_rng(seed).permutation(n)
     n_test = math.floor(test_fraction * n)
     test_idx = perm[:n_test]

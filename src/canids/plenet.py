@@ -21,7 +21,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .ingest import PreparedDataset
+from .ingest import PreparedDataset, Range
 from .nncore import (
     Adam,
     Conv1D,
@@ -57,6 +57,13 @@ class EmptyDomain(ValueError):
     """Distance between empty feature sets is undefined."""
 
 
+EPOCHS = Range("epochs", 1, 1000, "[]")
+BATCH_SIZE = Range("batch_size", 1)
+LR = Range("lr", 0, integer=False)
+PATIENCE = Range("patience", 1)
+TRAIN_BOUNDS = (EPOCHS, BATCH_SIZE, LR, PATIENCE)
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 200
@@ -69,14 +76,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.epochs <= 1000:
-            raise ValueError("epochs must lie in [1, 1000]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for bound in TRAIN_BOUNDS:
+            bound.check(getattr(self, bound.name))
 
 
 @dataclass

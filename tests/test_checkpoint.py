@@ -14,7 +14,7 @@ from canids.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from canids.ingest import NormalizationParams
+from canids.ingest import NormalizationParams, OutOfRange
 from canids.nncore import Conv1D, Dense, Flatten, MaxPool1D, Network, ReLU, Softmax, jitter_parameters
 from canids.plenet import TrainConfig, build_plenet, predict
 
@@ -56,6 +56,16 @@ class TestRoundTrip:
         loaded, *_ = load_checkpoint(path)
         assert loaded.describe() == model.describe()
         assert all(np.array_equal(p, q) for p, q in zip(loaded.parameters(), model.parameters()))
+
+    def test_largest_seed_round_trips(self, tmp_path, norm):
+        save_checkpoint(build_mlp(seed=3), tmp_path / "mlp.ckpt", norm=norm, seed=2**64 - 1)
+        assert load_checkpoint(tmp_path / "mlp.ckpt")[2] == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_u64_writes_nothing(self, tmp_path, norm, seed):
+        with pytest.raises(OutOfRange, match=rf"^seed must be an integer in \[0, 18446744073709551615\], got {seed}$"):
+            save_checkpoint(build_mlp(seed=3), tmp_path / "mlp.ckpt", norm=norm, seed=seed)
+        assert not (tmp_path / "mlp.ckpt").exists()
 
     def test_save_is_deterministic(self, tmp_path, norm):
         model = build_plenet(seed=7)

@@ -11,7 +11,7 @@ import pytest
 
 from canids.baselines import build_mlp
 from canids.checkpoint import save_checkpoint
-from canids.cli import MalformedSpec, parse_attack, parse_profile, run_command
+from canids.cli import MalformedSpec, build_parser, parse_attack, parse_profile, run_command
 from canids.ingest import NormalizationParams, load_dataset, save_dataset
 from canids.plenet import build_plenet
 from helpers import toy_dataset
@@ -285,13 +285,6 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "worst relative error" in out
 
-    @pytest.mark.parametrize("option, value", [("--seeds", "0"), ("--seeds", "-2"), ("--batch", "0"),
-                                               ("--batch", "-1"), ("--batch", "two")])
-    def test_non_positive_counts_are_usage_errors(self, option, value, capsys):
-        assert run_command(["gradcheck", option, value]) == 2
-        captured = capsys.readouterr()
-        assert f"argument {option}:" in captured.err and "worst relative error" not in captured.out
-
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -556,31 +549,106 @@ class TestSpecErrors:
         assert err.startswith("error: ") and str(missing) in err
 
 
-class TestSeedOption:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--profile", "p.cfg", "-o", "x.csv"],
-            ["prepare", "--input", "x.csv", "--output", "x.bin"],
-            ["train", "--data", "x.bin", "--output", "x.ckpt"],
-            ["transfer", "--source", "x.ckpt", "--data", "x.bin", "--output", "y.ckpt"],
-            ["compare", "--data", "x.bin"],
-            ["gradcheck", "--seeds", "1"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    @pytest.mark.parametrize("seed", ["-1", "abc"])
-    def test_bad_seed_is_usage_error(self, argv, seed, capsys):
-        assert run_command(argv + ["--seed", seed]) == 2
-        assert "argument --seed:" in capsys.readouterr().err
+TRAINING = ("train", "transfer", "compare")
 
-    def test_negative_profile_seed_is_1(self, tmp_path, capsys):
+# Every numeric option of every command: the commands that take it, its range in the words of the
+# library's OutOfRange, values just inside the range, values outside it besides nan, inf, -inf and a
+# non-number, and the option text each value goes into.
+NUMERIC_OPTIONS = [
+    ("--seed", ("simulate", "prepare", *TRAINING, "gradcheck"), "seed must be an integer in [0, 18446744073709551615]",
+     ["0", "18446744073709551615"], ["-1", "18446744073709551616"], "{}"),
+    ("--test-fraction", ("prepare",), "test_fraction must be a number in [0, 1)",
+     ["0", "0.9999999999999999"], ["-5e-324", "1", "-0.1", "1.5"], "{}"),
+    ("--val-fraction", ("prepare",), "val_fraction must be a number in [0, 1)",
+     ["0", "0.9999999999999999"], ["-5e-324", "1", "-0.1", "1.5"], "{}"),
+    ("--outliers", ("prepare",), "alpha must be a number in (0, 1)",
+     ["5e-324", "0.9999999999999999"], ["0", "1", "x"], "dlc:{}:3"),
+    ("--outliers", ("prepare",), "max_outliers must be an integer in [1, inf)",
+     ["1"], ["0", "-2", "1.5"], "dlc:0.05:{}"),
+    ("--epochs", TRAINING, "epochs must be an integer in [1, 1000]", ["1", "1000"], ["0", "1001", "-2", "2000"], "{}"),
+    ("--batch-size", TRAINING, "batch_size must be an integer in [1, inf)", ["1"], ["0"], "{}"),
+    ("--lr", TRAINING, "lr must be a number in [0, inf)", ["0", "1.7976931348623157e308"], ["-5e-324", "-1"], "{}"),
+    ("--patience", TRAINING, "patience must be an integer in [1, inf)", ["1"], ["0"], "{}"),
+    ("--knn-k", ("compare",), "k must be an integer in [1, inf)", ["1"], ["0"], "{}"),
+    ("--tree-depth", ("compare",), "max_depth must be an integer in [0, inf)", ["0"], ["-1"], "{}"),
+    ("--tree-min-leaf", ("compare",), "min_leaf must be an integer in [1, inf)", ["1"], ["0", "-3"], "{}"),
+    ("--seeds", ("gradcheck",), "seeds must be an integer in [1, inf)", ["1"], ["0", "-2"], "{}"),
+    ("--batch", ("gradcheck",), "batch must be an integer in [1, inf)", ["1"], ["0", "-1", "two"], "{}"),
+]
+
+
+def _cases(inside: bool):
+    for option, commands, words, inside_values, outside_values, template in NUMERIC_OPTIONS:
+        for command in commands:
+            for number in inside_values if inside else [*outside_values, "nan", "inf", "-inf", "abc"]:
+                yield pytest.param(command, option, words, number, template.format(number),
+                                   id=f"{command} {option} {template.format(number)}")
+
+
+def _read(words: str, number: str):
+    """``number`` as the option's range reads it: an int or a float, or the text itself."""
+    try:
+        return int(number) if " an integer " in words else float(number)
+    except ValueError:
+        return number
+
+
+def _argv(command, tmp_path):
+    """``command`` with every path it reads or writes in ``tmp_path``, none of which exists."""
+    missing = tmp_path / "missing"
+    return {
+        "simulate": ["simulate", "--profile", str(missing / "p.cfg"), "-o", str(tmp_path / "x.csv")],
+        "prepare": ["prepare", "--input", str(missing / "x.csv"), "--output", str(tmp_path / "x.bin")],
+        "train": ["train", "--data", str(missing / "x.bin"), "--output", str(tmp_path / "x.ckpt")],
+        "transfer": ["transfer", "--source", str(missing / "x.ckpt"), "--data", str(missing / "x.bin"),
+                     "--output", str(tmp_path / "y.ckpt")],
+        "compare": ["compare", "--data", str(missing / "x.bin"), "--output", str(tmp_path / "x.txt")],
+        "gradcheck": ["gradcheck"],
+    }[command]
+
+
+class TestNumericOptions:
+    """Each numeric option is read by its library range: a value outside it exits 2 before any file is opened."""
+
+    @pytest.mark.parametrize("command, option, words, number, value", _cases(inside=False))
+    def test_outside_is_a_usage_error_in_the_library_words(self, tmp_path, command, option, words, number, value,
+                                                           capsys):
+        # one token: argparse takes a separate "-inf" or "-5e-324" for an option flag
+        assert run_command(_argv(command, tmp_path) + [f"{option}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: argument {option}: {words}, got {_read(words, number)!r}\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option, words, number, value", _cases(inside=True))
+    def test_just_inside_is_accepted(self, tmp_path, command, option, words, number, value):
+        args = build_parser().parse_args(_argv(command, tmp_path) + [f"{option}={value}"])
+        parsed = getattr(args, option[2:].replace("-", "_"))
+        if option == "--outliers":
+            parsed = parsed[1 if words.startswith("alpha") else 2]
+        assert parsed == _read(words, number)
+
+    @pytest.mark.parametrize("line, message", [
+        ("epochs=2000", "argument --epochs: epochs must be an integer in [1, 1000], got 2000"),
+        ("lr=-inf", "argument --lr: lr must be a number in [0, inf), got -inf"),
+    ])
+    def test_config_file_value_is_read_by_the_same_range(self, tmp_path, line, message, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(line + "\n")
+        assert run_command(_argv("train", tmp_path / "run") + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_profile_seed_outside_u64_is_1(self, tmp_path, seed, capsys):
         profile = tmp_path / "profile.cfg"
-        profile.write_text(PROFILE.replace("seed=5", "seed=-1"))
-        with pytest.raises(ValueError, match="seed="):
+        profile.write_text(PROFILE.replace("seed=5", f"seed={seed}"))
+        message = f"{profile}, line 4: profile seed= seed must be an integer in [0, 18446744073709551615], got {seed}"
+        with pytest.raises(MalformedSpec, match=re.escape(message)):
             parse_profile(str(profile))
         assert run_command(["simulate", "--profile", str(profile), "-o", str(tmp_path / "x.csv")]) == 1
-        assert "profile seed= must be a non-negative integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_seed_zero_is_accepted(self, tmp_path, profile_path):
@@ -588,32 +656,6 @@ class TestSeedOption:
 
 
 class TestTrainingOptions:
-    """Training and comparison options are checked by argparse, as ``--seed`` is: a bad value is a usage error."""
-
-    @pytest.mark.parametrize(
-        "command, option, value",
-        [
-            *(("train", "--lr", v) for v in ("-1", "nan", "inf", "-inf", "abc")),
-            *(("train", option, "0") for option in ("--batch-size", "--epochs", "--patience")),
-            ("transfer", "--epochs", "-2"),
-            ("compare", "--tree-depth", "-1"),
-            ("compare", "--tree-min-leaf", "0"),
-            ("compare", "--tree-min-leaf", "-3"),
-            ("compare", "--knn-k", "0"),
-            ("compare", "--lr", "nan"),
-        ],
-    )
-    def test_bad_value_is_usage_error(self, tmp_path, command, option, value, capsys):
-        # the container does not exist: the option is refused before any file is opened
-        argv = {
-            "train": ["train", "--data", str(tmp_path / "x.bin"), "--output", str(tmp_path / "x.ckpt")],
-            "transfer": ["transfer", "--source", str(tmp_path / "x.ckpt"), "--data", str(tmp_path / "x.bin"),
-                         "--output", str(tmp_path / "y.ckpt")],
-            "compare": ["compare", "--data", str(tmp_path / "x.bin")],
-        }[command]
-        assert run_command(argv + [option, value]) == 2
-        assert f"argument {option}:" in capsys.readouterr().err
-
     def test_lr_zero_and_tree_depth_zero_are_accepted(self, pipeline):
         tmp_path, _, data = pipeline
         run_ok(["compare", "--data", str(data), "--epochs", "1", "--lr", "0", "--tree-depth", "0",
@@ -623,15 +665,16 @@ class TestTrainingOptions:
 class TestOutlierSpec:
     @pytest.mark.parametrize(
         "spec",
-        ["bogus", "data_field:x:3", "data_field:0.05", "data_field:0.05:3:1", "data_field:0.05:1.5",
-         "Data_Field:0.05:3", "foo:0.05:3", "dlc:0:3", "dlc:1:3", "dlc:nan:3", "dlc:0.05:0", "dlc:0.05:-2"],
+        ["bogus", "data_field:0.05", "data_field:0.05:3:1", "Data_Field:0.05:3", "foo:0.05:3"],
     )
     def test_bad_spec_is_usage_error_before_reading(self, tmp_path, spec, capsys):
-        # the input does not exist: the spec is refused before any log is opened
+        # the input does not exist: the spec is refused before any log is opened (bad numbers: TestNumericOptions)
         argv = ["prepare", "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "x.bin"),
                 "--outliers", spec]
         assert run_command(argv) == 2
-        assert "argument --outliers:" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"argument --outliers: expected column:alpha:max with a column of timestamp, can_id, dlc, data_field, "
+            f"got {spec!r}\n")
 
     def test_bounds_that_depend_on_the_rows_are_1(self, pipeline, capsys):
         tmp_path, log, _ = pipeline

@@ -21,6 +21,7 @@ from canids.ingest import (
     MAX_PAYLOAD_BYTES,
     NormalizationParams,
     NotText,
+    OutOfRange,
     PayloadTooLong,
     RawRecord,
     RecordTable,
@@ -44,6 +45,8 @@ from canids.ingest import (
 from helpers import LogRow, traffic_log
 
 from canids import ingest
+from canids.baselines import knn_fit, knn_predict, tree_fit
+from canids.plenet import TrainConfig
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -766,3 +769,37 @@ class TestContainerRoundTrip:
         with pytest.raises(UnknownKind, match="kinds must be uint8 codes into KIND_NAMES"):
             save_dataset(ds, tmp_path / "data.bin")
         assert list(tmp_path.iterdir()) == []
+
+
+_RNG = np.random.default_rng(0)
+_X, _Y = _RNG.uniform(size=(50, 16)), _RNG.integers(0, 2, 50).astype(np.uint8)
+_TABLE = TestSplitDataset.toy_table(30)
+_SAMPLE = _RNG.standard_normal(40)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tree_fit(_X, _Y, max_depth=-1), "max_depth must be an integer in [0, inf), got -1"),
+        (lambda: tree_fit(_X, _Y, min_leaf=0), "min_leaf must be an integer in [1, inf), got 0"),
+        (lambda: tree_fit(_X, _Y, min_leaf=-3), "min_leaf must be an integer in [1, inf), got -3"),
+        (lambda: knn_predict(knn_fit(_X, _Y), _X[:2], k=0), "k must be an integer in [1, inf), got 0"),
+        (lambda: knn_predict(knn_fit(_X, _Y), _X[:2], k=2.0), "k must be an integer in [1, inf), got 2.0"),
+        (lambda: TrainConfig(epochs=2000), "epochs must be an integer in [1, 1000], got 2000"),
+        (lambda: TrainConfig(epochs=0), "epochs must be an integer in [1, 1000], got 0"),
+        (lambda: TrainConfig(batch_size=0), "batch_size must be an integer in [1, inf), got 0"),
+        (lambda: TrainConfig(patience=0), "patience must be an integer in [1, inf), got 0"),
+        *((lambda lr=lr: TrainConfig(lr=lr), f"lr must be a number in [0, inf), got {lr!r}")
+          for lr in (-1e-3, math.nan, math.inf, -math.inf)),
+        (lambda: split_dataset(_TABLE, test_fraction=1.5), "test_fraction must be a number in [0, 1), got 1.5"),
+        (lambda: split_dataset(_TABLE, val_fraction=math.nan), "val_fraction must be a number in [0, 1), got nan"),
+        (lambda: rosner_outliers(_SAMPLE, 3, alpha=0), "alpha must be a number in (0, 1), got 0"),
+        (lambda: rosner_outliers(_SAMPLE, 3, alpha=1.0), "alpha must be a number in (0, 1), got 1.0"),
+        (lambda: rosner_outliers(_SAMPLE, 0), "max_outliers must be an integer in [1, inf), got 0"),
+    ],
+)
+def test_library_refuses_a_value_outside_its_declared_range(call, message):
+    """The library raises the words the command line prints for the same value (test_cli.TestNumericOptions)."""
+    with pytest.raises(OutOfRange) as exc:
+        call()
+    assert str(exc.value) == message
