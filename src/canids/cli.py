@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -457,8 +458,23 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# A negative number as int() or float() reads it: digits with "_" between them, a point, an exponent, or -inf
+# or -nan. argparse takes a separate token after an option for its value only if the token matches its own
+# negative-number pattern, which takes -1 or -.5 but not -inf, -1e-9 or -1_0. That pattern is the private
+# ArgumentParser._negative_number_matcher, whose wording CPython has changed between patch releases; this
+# override is checked on CPython 3.11.7, and TestNumericOptions in tests/test_cli.py fails if a release breaks it.
+_DIGITS = r"\d+(?:_\d+)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
+
+
 def add_bounded_option(parser: argparse.ArgumentParser, flag: str, bound: ingest.Range, default, note="") -> None:
-    """Option ``flag`` read by ``bound.parse``, so a value outside the range is a usage error; ``--help`` shows it."""
+    """Option ``flag`` read by ``bound.parse``, so a value outside the range is a usage error; ``--help`` shows it.
+
+    ``--lr -inf`` reaches the range as ``--lr=-inf`` does: the parser reads every negative number as a value.
+    """
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument(flag, type=bound.parse, default=default, help=f"{bound}{note}")
 
 

@@ -59,7 +59,6 @@ from pathlib import Path
 from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .canbus import KIND_NAMES, TrafficLog
 
@@ -577,6 +576,8 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
     largest prefix of removals whose statistic exceeds it. A sample with zero
     variance yields the empty set.
     """
+    from scipy import stats  # on first use: it takes longer to load than all of canids
+
     ALPHA.check(alpha)
     MAX_OUTLIERS.check(max_outliers)
     x = np.asarray(values, dtype=np.float64)
@@ -718,6 +719,8 @@ class CorrelationResult:
 
 def correlation_matrix(columns: Mapping[str, Sequence[float]], alpha: float = 0.05) -> CorrelationResult:
     """Pairwise correlations with two-sided significance flags (p < alpha)."""
+    from scipy import stats  # imported on first use, as in rosner_outliers
+
     names = tuple(columns)
     arrays = [np.asarray(columns[name], dtype=np.float64) for name in names]
     k = len(names)

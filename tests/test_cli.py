@@ -16,6 +16,8 @@ from canids.ingest import NormalizationParams, load_dataset, save_dataset
 from canids.plenet import build_plenet
 from helpers import toy_dataset
 
+ROOT = Path(__file__).resolve().parents[1]
+
 PROFILE = """\
 # three periodic transmitters
 duration=10
@@ -556,9 +558,9 @@ TRAINING = ("train", "transfer", "compare")
 # non-number, and the option text each value goes into.
 NUMERIC_OPTIONS = [
     ("--seed", ("simulate", "prepare", *TRAINING, "gradcheck"), "seed must be an integer in [0, 18446744073709551615]",
-     ["0", "18446744073709551615"], ["-1", "18446744073709551616"], "{}"),
+     ["0", "18446744073709551615"], ["-1", "-1_0", "18446744073709551616"], "{}"),
     ("--test-fraction", ("prepare",), "test_fraction must be a number in [0, 1)",
-     ["0", "0.9999999999999999"], ["-5e-324", "1", "-0.1", "1.5"], "{}"),
+     ["0", "0.9999999999999999"], ["-5e-324", "1", "-0.1", "1.5", "-1e-9", "-.5E+3", "-Infinity", "-NaN"], "{}"),
     ("--val-fraction", ("prepare",), "val_fraction must be a number in [0, 1)",
      ["0", "0.9999999999999999"], ["-5e-324", "1", "-0.1", "1.5"], "{}"),
     ("--outliers", ("prepare",), "alpha must be a number in (0, 1)",
@@ -613,11 +615,35 @@ class TestNumericOptions:
     @pytest.mark.parametrize("command, option, words, number, value", _cases(inside=False))
     def test_outside_is_a_usage_error_in_the_library_words(self, tmp_path, command, option, words, number, value,
                                                            capsys):
-        # one token: argparse takes a separate "-inf" or "-5e-324" for an option flag
-        assert run_command(_argv(command, tmp_path) + [f"{option}={value}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.endswith(f"error: argument {option}: {words}, got {_read(words, number)!r}\n")
-        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        forms = [[f"{option}={value}"]]
+        if value.startswith("-"):  # also as its own token, which argparse must not take for a flag
+            forms.append([option, value])
+        for form in forms:
+            assert run_command(_argv(command, tmp_path) + form) == 2
+            captured = capsys.readouterr()
+            assert captured.err.endswith(f"error: argument {option}: {words}, got {_read(words, number)!r}\n")
+            assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("following", ["--epochs", "-h", "-x", "--", "-1-2", "-1__0"])
+    def test_a_flag_after_an_option_is_still_missing_its_value(self, tmp_path, following, capsys):
+        assert run_command(_argv("train", tmp_path) + ["--lr", following, "3"]) == 2
+        assert capsys.readouterr().err.endswith("error: argument --lr: expected one argument\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("script, option, value, words", [
+        ("run_desk_experiment.py", "--epochs", "-1e3", "epochs must be an integer in [1, 1000], got '-1e3'"),
+        ("run_desk_experiment.py", "--seed", "-1", "seed must be an integer in [0, 18446744073709551615], got -1"),
+        ("run_transfer_experiment.py", "--seeds", "-inf", "seeds must be an integer in [1, inf), got '-inf'"),
+    ])
+    def test_scripts_read_a_negative_token_by_the_same_range(self, tmp_path, script, option, value, words):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        for form in ([option, value], [f"{option}={value}"]):
+            result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *form], cwd=tmp_path,
+                                    env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                                    timeout=60)
+            assert result.returncode == 2
+            assert result.stderr.endswith(f"error: argument {option}: {words}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, option, words, number, value", _cases(inside=True))
     def test_just_inside_is_accepted(self, tmp_path, command, option, words, number, value):
