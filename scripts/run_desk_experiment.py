@@ -10,9 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from canids.bounds import SEED
 from canids.cli import add_bounded_option, run_command
 from canids.experiments import desk_attacks, desk_profile
-from canids.ingest import SEED
 from canids.plenet import EPOCHS
 
 

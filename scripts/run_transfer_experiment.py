@@ -11,15 +11,15 @@ feature-space distance between the domains.
 import argparse
 import sys
 
+from canids.bounds import SEEDS
 from canids.cli import add_bounded_option
 from canids.experiments import run_transfer_trial, source_domain, target_domain
-from canids.ingest import Range
 from canids.plenet import mmd_distance
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    add_bounded_option(parser, "--seeds", Range("seeds", 1), default=5)
+    add_bounded_option(parser, "--seeds", SEEDS, default=5)
     args = parser.parse_args()
 
     distance = mmd_distance(source_domain(100).train_x, target_domain(200).train_x)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Range
+from .bounds import Range
 from .nncore import Dense, Network, ReLU, Softmax
 
 MLP_HIDDEN = (68, 68)

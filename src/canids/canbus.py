@@ -15,6 +15,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .bounds import Range
+
 # CAN generator x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1 (high bit implicit).
 CRC15_POLY = 0x4599
 CRC15_MASK = 0x7FFF
@@ -22,6 +24,16 @@ CRC15_MASK = 0x7FFF
 MAX_STD_ID = 0x7FF
 MAX_DLC = 8
 FLOODING_ID = 0x000
+
+# the numeric fields of frames, ECUs, profiles and attacks; a spoof target is an identifier too
+IDENTIFIER = Range("identifier", 0, MAX_STD_ID, "[]")
+DLC = Range("dlc", 0, MAX_DLC, "[]")
+PERIOD = Range("period", 0, math.inf, "()", integer=False)
+DURATION = Range("duration", 0, math.inf, "()", integer=False)
+JITTER = Range("jitter", 0, 0.5, integer=False)
+START = Range("start", -math.inf, math.inf, "()", integer=False)
+END = Range("end", -math.inf, math.inf, "()", integer=False)
+RATE = Range("rate", 0, math.inf, "()", integer=False)
 
 ATTACK_KINDS = ("flooding", "fuzzing", "spoofing")
 PAYLOAD_RULES = ("constant", "counter", "sensor")
@@ -59,14 +71,6 @@ class TooManyRecords(ValueError):
     """A profile or an attack would emit more than ``MAX_RECORDS`` records."""
 
 
-def _require_finite(spec, *names: str) -> None:
-    """Reject a NaN or infinite value in any of the named fields of ``spec``."""
-    for name in names:
-        value = getattr(spec, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def crc15(bits: Sequence[int]) -> int:
     """Polynomial remainder of a bit sequence (MSB first) under generator 0x4599.
 
@@ -95,10 +99,8 @@ class CanFrame:
     reserved: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.identifier <= MAX_STD_ID:
-            raise ValueError(f"identifier {self.identifier:#x} outside 11-bit range")
-        if len(self.payload) > MAX_DLC:
-            raise ValueError(f"payload of {len(self.payload)} bytes exceeds {MAX_DLC}")
+        IDENTIFIER.check(self.identifier)
+        DLC.check(len(self.payload))
         if self.ide != 0:
             raise ValueError("extended (29-bit) identifiers are not supported")
         if self.rtr not in (0, 1) or self.reserved not in (0, 1):
@@ -244,13 +246,9 @@ class EcuSpec:
     payload_rule: str = "constant"
 
     def __post_init__(self):
-        if not 0 <= self.identifier <= MAX_STD_ID:
-            raise ValueError(f"identifier {self.identifier:#x} outside 11-bit range")
-        _require_finite(self, "period")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if not 0 <= self.dlc <= MAX_DLC:
-            raise ValueError(f"dlc must be 0..{MAX_DLC}")
+        IDENTIFIER.check(self.identifier)
+        PERIOD.check(self.period)
+        DLC.check(self.dlc)
         if self.payload_rule not in PAYLOAD_RULES:
             raise ValueError(f"unknown payload rule {self.payload_rule!r}")
         if self.payload_rule == "counter" and self.dlc < 1:
@@ -277,11 +275,9 @@ class SimProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "ecus", tuple(self.ecus))
-        _require_finite(self, "duration")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if not 0 <= self.jitter < 0.5:
-            raise ValueError("jitter must lie in [0, 0.5)")
+        DURATION.check(self.duration)
+        # -0.0 lies in [0, 0.5), but uniform(0.0, -0.0) refuses it as a jitter interval
+        object.__setattr__(self, "jitter", abs(JITTER.check(self.jitter)))
         ids = [e.identifier for e in self.ecus]
         if len(set(ids)) != len(ids):
             raise ValueError("ECU identifiers must be distinct")
@@ -304,14 +300,12 @@ class AttackSpec:
         object.__setattr__(self, "spoof_targets", tuple(self.spoof_targets))
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        _require_finite(self, "start", "end", "rate")
+        for bound in (START, END, RATE):
+            bound.check(getattr(self, bound.name))
         if not self.start < self.end:
             raise ValueError("attack window requires start < end")
-        if self.rate <= 0:
-            raise ValueError("attack rate must be positive")
-        for t in self.spoof_targets:
-            if not 0 <= t <= MAX_STD_ID:
-                raise ValueError(f"spoof target {t:#x} outside 11-bit range")
+        for target in self.spoof_targets:
+            IDENTIFIER.check(target)
 
 
 def _check_count(count: float, what: str) -> None:

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import SEED, BinaryReader, NormalizationParams
+from .bounds import SEED
+from .ingest import BinaryReader, NormalizationParams
 from .nncore import MalformedDescriptor, Network, network_from_descriptor
 
 MAGIC = b"CANCKPT1"

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, canbus, checkpoint, ingest, metrics, nncore, plenet
+from .bounds import SEED, SEEDS, Range
 
 GRADCHECK_TOLERANCE = 1e-5
 KINK_MARGIN = 1e-4
@@ -82,16 +83,11 @@ class MalformedSpec(ValueError):
     """
 
 
-def _field(name: str, text: str, convert=float, what: str = "a number"):
-    """``convert(text)``, or a ValueError naming the field and the text."""
-    try:
-        return convert(text)
-    except ValueError:
-        raise ValueError(f"{name} must be {what}, got {text!r}") from None
-
-
-def _hex(text: str) -> int:
-    return int(text, 16)
+def _identifier(text: str) -> int:
+    """``text`` read as a hex identifier, then checked as ``Range.parse`` checks a decimal number."""
+    with contextlib.suppress(ValueError):
+        text = int(text, 16)
+    return canbus.IDENTIFIER.check(text)
 
 
 def _ecu_spec(value: str) -> canbus.EcuSpec:
@@ -99,9 +95,9 @@ def _ecu_spec(value: str) -> canbus.EcuSpec:
     if not 2 <= len(parts) <= 4:
         raise ValueError(f"needs hexid,period[,dlc[,rule]], got {len(parts)} field(s)")
     return canbus.EcuSpec(
-        identifier=_field("identifier", parts[0], _hex, "a hex integer"),
-        period=_field("period", parts[1]),
-        dlc=_field("dlc", parts[2], int, "an integer") if len(parts) > 2 else 8,
+        identifier=_identifier(parts[0]),
+        period=canbus.PERIOD.parse(parts[1]),
+        dlc=canbus.DLC.parse(parts[2]) if len(parts) > 2 else 8,
         payload_rule=parts[3] if len(parts) > 3 else "constant",
     )
 
@@ -112,7 +108,8 @@ def parse_profile(path: str) -> canbus.SimProfile:
     ECU lines are ``hexid,period[,dlc[,rule]]``, e.g. ``130,0.02,8,counter``.
     Every fault raises ``MalformedSpec`` naming the file, the line and the key.
     """
-    duration, jitter, seed = None, 0.0, 0
+    bounds = {bound.name: bound for bound in (canbus.DURATION, canbus.JITTER, SEED)}
+    values = {"jitter": 0.0, "seed": 0}
     ecus = []
     for lineno, raw in enumerate(ingest.read_utf8(path, MalformedSpec).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -120,12 +117,8 @@ def parse_profile(path: str) -> canbus.SimProfile:
             continue
         key, _, value = (part.strip() for part in line.partition("="))
         try:
-            if key == "duration":
-                duration = _field("value", value)
-            elif key == "jitter":
-                jitter = _field("value", value)
-            elif key == "seed":
-                seed = ingest.SEED.check(_field("value", value, int, "an integer"))
+            if key in bounds:
+                values[key] = bounds[key].parse(value)
             elif key == "ecu":
                 ecus.append(_ecu_spec(value))
             else:
@@ -133,9 +126,9 @@ def parse_profile(path: str) -> canbus.SimProfile:
         except ValueError as exc:
             raise MalformedSpec(f"{path}, line {lineno}: profile {key}= {exc}") from None
     try:
-        if duration is None:
+        if "duration" not in values:
             raise ValueError("must set duration")
-        return canbus.SimProfile(ecus=tuple(ecus), duration=duration, jitter=jitter, seed=seed)
+        return canbus.SimProfile(ecus=tuple(ecus), **values)
     except ValueError as exc:
         raise MalformedSpec(f"{path}: profile {exc}") from None
 
@@ -152,10 +145,10 @@ def parse_attack(text: str, seed: int) -> canbus.AttackSpec:
         targets = parts[4].split(",") if len(parts) == 5 else ()
         return canbus.AttackSpec(
             kind=parts[0],
-            start=_field("start", parts[1]),
-            end=_field("end", parts[2]),
-            rate=_field("rate", parts[3]),
-            spoof_targets=tuple(_field("target", t, _hex, "a hex integer") for t in targets),
+            start=canbus.START.parse(parts[1]),
+            end=canbus.END.parse(parts[2]),
+            rate=canbus.RATE.parse(parts[3]),
+            spoof_targets=tuple(map(_identifier, targets)),
             seed=seed,
         )
     except ValueError as exc:
@@ -238,8 +231,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         profile = canbus.SimProfile(profile.ecus, profile.duration, profile.jitter, args.seed)
     log = canbus.generate_traffic(profile)
-    for i, spec_text in enumerate(args.attack or []):
-        log = canbus.inject_attack(log, parse_attack(spec_text, seed=profile.seed + 101 + i))
+    for i, text in enumerate(args.attack or []):
+        with _naming(f"attack spec {text!r}", canbus.WindowOutOfRange, canbus.EmptySpoofTargets):
+            log = canbus.inject_attack(log, parse_attack(text, seed=profile.seed + 101 + i))
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         canbus.write_log(log, fh)
@@ -469,7 +463,7 @@ _NEGATIVE_NUMBER = re.compile(
 )
 
 
-def add_bounded_option(parser: argparse.ArgumentParser, flag: str, bound: ingest.Range, default, note="") -> None:
+def add_bounded_option(parser: argparse.ArgumentParser, flag: str, bound: Range, default, note="") -> None:
     """Option ``flag`` read by ``bound.parse``, so a value outside the range is a usage error; ``--help`` shows it.
 
     ``--lr -inf`` reaches the range as ``--lr=-inf`` does: the parser reads every negative number as a value.
@@ -488,7 +482,7 @@ def _outlier_spec(text: str) -> tuple[str, float, int]:
 
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
-    add_bounded_option(p, "--seed", ingest.SEED, default=0)
+    add_bounded_option(p, "--seed", SEED, default=0)
     for b in plenet.TRAIN_BOUNDS:  # --epochs, --batch-size, --lr, --patience, defaulting as TrainConfig does
         add_bounded_option(p, "--" + b.name.replace("_", "-"), b, default=getattr(plenet.TrainConfig, b.name))
 
@@ -503,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled traffic log")
     p.add_argument("--profile", required=True, help="profile file (duration=, jitter=, ecu= lines)")
     p.add_argument("--attack", action="append", help="kind:start:end:rate[:targets], repeatable")
-    add_bounded_option(p, "--seed", ingest.SEED, default=None, note="; overrides the profile seed")
+    add_bounded_option(p, "--seed", SEED, default=None, note="; overrides the profile seed")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--no-kinds", action="store_true", help="skip the attack-kind sidecar")
     p.set_defaults(func=cmd_simulate)
@@ -511,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="parse, clean, encode, and split logs")
     p.add_argument("--input", action="append", required=True, help="log CSV, repeatable")
     p.add_argument("--output", required=True, help="dataset container path")
-    add_bounded_option(p, "--seed", ingest.SEED, default=0)
+    add_bounded_option(p, "--seed", SEED, default=0)
     add_bounded_option(p, "--test-fraction", ingest.TEST_FRACTION, default=0.2)
     add_bounded_option(p, "--val-fraction", ingest.VAL_FRACTION, default=0.2)
     p.add_argument("--impute", choices=ingest.IMPUTE_POLICIES, default="droprow")
@@ -558,9 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    add_bounded_option(p, "--seeds", ingest.Range("seeds", 1), default=20)
-    add_bounded_option(p, "--batch", ingest.Range("batch", 1), default=4)
-    add_bounded_option(p, "--seed", ingest.SEED, default=0)
+    add_bounded_option(p, "--seeds", SEEDS, default=20)
+    add_bounded_option(p, "--batch", Range("batch", 1), default=4)
+    add_bounded_option(p, "--seed", SEED, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -46,13 +46,10 @@ Feature layout (all components in [0, 1]):
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import csv
 import functools
 import io
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -60,6 +57,7 @@ from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .bounds import Range
 from .canbus import KIND_NAMES, TrafficLog
 
 N_FEATURES = 16
@@ -124,41 +122,6 @@ class PayloadTooLong(ValueError):
 
 class NotText(ValueError):
     """A log or kinds sidecar that is not UTF-8 text, or text that cannot be written as one line of UTF-8."""
-
-
-class OutOfRange(ValueError, argparse.ArgumentTypeError):
-    """A value outside its parameter's ``Range``; argparse reports it, from an option's type, as a usage error."""
-
-
-@dataclass(frozen=True)
-class Range:
-    """The values of one numeric parameter, declared once beside it; ``ends`` are the brackets, inf never reached."""
-
-    name: str
-    low: int | float
-    high: int | float = math.inf
-    ends: str = "[)"
-    integer: bool = True
-
-    def __str__(self) -> str:
-        return f"{'an integer' if self.integer else 'a number'} in {self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
-
-    def check(self, value):
-        """``value`` if it is a number of the range's kind inside it (NaN never is), else ``OutOfRange``."""
-        if isinstance(value, numbers.Integral if self.integer else numbers.Real) and (
-            self.low < value if self.ends[0] == "(" else self.low <= value
-        ) and (value < self.high if self.ends[1] == ")" else value <= self.high):
-            return value
-        raise OutOfRange(f"{self.name} must be {self}, got {value!r}")
-
-    def parse(self, text: str):
-        """An option's argparse type: ``text`` read as a number of the range's kind, then checked."""
-        with contextlib.suppress(ValueError):
-            text = int(text) if self.integer else float(text)
-        return self.check(text)
-
-
-SEED = Range("seed", 0, 2**64 - 1, "[]")  # every seed: a checkpoint stores it as a u64
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +547,7 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
     n = len(x)
     if n < 25:
         raise TooFewValues(f"need at least 25 values, got {n}")
-    if max_outliers > n - 2:
-        raise ValueError("max_outliers must lie in [1, n - 2]")
+    Range(MAX_OUTLIERS.name, 1, n - 2, "[]").check(max_outliers)
 
     keep = np.ones(n, dtype=bool)  # x[keep] keeps the order the removals left
     removed: list[int] = []

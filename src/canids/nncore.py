@@ -44,9 +44,10 @@ work standalone.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
+
+from .bounds import Range
 
 
 class ShapeMismatch(ValueError):
@@ -398,10 +399,7 @@ class Network:
 
     @frozen_layers.setter
     def frozen_layers(self, count: int) -> None:
-        count = operator.index(count)
-        if not 0 <= count <= len(self.trainable_layers()):
-            raise ValueError(f"frozen_layers must lie in [0, {len(self.trainable_layers())}], got {count}")
-        self._frozen_layers = count
+        self._frozen_layers = int(Range("frozen_layers", 0, len(self.trainable_layers()), "[]").check(count))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

@@ -21,7 +21,8 @@ from itertools import takewhile
 
 import numpy as np
 
-from .ingest import PreparedDataset, Range
+from .bounds import Range
+from .ingest import PreparedDataset
 from .nncore import (
     Adam,
     Conv1D,
@@ -228,12 +229,17 @@ def transfer_finetune(
     """Continue training a copy of the source model on target-domain data.
 
     ``freeze="conv"`` freezes the leading ``Conv1D`` layers (both of
-    plenet's): they receive no optimizer updates and come out
-    bit-identical. Optimizer state starts fresh either way.
+    plenet's; a model without one raises ``ValueError`` before any step):
+    they receive no optimizer updates and come out bit-identical.
+    Optimizer state starts fresh either way.
     """
     if freeze not in FREEZE_MODES:
         raise ValueError(f"freeze must be one of {FREEZE_MODES}")
     model = clone_model(source_model)
     if freeze == "conv":
-        model.frozen_layers = len(list(takewhile(lambda l: isinstance(l, Conv1D), model.trainable_layers())))
+        layers = model.trainable_layers()
+        model.frozen_layers = len(list(takewhile(lambda l: isinstance(l, Conv1D), layers)))
+        if not model.frozen_layers:
+            raise ValueError("freeze='conv' needs a leading Conv1D layer, but the first trainable layer is "
+                             + (type(layers[0]).__name__ if layers else "absent"))
     return train(model, target_data, cfg)

@@ -208,6 +208,11 @@ class TestGenerateTraffic:
         )
         assert log_text(generate_traffic(profile)) == log_text(generate_traffic(profile))
 
+    def test_negative_zero_jitter_is_zero_jitter(self):
+        ecus = (EcuSpec(0x130, 0.02, 8, "counter"), EcuSpec(0x2B0, 0.05, 8, "sensor"))
+        logs = [generate_traffic(SimProfile(ecus, duration=2.0, jitter=jitter, seed=4)) for jitter in (0.0, -0.0)]
+        assert log_text(logs[1]) == log_text(logs[0])
+
     def test_emission_count_matches_counting_oracle(self):
         ecus = (
             EcuSpec(0x0A0, 0.013, 4, "constant"),
@@ -343,22 +348,6 @@ class TestInjectAttack:
             AttackSpec("fuzzing", 2.0, 2.0, 10.0)  # empty window
         with pytest.raises(ValueError):
             AttackSpec("fuzzing", 1.0, 2.0, 0.0)  # zero rate
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize(
-    "field, build",
-    [
-        ("duration", lambda v: SimProfile(ecus=(), duration=v)),
-        ("period", lambda v: EcuSpec(0x130, v)),
-        ("start", lambda v: AttackSpec("flooding", v, 2.0, 10.0)),
-        ("end", lambda v: AttackSpec("flooding", 1.0, v, 10.0)),
-        ("rate", lambda v: AttackSpec("flooding", 1.0, 2.0, v)),
-    ],
-)
-def test_non_finite_spec_value_is_rejected(field, build, bad):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        build(bad)
 
 
 class TestLogFormat:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from canids.baselines import build_mlp
+from canids.bounds import OutOfRange
 from canids.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -14,7 +15,7 @@ from canids.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from canids.ingest import NormalizationParams, OutOfRange
+from canids.ingest import NormalizationParams
 from canids.nncore import Conv1D, Dense, Flatten, MaxPool1D, Network, ReLU, Softmax, jitter_parameters
 from canids.plenet import TrainConfig, build_plenet, predict
 

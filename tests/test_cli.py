@@ -229,6 +229,17 @@ class TestPipeline:
         )
         assert tuned.exists()
 
+    def test_conv_freeze_of_a_model_without_a_leading_conv_is_1(self, pipeline, capsys):
+        tmp_path, _, data = pipeline
+        source, tuned = tmp_path / "mlp.ckpt", tmp_path / "tuned.ckpt"
+        save_checkpoint(build_mlp(seed=0), source)
+        capsys.readouterr()
+        argv = ["transfer", "--source", str(source), "--data", str(data), "--output", str(tuned), "--freeze", "conv"]
+        assert run_command(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: freeze='conv' needs a leading Conv1D layer, but the first trainable layer is Dense\n")
+        assert not tuned.exists()
+
     def test_compare_table_shape(self, pipeline, capsys):
         tmp_path, log, data = pipeline
         out_json = tmp_path / "compare.json"
@@ -481,15 +492,19 @@ class TestSpecErrors:
         [
             ("ecu=130", "line 8: profile ecu= needs hexid,period[,dlc[,rule]], got 1 field(s)"),
             ("ecu=131,0.1,8,counter,extra", "line 8: profile ecu= needs hexid,period[,dlc[,rule]], got 5"),
-            ("ecu=ZZ,0.1", "line 8: profile ecu= identifier must be a hex integer, got 'ZZ'"),
-            ("ecu=131,0.1,x", "line 8: profile ecu= dlc must be an integer, got 'x'"),
-            ("ecu=131,nan", "line 8: profile ecu= period must be finite, got nan"),
-            ("ecu=131,inf", "line 8: profile ecu= period must be finite, got inf"),
-            ("duration=abc", "line 8: profile duration= value must be a number, got 'abc'"),
-            ("jitter=x", "line 8: profile jitter= value must be a number, got 'x'"),
-            ("seed=x", "line 8: profile seed= value must be an integer, got 'x'"),
+            ("ecu=ZZ,0.1", "line 8: profile ecu= identifier must be an integer in [0, 2047], got 'ZZ'"),
+            ("ecu=800,0.1", "line 8: profile ecu= identifier must be an integer in [0, 2047], got 2048"),
+            ("ecu=131,0.1,x", "line 8: profile ecu= dlc must be an integer in [0, 8], got 'x'"),
+            ("ecu=131,0.1,9", "line 8: profile ecu= dlc must be an integer in [0, 8], got 9"),
+            ("ecu=131,nan", "line 8: profile ecu= period must be a number in (0, inf), got nan"),
+            ("ecu=131,inf", "line 8: profile ecu= period must be a number in (0, inf), got inf"),
+            ("ecu=131,0", "line 8: profile ecu= period must be a number in (0, inf), got 0.0"),
+            ("duration=abc", "line 8: profile duration= duration must be a number in (0, inf), got 'abc'"),
+            ("jitter=x", "line 8: profile jitter= jitter must be a number in [0, 0.5), got 'x'"),
+            ("jitter=0.5", "line 8: profile jitter= jitter must be a number in [0, 0.5), got 0.5"),
+            ("seed=x", "line 8: profile seed= seed must be an integer in [0, 18446744073709551615], got 'x'"),
             ("speed=3", "line 8: profile speed= is not a profile key"),
-            ("duration=inf", "profile duration must be finite, got inf"),
+            ("duration=inf", "line 8: profile duration= duration must be a number in (0, inf), got inf"),
             ("duration=0.01", "profile ECU periods all exceed duration 0.01, so no record would be emitted"),
         ],
     )
@@ -513,11 +528,13 @@ class TestSpecErrors:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ("flooding:1:x:3", "end must be a number, got 'x'"),
-            ("flooding:1:2:inf", "rate must be finite, got inf"),
-            ("flooding:1:2:nan", "rate must be finite, got nan"),
-            ("flooding:nan:2:3", "start must be finite, got nan"),
-            ("spoofing:1:2:3:130,QQ", "target must be a hex integer, got 'QQ'"),
+            ("flooding:1:x:3", "end must be a number in (-inf, inf), got 'x'"),
+            ("flooding:1:2:inf", "rate must be a number in (0, inf), got inf"),
+            ("flooding:1:2:nan", "rate must be a number in (0, inf), got nan"),
+            ("flooding:1:2:-3", "rate must be a number in (0, inf), got -3.0"),
+            ("flooding:nan:2:3", "start must be a number in (-inf, inf), got nan"),
+            ("spoofing:1:2:3:130,QQ", "identifier must be an integer in [0, 2047], got 'QQ'"),
+            ("spoofing:1:2:3:130,800", "identifier must be an integer in [0, 2047], got 2048"),
             ("flooding:1:2", "is not kind:start:end:rate[:targets]"),
         ],
     )
@@ -527,6 +544,20 @@ class TestSpecErrors:
         argv = ["simulate", "--profile", str(profile_path), "--attack", spec, "-o", str(tmp_path / "x.csv")]
         assert run_command(argv) == 1
         assert capsys.readouterr().err == f"error: attack spec {spec!r}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "attack, message",
+        [
+            ("flooding:-1:2:3", "window [-1.0, 2.0] outside log span"),
+            ("spoofing:1:2:3", "spoofing attack requires at least one target identifier"),
+        ],
+    )
+    def test_injection_error_names_its_spec(self, tmp_path, profile_path, capsys, attack, message):
+        argv = ["simulate", "--profile", str(profile_path), "--attack", "flooding:2:3:10", "--attack", attack,
+                "-o", str(tmp_path / "x.csv")]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: attack spec {attack!r}: {message}")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "profile, attack, message",
@@ -708,7 +739,7 @@ class TestOutlierSpec:
         argv = ["prepare", "--input", str(log), "--output", str(tmp_path / "x.bin"),
                 "--outliers", f"dlc:0.05:{rows - 1}"]
         assert run_command(argv) == 1
-        assert "max_outliers must lie in [1, n - 2]" in capsys.readouterr().err
+        assert f"max_outliers must be an integer in [1, {rows - 2}], got {rows - 1}" in capsys.readouterr().err
         short = tmp_path / "short.csv"
         short.write_text("\n".join(log.read_text().splitlines()[:20]) + "\n")
         argv = ["prepare", "--input", str(short), "--output", str(tmp_path / "y.bin"), "--outliers", "dlc:0.05:1"]

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from canids.canbus import KIND_NAMES, AttackSpec, EcuSpec, SimProfile, generate_traffic, inject_attack
+from canids.canbus import KIND_NAMES, AttackSpec, CanFrame, EcuSpec, SimProfile, generate_traffic, inject_attack
 from canids.ingest import (
     CONTAINER_MAGIC,
     N_FEATURES,
@@ -21,7 +21,6 @@ from canids.ingest import (
     MAX_PAYLOAD_BYTES,
     NormalizationParams,
     NotText,
-    OutOfRange,
     PayloadTooLong,
     RawRecord,
     RecordTable,
@@ -46,6 +45,7 @@ from helpers import LogRow, traffic_log
 
 from canids import ingest
 from canids.baselines import knn_fit, knn_predict, tree_fit
+from canids.bounds import OutOfRange
 from canids.plenet import TrainConfig
 
 # ---------------------------------------------------------------------------
@@ -796,10 +796,26 @@ _SAMPLE = _RNG.standard_normal(40)
         (lambda: rosner_outliers(_SAMPLE, 3, alpha=0), "alpha must be a number in (0, 1), got 0"),
         (lambda: rosner_outliers(_SAMPLE, 3, alpha=1.0), "alpha must be a number in (0, 1), got 1.0"),
         (lambda: rosner_outliers(_SAMPLE, 0), "max_outliers must be an integer in [1, inf), got 0"),
+        (lambda: rosner_outliers(_SAMPLE, 39), "max_outliers must be an integer in [1, 38], got 39"),
+        *((lambda build=build, bad=bad: build(bad), f"{name} must be a number in {span}, got {bad!r}")
+          for name, span, build in [
+              ("duration", "(0, inf)", lambda v: SimProfile(ecus=(), duration=v)),
+              ("period", "(0, inf)", lambda v: EcuSpec(0x130, v)),
+              ("start", "(-inf, inf)", lambda v: AttackSpec("flooding", v, 2.0, 10.0)),
+              ("end", "(-inf, inf)", lambda v: AttackSpec("flooding", 1.0, v, 10.0)),
+              ("rate", "(0, inf)", lambda v: AttackSpec("flooding", 1.0, 2.0, v)),
+          ]
+          for bad in (math.inf, -math.inf, math.nan)),
+        (lambda: SimProfile(ecus=(), duration=1.0, jitter=0.5), "jitter must be a number in [0, 0.5), got 0.5"),
+        (lambda: EcuSpec(0x800, 0.1), "identifier must be an integer in [0, 2047], got 2048"),
+        (lambda: EcuSpec(0x130, 0.1, dlc=9), "dlc must be an integer in [0, 8], got 9"),
+        (lambda: AttackSpec("spoofing", 1.0, 2.0, 3.0, (-1,)), "identifier must be an integer in [0, 2047], got -1"),
+        (lambda: CanFrame(0x800), "identifier must be an integer in [0, 2047], got 2048"),
     ],
 )
 def test_library_refuses_a_value_outside_its_declared_range(call, message):
-    """The library raises the words the command line prints for the same value (test_cli.TestNumericOptions)."""
+    """The library raises the words the command line prints for the same value (test_cli.TestNumericOptions),
+    and the simulator those a profile or attack spec gets (test_cli.TestSpecErrors)."""
     with pytest.raises(OutOfRange) as exc:
         call()
     assert str(exc.value) == message

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from canids.baselines import build_mlp
+from canids.bounds import OutOfRange
 from canids.checkpoint import load_checkpoint, save_checkpoint
 from canids.nncore import (
     Adam,
@@ -295,12 +296,13 @@ class TestUpdatedSlice:
         params, grads = net.updated_slice()
         assert params.size == grads.size == 0
 
-    @pytest.mark.parametrize("count", [-1, 3, 5])
+    @pytest.mark.parametrize("count", [-1, 3, 5, 1.0])
     def test_out_of_range_count_raises_before_any_step(self, count):
         net = Network([Dense(3, 4), ReLU(), Dense(4, 2), Softmax()])
         before = net.snapshot()
-        with pytest.raises(ValueError, match=r"frozen_layers must lie in \[0, 2\]"):
+        with pytest.raises(OutOfRange) as exc:
             net.frozen_layers = count
+        assert str(exc.value) == f"frozen_layers must be an integer in [0, 2], got {count!r}"
         assert net.frozen_layers == 0 and net.snapshot().tobytes() == before.tobytes()
 
     def test_transfer_freezes_the_leading_convolutions(self, monkeypatch):

@@ -204,6 +204,12 @@ class TestTransfer:
         source_dense = [l for l in source.layers if isinstance(l, Dense)]
         assert not np.array_equal(dense[0].w, source_dense[0].w)
 
+    def test_conv_freeze_without_a_leading_conv_raises_before_any_step(self, monkeypatch):
+        monkeypatch.setattr("canids.plenet.train", lambda *args: pytest.fail("trained"))
+        with pytest.raises(ValueError) as exc:
+            transfer_finetune(build_mlp(seed=0), toy_dataset(n=40), TrainConfig(epochs=1), freeze="conv")
+        assert str(exc.value) == "freeze='conv' needs a leading Conv1D layer, but the first trainable layer is Dense"
+
     def test_source_untouched_by_finetune(self):
         data = toy_dataset(n=100, seed=14)
         source, _ = train(build_plenet(seed=5), data, TrainConfig(epochs=2, batch_size=16, seed=1))
