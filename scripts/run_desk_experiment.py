@@ -12,8 +12,10 @@ from pathlib import Path
 
 from canids.bounds import SEED
 from canids.cli import add_bounded_option, run_command
-from canids.experiments import desk_attacks, desk_profile
+from canids.experiments import desk_attacks, desk_profile, desk_train_config
 from canids.plenet import EPOCHS
+
+BUDGET = desk_train_config(seed=0)  # the study's epoch cap and patience, which no seed changes
 
 
 def profile_text(seed: int) -> str:
@@ -28,7 +30,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="desk-run")
     add_bounded_option(parser, "--seed", SEED, default=42)
-    add_bounded_option(parser, "--epochs", EPOCHS, default=40)
+    add_bounded_option(parser, "--epochs", EPOCHS, default=BUDGET.epochs)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -55,7 +57,7 @@ def main() -> int:
             "--output", str(ckpt),
             "--seed", str(args.seed),
             "--epochs", str(args.epochs),
-            "--patience", "10",
+            "--patience", str(BUDGET.patience),
             "--history", str(outdir / "history.csv"),
         ],
         [
@@ -70,7 +72,7 @@ def main() -> int:
             "--data", str(data),
             "--seed", str(args.seed),
             "--epochs", str(args.epochs),
-            "--patience", "10",
+            "--patience", str(BUDGET.patience),
             "--output", str(outdir / "compare.txt"),
             "--json", str(outdir / "compare.json"),
         ],

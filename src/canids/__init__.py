@@ -9,6 +9,7 @@ from .canbus import (
     AttackSpec,
     CanFrame,
     EcuSpec,
+    RawRecord,
     SimProfile,
     TrafficLog,
     crc15,
@@ -20,9 +21,7 @@ from .canbus import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .ingest import (
     NormalizationParams,
-    ParsedLog,
     PreparedDataset,
-    RawRecord,
     RecordTable,
     load_dataset,
     parse_log,
@@ -50,7 +49,6 @@ __all__ = [
     "EcuSpec",
     "MetricsReport",
     "NormalizationParams",
-    "ParsedLog",
     "PreparedDataset",
     "RawRecord",
     "RecordTable",

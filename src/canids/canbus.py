@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import Range
+from .bounds import SEED, Range
 
 # CAN generator x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1 (high bit implicit).
 CRC15_POLY = 0x4599
@@ -34,6 +34,7 @@ JITTER = Range("jitter", 0, 0.5, integer=False)
 START = Range("start", -math.inf, math.inf, "()", integer=False)
 END = Range("end", -math.inf, math.inf, "()", integer=False)
 RATE = Range("rate", 0, math.inf, "()", integer=False)
+ATTACK_SEED = Range("seed", 0)  # no upper bound: simulate derives attack seeds as the profile seed + 101 + i
 
 ATTACK_KINDS = ("flooding", "fuzzing", "spoofing")
 PAYLOAD_RULES = ("constant", "counter", "sensor")
@@ -48,7 +49,7 @@ MAX_RECORDS = 2**26
 
 
 class MalformedFrame(ValueError):
-    """Bit sequence does not parse as a standard data frame."""
+    """Bit sequence does not parse as a standard data frame, or a log's rows cannot be extended as such frames."""
 
 
 class CrcMismatch(ValueError):
@@ -187,32 +188,95 @@ def decode_frame(bits: Sequence[int]) -> CanFrame:
     )
 
 
+_FIELDS = ("timestamp", "can_id_hex", "dlc", "data_hex", "label_text")
+_TS, _ID, _DLC, _DATA, _LABEL = range(len(_FIELDS))  # columns of TrafficLog.missing
+_NOTHING_MISSING: frozenset[str] = frozenset()
+
+# rows written or iterated at once, which bounds the text and the objects held at once
+_BLOCK_ROWS = 1 << 16
+
+
+@dataclass(frozen=True, slots=True)
+class RawRecord:
+    """One row of a ``TrafficLog`` as text fields; ``None`` marks a missing field.
+
+    The identifier is uppercase hex without leading zeros, the data field
+    uppercase two-digit hex bytes joined by single spaces ("0A FF", "" for
+    an empty payload) and the label "0" or "1".
+    """
+
+    timestamp: float | None
+    can_id_hex: str | None
+    dlc: int | None
+    data_hex: str | None
+    label_text: str | None
+
+    def missing_fields(self) -> frozenset[str]:
+        if (
+            self.timestamp is not None
+            and self.can_id_hex is not None
+            and self.dlc is not None
+            and self.data_hex is not None
+            and self.label_text is not None
+        ):
+            return _NOTHING_MISSING
+        return frozenset(name for name in _FIELDS if getattr(self, name) is None)
+
+
 @dataclass(frozen=True, eq=False)
 class TrafficLog:
-    """A simulated log as columns, one row per frame in timestamp order.
+    """The one log type, as columns: simulated, one row per frame in timestamp order, or parsed by ``ingest``.
 
-    ``timestamp`` is float64; ``can_id`` and ``dlc`` are int64; ``payload``
-    is an ``(n, MAX_DLC)`` uint8 matrix, zero after each row's ``dlc``
-    bytes; ``label`` is uint8 (1 for injected frames); ``kind`` is a uint8
-    code into ``KIND_NAMES``.
+    ``timestamp`` is float64; ``can_id``, ``dlc`` and ``payload_len`` are int64; ``payload`` is an
+    ``(n, width)`` uint8 matrix, zero after each row's ``payload_len`` bytes; ``label`` is uint8 (1 for
+    injected frames); ``kind`` a uint8 code into ``KIND_NAMES``; ``missing`` an ``(n, 5)`` bool mask, one
+    flag per ``RawRecord`` field. A simulated log is ``MAX_DLC`` wide, its lengths are its DLCs and
+    nothing in it is missing; ``ingest`` gives a parsed log's bounds.
     """
 
     timestamp: np.ndarray
     can_id: np.ndarray
     dlc: np.ndarray
     payload: np.ndarray
+    payload_len: np.ndarray
     label: np.ndarray
     kind: np.ndarray
+    missing: np.ndarray
 
     def __len__(self) -> int:
         return len(self.timestamp)
 
+    def __iter__(self) -> Iterator[RawRecord]:
+        """One ``RawRecord`` per row, built on demand a block of rows at a time."""
+        width = self.payload.shape[1]
+        columns = (self.timestamp, self.can_id, self.dlc, self.payload_len, self.label, self.missing)
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            raw = self.payload[block].tobytes()
+            for i, (t, c, d, n, y, miss) in enumerate(zip(*(col[block].tolist() for col in columns))):
+                yield RawRecord(
+                    None if miss[_TS] else t,
+                    None if miss[_ID] else f"{c:X}",
+                    None if miss[_DLC] else d,
+                    None if miss[_DATA] else raw[i * width : i * width + n].hex(" ").upper(),
+                    None if miss[_LABEL] else str(y),
+                )
 
-def _concat_sorted(blocks: Sequence[TrafficLog]) -> TrafficLog:
-    """The blocks' rows in one log, stably sorted by timestamp (block order breaks ties)."""
-    log = TrafficLog(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(TrafficLog)))
-    order = np.argsort(log.timestamp, kind="stable")
-    return TrafficLog(*(getattr(log, f.name)[order] for f in fields(log)))
+    def take(self, rows: np.ndarray) -> TrafficLog:
+        """The rows an index array or boolean mask selects, in its order."""
+        return TrafficLog(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @staticmethod
+    def concat(logs: Sequence[TrafficLog]) -> TrafficLog:
+        """The rows of ``logs`` in order, as wide as the widest."""
+        if len(logs) == 1:
+            return logs[0]
+        columns = {f.name: np.concatenate([getattr(log, f.name) for log in logs]) for f in fields(TrafficLog)
+                   if f.name != "payload"}
+        payload = np.zeros((len(columns["label"]), max(log.payload.shape[1] for log in logs)), dtype=np.uint8)
+        for log, end in zip(logs, np.cumsum([len(log) for log in logs]).tolist()):
+            payload[end - len(log) : end, : log.payload.shape[1]] = log.payload
+        return TrafficLog(payload=payload, **columns)
 
 
 def _block(timestamp: np.ndarray, can_id, dlc, payload: np.ndarray, kind: str) -> TrafficLog:
@@ -221,13 +285,16 @@ def _block(timestamp: np.ndarray, can_id, dlc, payload: np.ndarray, kind: str) -
     A scalar ``can_id`` or ``dlc`` applies to every row.
     """
     n = len(timestamp)
+    dlc = np.broadcast_to(np.asarray(dlc, dtype=np.int64), n)
     return TrafficLog(
         timestamp=timestamp,
         can_id=np.broadcast_to(np.asarray(can_id, dtype=np.int64), n),
-        dlc=np.broadcast_to(np.asarray(dlc, dtype=np.int64), n),
+        dlc=dlc,
         payload=payload,
+        payload_len=dlc,
         label=np.full(n, kind != "normal", dtype=np.uint8),
         kind=np.full(n, KIND_NAMES.index(kind), dtype=np.uint8),
+        missing=np.zeros((n, len(_FIELDS)), dtype=bool),
     )
 
 
@@ -278,6 +345,7 @@ class SimProfile:
         DURATION.check(self.duration)
         # -0.0 lies in [0, 0.5), but uniform(0.0, -0.0) refuses it as a jitter interval
         object.__setattr__(self, "jitter", abs(JITTER.check(self.jitter)))
+        SEED.check(self.seed)
         ids = [e.identifier for e in self.ecus]
         if len(set(ids)) != len(ids):
             raise ValueError("ECU identifiers must be distinct")
@@ -300,7 +368,7 @@ class AttackSpec:
         object.__setattr__(self, "spoof_targets", tuple(self.spoof_targets))
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        for bound in (START, END, RATE):
+        for bound in (START, END, RATE, ATTACK_SEED):
             bound.check(getattr(self, bound.name))
         if not self.start < self.end:
             raise ValueError("attack window requires start < end")
@@ -354,7 +422,8 @@ def generate_traffic(profile: SimProfile) -> TrafficLog:
         timestamp = np.arange(1, n + 1) * ecu.period * (1.0 + jitter)
         payload = _ecu_payloads(ecu, n, rng)
         blocks.append(_block(timestamp, ecu.identifier, ecu.dlc, payload, "normal"))
-    return _concat_sorted(blocks)
+    log = TrafficLog.concat(blocks)
+    return log.take(np.argsort(log.timestamp, kind="stable"))  # ties keep profile order
 
 
 def _inject_flooding(spec: AttackSpec, n: int) -> TrafficLog:
@@ -410,10 +479,15 @@ def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
     seed, with a fixed draw order (timestamps, then identifiers/targets,
     then per-frame bytes) so a seeded replay reproduces every field. Injected
     rows follow existing rows of equal timestamp. A window that would take
-    the log past ``MAX_RECORDS`` records raises ``TooManyRecords``.
+    the log past ``MAX_RECORDS`` records raises ``TooManyRecords``, and a
+    log whose rows are not CAN 2.0 frames (a DLC above ``MAX_DLC``, or a
+    payload matrix not ``MAX_DLC`` bytes wide) ``MalformedFrame``.
     """
     if not len(log):
         raise WindowOutOfRange("cannot inject into an empty log")
+    width, top = log.payload.shape[1], int(log.dlc.max())
+    if width != MAX_DLC or top > MAX_DLC:
+        raise MalformedFrame(f"cannot extend a log of DLCs up to {top} and {width}-byte payload rows as CAN 2.0 frames")
     first, last = float(log.timestamp[0]), float(log.timestamp[-1])
     if spec.start < first or spec.end > last:
         raise WindowOutOfRange(f"window [{spec.start}, {spec.end}] outside log span [{first}, {last}]")
@@ -429,11 +503,8 @@ def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
         injected = _inject_fuzzing(spec, n, rng)
     else:
         injected = _inject_spoofing(spec, n, rng, log)
-    return _concat_sorted([log, injected])
-
-
-# rows formatted per write call, which bounds the text held at once
-_WRITE_CHUNK = 1 << 16
+    merged = TrafficLog.concat([log, injected])
+    return merged.take(np.argsort(merged.timestamp, kind="stable"))  # injected rows follow equal timestamps
 
 
 def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
@@ -441,20 +512,22 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
 
     A row is ``Timestamp,CAN_ID,DLC,Data_Field,Label``: the ``repr`` of the
     timestamp, the identifier as ``%04X``, the DLC in decimal, the first
-    ``dlc`` payload bytes as uppercase hex pairs joined by single spaces
-    (empty for DLC 0), and the label, e.g. ``0.123,0130,2,AB CD,0``.
+    ``payload_len`` payload bytes (a simulated log's DLC) as uppercase hex
+    pairs joined by single spaces (empty for none), and the label, e.g.
+    ``0.123,0130,2,AB CD,0``.
     """
     if header:
         stream.write(LOG_HEADER + "\n")
     id_text = {i: f"{i:04X}" for i in np.unique(log.can_id).tolist()}
-    for start in range(0, len(log), _WRITE_CHUNK):
-        part = slice(start, start + _WRITE_CHUNK)
+    width = log.payload.shape[1]
+    for start in range(0, len(log), _BLOCK_ROWS):
+        part = slice(start, start + _BLOCK_ROWS)
         raw = log.payload[part].tobytes()
         stream.write("".join(
-            f"{t!r},{id_text[c]},{d},{raw[MAX_DLC * i : MAX_DLC * i + d].hex(' ').upper()},{y}\n"
-            for i, (t, c, d, y) in enumerate(zip(
-                log.timestamp[part].tolist(), log.can_id[part].tolist(),
-                log.dlc[part].tolist(), log.label[part].tolist(),
+            f"{t!r},{id_text[c]},{d},{raw[width * i : width * i + n].hex(' ').upper()},{y}\n"
+            for i, (t, c, d, n, y) in enumerate(zip(
+                log.timestamp[part].tolist(), log.can_id[part].tolist(), log.dlc[part].tolist(),
+                log.payload_len[part].tolist(), log.label[part].tolist(),
             ))
         ))
 

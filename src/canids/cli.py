@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -255,31 +256,28 @@ def _naming(what: str | Path, *errors: type[ValueError]):
 
 def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, bool]:
     """All logs cleaned and tabulated at once, and whether each has a ``.kinds`` sidecar (checked whole)."""
-    logs: list[ingest.ParsedLog] = []
-    kinds: list[np.ndarray] = []
+    logs: list[canbus.TrafficLog] = []
+    known = True
     for path in map(Path, paths):
-        data = path.read_bytes()
-        ingest.decode_text(path, data, ingest.NotText)  # a check only: parse_log reads the bytes
-        with _naming(path, ingest.EmptyInput):
-            parsed = ingest.parse_log(data)
-        del data  # freed before imputation and tabulation, as the log's bytes are no longer read
+        with _naming(path, ingest.EmptyInput, ingest.NotText):
+            log = ingest.parse_log(path.read_bytes())
         sidecar = path.with_name(path.name + ".kinds")
+        known &= sidecar.exists()
         if sidecar.exists():
             names = ingest.read_utf8(sidecar, ingest.NotText).splitlines()
-            if len(names) != len(parsed):
+            if len(names) != len(log):
                 raise ValueError(
-                    f"{path}: kinds sidecar has {len(names)} rows for {len(parsed)} records; "
+                    f"{path}: kinds sidecar has {len(names)} rows for {len(log)} records; "
                     "remove the sidecar or regenerate the log"
                 )
-            codes = ingest.kind_codes(names, sidecar)
-            # droprow keeps the kinds of the rows it keeps
-            kinds.append(codes[~parsed.missing.any(axis=1)] if policy == "droprow" else codes)
+            log = dataclasses.replace(log, kind=ingest.kind_codes(names, sidecar))
         with _naming(path, ingest.AllRowsMissing):
-            logs.append(ingest.impute_missing(parsed, policy))
-    known = len(kinds) == len(logs)  # a log without kinds leaves every kind unknown
+            logs.append(ingest.impute_missing(log, policy))
+    log = canbus.TrafficLog.concat(logs)
+    if not known:  # a log without kinds leaves every kind unknown, which the table holds as 0
+        log = dataclasses.replace(log, kind=np.zeros_like(log.kind))
     with _naming(", ".join(paths), ingest.EmptyInput):
-        table = ingest.RecordTable.from_raw(ingest.ParsedLog.concat(logs), np.concatenate(kinds) if known else None)
-    return table, known
+        return ingest.RecordTable.from_raw(log), known
 
 
 # --outliers column name -> RecordTable.feature_columns() key
@@ -293,18 +291,14 @@ def cmd_prepare(args) -> int:
     if args.outliers:
         column, alpha, max_outliers = args.outliers
         values = table.feature_columns()[_OUTLIER_COLUMNS[column]]
-        try:
+        with _naming(f"{inputs}: --outliers {column}", ValueError):
             flagged = ingest.rosner_outliers(values, max_outliers=max_outliers, alpha=alpha)
-        except ValueError as exc:
-            raise type(exc)(f"{inputs}: --outliers {column}: {exc}") from None
         table = table.take(np.delete(np.arange(len(table)), list(flagged)))
         print(f"outlier test dropped {len(flagged)} rows", file=sys.stderr)
 
     if args.correlation_report:
-        try:
+        with _naming(f"{inputs}: --correlation-report", ValueError):
             result = ingest.correlation_matrix(table.feature_columns())
-        except ValueError as exc:
-            raise type(exc)(f"{inputs}: --correlation-report: {exc}") from None
         lines = ["feature_a,feature_b,r,p,significant"]
         for i, a in enumerate(result.names):
             for j, b in enumerate(result.names):

@@ -6,25 +6,27 @@ length-16 feature vectors with deterministic train/validation/test splits.
 Preparation runs in the fixed order cleaning -> integration -> transformation,
 and normalization statistics always come from the training partition alone.
 
-``parse_log`` returns a ``ParsedLog``, whose columns ``impute_missing``
-keeps and ``RecordTable.from_raw`` tabulates:
-  timestamp   float64, finite
-  can_id      int64, at most 0x1FFFFFFF (the 29-bit CAN 2.0B extended maximum)
-  dlc         int64 in [0, MAX_PAYLOAD_BYTES] (64, the CAN FD maximum), not
-              checked against the payload length
-  data        uint8 (n, width): each payload's bytes, zero padded; width is at
-              least PAYLOAD_WIDTH and at most MAX_PAYLOAD_BYTES
-  data_len    int64, the payload length in bytes (0 for an empty payload)
-  label       uint8, 0 or 1
-  missing     bool (n, 5), one flag per field in the order above (data and
-              data_len being one field); a missing field's columns hold 0
+``parse_log`` returns a ``canbus.TrafficLog``, the simulator's log type,
+whose columns ``impute_missing`` keeps and ``RecordTable.from_raw``
+tabulates. A parsed log's columns lie within these bounds:
+  timestamp    float64, finite
+  can_id       int64, at most 0x1FFFFFFF (the 29-bit CAN 2.0B extended maximum)
+  dlc          int64 in [0, MAX_PAYLOAD_BYTES] (64, the CAN FD maximum), not
+               checked against the payload length
+  payload      uint8 (n, width): each payload's bytes, zero padded; width is
+               at least PAYLOAD_WIDTH and at most MAX_PAYLOAD_BYTES
+  payload_len  int64, the payload length in bytes (0 for an empty payload)
+  label        uint8, 0 or 1
+  kind         uint8, 0 (normal) until a ``.kinds`` sidecar's codes replace it
+  missing      bool (n, 5), one flag per field above but kind (payload and
+               payload_len as one); a missing field's columns hold 0
 A cell that does not parse (non-hex or signed digits, an over-long
 identifier or data field, a DLC above 64, a non-finite timestamp, ...) is
 missing.
 
-In ``RecordTable`` and ``PreparedDataset`` an attack kind is a uint8 code
-into ``canbus.KIND_NAMES`` (0 is normal traffic); names appear only in the
-``.kinds`` files, which ``kind_codes`` and ``load_dataset`` read.
+In ``TrafficLog``, ``RecordTable`` and ``PreparedDataset`` an attack kind is
+a uint8 code into ``canbus.KIND_NAMES`` (0 is normal traffic); names appear
+only in the ``.kinds`` files, which ``kind_codes`` and ``load_dataset`` read.
 
 A row in the form ``canbus.write_log`` writes takes a vectorized fast
 path: five cells split by commas and ended by a line feed, a timestamp of
@@ -51,14 +53,14 @@ import functools
 import io
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .bounds import Range
-from .canbus import KIND_NAMES, TrafficLog
+from .canbus import _DATA, _DLC, _FIELDS, _ID, _LABEL, _TS, KIND_NAMES, TrafficLog
 
 N_FEATURES = 16
 PAYLOAD_WIDTH = 8
@@ -129,15 +131,17 @@ class NotText(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def decode_text(path: str | Path, data: bytes | memoryview, error: type[ValueError], at: int = 0) -> str:
+def decode_text(path: str | Path | None, data: bytes | memoryview, error: type[ValueError], at: int = 0) -> str:
     """``data`` decoded as UTF-8 whatever the locale, or ``error`` naming the file and its first bad byte.
 
-    ``at`` is where ``data`` begins in the file, so the offset named is the file's.
+    ``at`` is where ``data`` begins in the file, so the offset named is the file's. A ``path`` of
+    None leaves the file unnamed, for a caller that names it.
     """
     try:
         return str(data, "utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {at + exc.start})") from None
+        fault = f"not UTF-8 text ({exc.reason} at byte {at + exc.start})"
+        raise error(fault if path is None else f"{path}: {fault}") from None
 
 
 def read_utf8(path: str | Path, error: type[ValueError]) -> str:
@@ -195,85 +199,7 @@ class BinaryReader:
 # ---------------------------------------------------------------------------
 
 
-_FIELDS = ("timestamp", "can_id_hex", "dlc", "data_hex", "label_text")
-_TS, _ID, _DLC, _DATA, _LABEL = range(len(_FIELDS))  # columns of ParsedLog.missing
-_NOTHING_MISSING: frozenset[str] = frozenset()
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-@dataclass(frozen=True, slots=True)
-class RawRecord:
-    """One row of a ``ParsedLog`` as text fields; ``None`` marks a missing field.
-
-    The identifier is uppercase hex without leading zeros, the data field
-    uppercase two-digit hex bytes joined by single spaces ("0A FF", "" for
-    an empty payload) and the label "0" or "1".
-    """
-
-    timestamp: float | None
-    can_id_hex: str | None
-    dlc: int | None
-    data_hex: str | None
-    label_text: str | None
-
-    def missing_fields(self) -> frozenset[str]:
-        if (
-            self.timestamp is not None
-            and self.can_id_hex is not None
-            and self.dlc is not None
-            and self.data_hex is not None
-            and self.label_text is not None
-        ):
-            return _NOTHING_MISSING
-        return frozenset(name for name in _FIELDS if getattr(self, name) is None)
-
-
-@dataclass(eq=False)
-class ParsedLog:
-    """Parsed log rows as columns; the module docstring gives their dtypes."""
-
-    timestamp: np.ndarray
-    can_id: np.ndarray
-    dlc: np.ndarray
-    data: np.ndarray
-    data_len: np.ndarray
-    label: np.ndarray
-    missing: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.label)
-
-    def __iter__(self) -> Iterator[RawRecord]:
-        """One ``RawRecord`` per row, built on demand a block of rows at a time."""
-        width = self.data.shape[1]
-        columns = (self.timestamp, self.can_id, self.dlc, self.data_len, self.label, self.missing)
-        for lo in range(0, len(self), _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            raw = self.data[block].tobytes()
-            for i, (t, c, d, n, y, miss) in enumerate(zip(*(col[block].tolist() for col in columns))):
-                yield RawRecord(
-                    None if miss[_TS] else t,
-                    None if miss[_ID] else f"{c:X}",
-                    None if miss[_DLC] else d,
-                    None if miss[_DATA] else raw[i * width : i * width + n].hex(" ").upper(),
-                    None if miss[_LABEL] else str(y),
-                )
-
-    def take(self, rows: np.ndarray) -> "ParsedLog":
-        """The rows an index array or boolean mask selects, in its order."""
-        return ParsedLog(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    @staticmethod
-    def concat(logs: Sequence["ParsedLog"]) -> "ParsedLog":
-        """The rows of ``logs`` in order, as wide as the widest."""
-        if len(logs) == 1:
-            return logs[0]
-        columns = {f.name: np.concatenate([getattr(log, f.name) for log in logs]) for f in fields(ParsedLog)
-                   if f.name != "data"}
-        data = np.zeros((len(columns["label"]), max(log.data.shape[1] for log in logs)), dtype=np.uint8)
-        for log, end in zip(logs, np.cumsum([len(log) for log in logs]).tolist()):
-            data[end - len(log) : end, : log.data.shape[1]] = log.data
-        return ParsedLog(data=data, **columns)
 
 
 def _is_hex(text: str) -> bool:
@@ -334,7 +260,7 @@ def _parse_label(cell: str) -> int | None:
     return None
 
 
-def _parse_rows(text: str, at_start: bool) -> ParsedLog:
+def _parse_rows(text: str, at_start: bool) -> TrafficLog:
     """The rows of ``text`` through csv and the per-cell parsers; ``at_start`` if it begins the log."""
     rows = []
     for i, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
@@ -356,14 +282,15 @@ def _parse_rows(text: str, at_start: bool) -> ParsedLog:
     def column(values, dtype):
         return np.array([0 if v is None else v for v in values], dtype=dtype).reshape(n)
 
-    return ParsedLog(
+    return TrafficLog(
         timestamp=column(timestamp, np.float64),
         can_id=column(can_id, np.int64),
         dlc=column(dlc, np.int64),
-        data=np.frombuffer(bytearray(b"".join(p.ljust(width, b"\0") for p in payloads)),
-                           dtype=np.uint8).reshape(n, width),
-        data_len=column(map(len, payloads), np.int64),
+        payload=np.frombuffer(bytearray(b"".join(p.ljust(width, b"\0") for p in payloads)),
+                              dtype=np.uint8).reshape(n, width),
+        payload_len=column(map(len, payloads), np.int64),
         label=column(label, np.uint8),
+        kind=np.zeros(n, dtype=np.uint8),
         missing=np.array([[v is None for v in row] for row in rows], dtype=bool).reshape(n, len(_FIELDS)),
     )
 
@@ -428,7 +355,7 @@ def _timestamp_cells(buf: np.ndarray, begin: np.ndarray, size: np.ndarray) -> tu
         return np.array([_parse_timestamp(c) for c in cells.tolist()], dtype=np.float64), valid
 
 
-def _canonical_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ParsedLog]:
+def _canonical_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, TrafficLog]:
     """Which of the consecutive lines ``buf[starts:ends]`` are canonical rows, and those rows parsed."""
     comma = np.flatnonzero(buf[starts[0] : ends[-1]] == ord(",")) + starts[0]
     first = np.searchsorted(comma, starts)
@@ -451,8 +378,8 @@ def _canonical_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tu
     timestamp, valid = _timestamp_cells(buf, begin[_TS], size[_TS])
     can_id, valid_id = _number_cells(buf, begin[_ID], size[_ID], _HEX_UPPER, 16)
     dlc, valid_dlc = _number_cells(buf, begin[_DLC], size[_DLC], _DECIMAL, 10)
-    data_len = (size[_DATA] + 1) // 3
-    data, valid_data = _payload_cells(buf, begin[_DATA], data_len)
+    payload_len = (size[_DATA] + 1) // 3
+    payload, valid_data = _payload_cells(buf, begin[_DATA], payload_len)
     label = buf[begin[_LABEL]] - np.uint8(ord("0"))
     valid &= valid_id & valid_dlc & valid_data & (label <= 1)
     ok[:] = False
@@ -462,27 +389,29 @@ def _canonical_rows(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tu
         ~np.isfinite(timestamp),
         can_id > MAX_CAN_ID,
         dlc > MAX_PAYLOAD_BYTES,
-        (data_len == 0) & (dlc != 0),  # a DLC above 64 is missing, so not 0 either
+        (payload_len == 0) & (dlc != 0),  # a DLC above 64 is missing, so not 0 either
         np.zeros(len(label), dtype=bool),
     ))[valid]
-    return ok, ParsedLog(
+    return ok, TrafficLog(
         timestamp=np.where(missing[:, _TS], 0.0, timestamp[valid]),
         can_id=np.where(missing[:, _ID], 0, can_id[valid]),
         dlc=np.where(missing[:, _DLC], 0, dlc[valid]),
-        data=data[valid],
-        data_len=data_len[valid],
+        payload=payload[valid],
+        payload_len=payload_len[valid],
         label=label[valid],
+        kind=np.zeros(len(missing), dtype=np.uint8),
         missing=missing,
     )
 
 
-def parse_log(source: bytes | str | IO[str]) -> ParsedLog:
-    """Parse comma-separated rows into a ``ParsedLog``, row order preserved.
+def parse_log(source: bytes | str | IO[str]) -> TrafficLog:
+    """Parse comma-separated rows into a ``TrafficLog`` of kind 0, row order preserved.
 
     ``source`` is the log as UTF-8 bytes, as text, or as a text stream. Lines
     end at a line feed, a carriage return or both. The header row is
     optional. Malformed cells become missing flags instead of aborting; rows
-    with neither an identifier nor a data field are dropped.
+    with neither an identifier nor a data field are dropped. Bytes that are
+    not UTF-8 raise ``NotText`` naming the offset of the first bad one.
     """
     if isinstance(source, str):
         source = source.encode()
@@ -506,15 +435,18 @@ def parse_log(source: bytes | str | IO[str]) -> ParsedLog:
         keys.append(np.flatnonzero(ok) + lo)
     lines = np.flatnonzero(slow)
     for run in np.split(lines, np.flatnonzero(np.diff(lines) != 1) + 1) if len(lines) else []:
-        part = _parse_rows(source[starts[run[0]] : ends[run[-1]] + 1].decode(), at_start=run[0] == 0)
+        # fast-path lines are ASCII and runs are decoded in file order, so the first fault is the file's
+        at = int(starts[run[0]])
+        text = decode_text(None, source[at : ends[run[-1]] + 1], NotText, at=at)
+        part = _parse_rows(text, at_start=run[0] == 0)
         parts.append(part)
         keys.append(np.full(len(part), run[0]))
     if not parts:
         raise EmptyInput("no data rows found")
-    log = ParsedLog.concat(parts)
+    log = TrafficLog.concat(parts)
     if len(lines):
         log = log.take(np.argsort(np.concatenate(keys), kind="stable"))
-    dropped = log.missing[:, _ID] & (log.missing[:, _DATA] | (log.data_len == 0))
+    dropped = log.missing[:, _ID] & (log.missing[:, _DATA] | (log.payload_len == 0))
     if dropped.any():
         log = log.take(~dropped)
     if not len(log):
@@ -581,29 +513,30 @@ def _mean_or_raise(values: np.ndarray, column: str) -> float:
     return float(np.mean(values))
 
 
-def _payload_means(log: ParsedLog) -> list[int]:
+def _payload_means(log: TrafficLog) -> list[int]:
     """Rounded mean of each payload position, over the rows long enough to have it.
 
     Bytes are at most 255, so the integer sums are exact and ``total / count``
     is the correctly rounded mean ``np.mean`` gives.
     """
-    seen = ~log.missing[:, _DATA] & (log.data_len > 0)
-    lengths = log.data_len[seen]
+    seen = ~log.missing[:, _DATA] & (log.payload_len > 0)
+    lengths = log.payload_len[seen]
     width = int(lengths.max(initial=0))
-    totals = log.data[seen, :width].sum(axis=0, dtype=np.int64)  # bytes past a row's length are 0
+    totals = log.payload[seen, :width].sum(axis=0, dtype=np.int64)  # bytes past a row's length are 0
     counts = (lengths[:, None] > np.arange(width)).sum(axis=0)
     return [round(total / count) for total, count in zip(totals.tolist(), counts.tolist())]
 
 
-def impute_missing(log: ParsedLog, policy: str = "droprow") -> ParsedLog:
+def impute_missing(log: TrafficLog, policy: str = "droprow") -> TrafficLog:
     """Resolve missing flags: drop flagged rows, or fill them with column means.
 
     ``fieldmean`` imputes the timestamp, identifier, DLC, and label from
     rounded column means, and the data field byte-wise from per-position
-    means (positions never observed fall back to zero). A log with nothing
-    missing comes back as itself. Each mean is computed only if a row needs
-    it, so ``AllRowsMissing`` names a column some row lacks; when several
-    fail, it names the one a row-by-row fill would reach first.
+    means (positions never observed fall back to zero). Rows keep their
+    kinds. A log with nothing missing comes back as itself. Each mean is
+    computed only if a row needs it, so ``AllRowsMissing`` names a column
+    some row lacks; when several fail, it names the one a row-by-row fill
+    would reach first.
     """
     if policy not in IMPUTE_POLICIES:
         raise ValueError(f"unknown imputation policy {policy!r}")
@@ -618,7 +551,7 @@ def impute_missing(log: ParsedLog, policy: str = "droprow") -> ParsedLog:
     dlc = log.dlc
     if missing[:, _DLC].any():
         dlc = np.where(missing[:, _DLC], round(_mean_or_raise(dlc[seen[:, _DLC]], "DLC")), dlc)
-    data, data_len = log.data, log.data_len
+    payload, payload_len = log.payload, log.payload_len
     fill = missing[:, _DATA]
     payload_gap = None  # the first row needing payload bytes when no row has any
     if fill.any():
@@ -626,12 +559,12 @@ def impute_missing(log: ParsedLog, policy: str = "droprow") -> ParsedLog:
         needy = np.flatnonzero(fill & (dlc > 0))
         if len(needy) and not means:
             payload_gap = int(needy[0])
-        width = max(data.shape[1], int(dlc[fill].max()))
+        width = max(payload.shape[1], int(dlc[fill].max()))
         row = np.zeros(width, dtype=np.uint8)
         row[: len(means)] = means
-        data = np.pad(data, ((0, 0), (0, width - data.shape[1])))
-        data[fill] = np.where(np.arange(width) < dlc[fill, None], row, 0)
-        data_len = np.where(fill, dlc, data_len)
+        payload = np.pad(payload, ((0, 0), (0, width - payload.shape[1])))
+        payload[fill] = np.where(np.arange(width) < dlc[fill, None], row, 0)
+        payload_len = np.where(fill, dlc, payload_len)
     # every row lacks an all-missing column, so that error belongs to row 0,
     # where a row-by-row fill checks DLC, Data_Field, Label, CAN_ID, Timestamp in turn
     if payload_gap == 0:
@@ -646,7 +579,8 @@ def impute_missing(log: ParsedLog, policy: str = "droprow") -> ParsedLog:
         timestamp = np.where(missing[:, _TS], _mean_or_raise(timestamp[seen[:, _TS]], "Timestamp"), timestamp)
     if payload_gap is not None:
         raise AllRowsMissing("cannot impute Data_Field: no observed values")
-    return ParsedLog(timestamp, can_id, dlc, data, data_len, label, np.zeros_like(missing))
+    return replace(log, timestamp=timestamp, can_id=can_id, dlc=dlc, payload=payload, payload_len=payload_len,
+                   label=label, missing=np.zeros_like(missing))
 
 
 # ---------------------------------------------------------------------------
@@ -777,20 +711,20 @@ class RecordTable:
         return len(self.label)
 
     @classmethod
-    def from_raw(cls, log: ParsedLog, kinds: np.ndarray | None = None) -> "RecordTable":
-        """Tabulate a cleaned ``ParsedLog``, one kind code per row if ``kinds`` is given (else normal).
+    def from_raw(cls, log: TrafficLog) -> "RecordTable":
+        """Tabulate a cleaned ``TrafficLog``, parsed or simulated, with its kind column.
 
         A row with a missing field or a label other than 0/1 raises a plain
         ``ValueError``, an identifier above ``MAX_CAN_ID`` ``IdOutOfRange``,
-        a data field longer than ``MAX_PAYLOAD_BYTES`` ``PayloadTooLong``, and
-        a kind code outside ``KIND_NAMES`` ``UnknownKind``.
+        a data field longer than ``MAX_PAYLOAD_BYTES`` ``PayloadTooLong``, a
+        kind column of another length ``LengthMismatch``, and a kind code
+        outside ``KIND_NAMES`` ``UnknownKind``.
         """
         if not len(log):
             raise EmptyInput("no records to tabulate")
-        kinds = np.zeros(len(log), dtype=np.uint8) if kinds is None else kinds
-        if len(kinds) != len(log):
-            raise LengthMismatch("kinds sidecar length differs from record count")
-        unknown = np.setdiff1d(kinds, np.arange(len(KIND_NAMES)))
+        if len(log.kind) != len(log):
+            raise LengthMismatch(f"{len(log.kind)} kind codes for {len(log)} rows")
+        unknown = np.setdiff1d(log.kind, np.arange(len(KIND_NAMES)))
         if len(unknown):
             raise UnknownKind(f"kind codes {unknown[:5].tolist()} lie outside KIND_NAMES")
         if log.missing.any() or (log.label > 1).any():
@@ -798,27 +732,25 @@ class RecordTable:
         too_long = np.unique(log.can_id[log.can_id > MAX_CAN_ID])
         if len(too_long):
             raise IdOutOfRange(f"identifiers above 29 bits: {[f'{v:X}' for v in too_long[:5].tolist()]}")
-        over = np.flatnonzero(log.data_len > MAX_PAYLOAD_BYTES)
+        over = np.flatnonzero(log.payload_len > MAX_PAYLOAD_BYTES)
         if len(over):
             raise PayloadTooLong(
-                f"row {over[0]}: {log.data_len[over[0]]}-byte data field exceeds {MAX_PAYLOAD_BYTES}"
+                f"row {over[0]}: {log.payload_len[over[0]]}-byte data field exceeds {MAX_PAYLOAD_BYTES}"
             )
         return cls(
             timestamp=log.timestamp.astype(np.float64),
             can_id=log.can_id.astype(np.int64),
             dlc=log.dlc.astype(np.int64),
-            payload=log.data[:, :PAYLOAD_WIDTH].copy(),
-            data_value=_big_endian_values(log.data, log.data_len),
+            payload=log.payload[:, :PAYLOAD_WIDTH].copy(),
+            data_value=_big_endian_values(log.payload, log.payload_len),
             label=log.label.astype(np.uint8),
-            kind=np.array(kinds, dtype=np.uint8),
+            kind=log.kind.astype(np.uint8),
         )
 
     @classmethod
     def from_traffic(cls, log: TrafficLog) -> "RecordTable":
-        """``from_raw`` on the simulator's columns, its payload and DLC as the data field."""
-        view = ParsedLog(log.timestamp, log.can_id, log.dlc, data=log.payload, data_len=log.dlc, label=log.label,
-                         missing=np.zeros((len(log), len(_FIELDS)), dtype=bool))
-        return cls.from_raw(view, log.kind)
+        """``from_raw``, under the second name that benchmark tracing times for simulated logs."""
+        return cls.from_raw(log)
 
     def take(self, idx: np.ndarray) -> "RecordTable":
         return RecordTable(*(getattr(self, f.name)[idx] for f in fields(self)))

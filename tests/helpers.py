@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from canids import canbus, ingest
-from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, WindowOutOfRange
+from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, RawRecord, WindowOutOfRange
 from canids.ingest import (
     PAYLOAD_WIDTH,
     AllRowsMissing,
@@ -17,7 +17,6 @@ from canids.ingest import (
     LengthMismatch,
     NormalizationParams,
     PreparedDataset,
-    RawRecord,
     RecordTable,
 )
 
@@ -563,17 +562,20 @@ def kind_code(name):
 
 
 def traffic_log(records):
-    """A ``canbus.TrafficLog`` holding the given ``LogRow`` rows in order."""
+    """A simulated ``canbus.TrafficLog`` of the given ``LogRow`` rows in order: lengths are DLCs, nothing missing."""
     payload = np.zeros((len(records), MAX_DLC), dtype=np.uint8)
     for i, r in enumerate(records):
         payload[i, : len(r.payload)] = list(r.payload)
+    dlc = np.array([r.dlc for r in records], dtype=np.int64)
     return canbus.TrafficLog(
         timestamp=np.array([r.timestamp for r in records], dtype=np.float64),
         can_id=np.array([r.can_id for r in records], dtype=np.int64),
-        dlc=np.array([r.dlc for r in records], dtype=np.int64),
+        dlc=dlc,
         payload=payload,
+        payload_len=dlc.copy(),
         label=np.array([r.label for r in records], dtype=np.uint8),
         kind=np.array([kind_code(r.kind) for r in records], dtype=np.uint8),
+        missing=np.zeros((len(records), 5), dtype=bool),
     )
 
 

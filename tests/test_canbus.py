@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from canids.canbus import (
+    ATTACK_KINDS,
     AttackSpec,
     CanFrame,
     CrcMismatch,
@@ -30,6 +31,7 @@ from canids.canbus import (
     inject_attack,
     write_log,
 )
+from canids.ingest import parse_log
 from helpers import LogRow, traffic_log
 
 
@@ -342,6 +344,19 @@ class TestInjectAttack:
         just_fits = AttackSpec("flooding", 1.0, 2.0, float(MAX_RECORDS))  # not with the log's rows
         with pytest.raises(TooManyRecords, match=f"^log of {len(base_log)} records with the flooding"):
             inject_attack(base_log, just_fits)
+
+    def test_a_parsed_log_extends_as_the_simulated_one(self, base_log):
+        spec = AttackSpec("spoofing", 2.0, 4.0, 80.0, spoof_targets=(0x0A0, 0x2B0), seed=13)
+        assert log_text(inject_attack(parse_log(log_text(base_log)), spec)) == log_text(inject_attack(base_log, spec))
+
+    @pytest.mark.parametrize("row, fault", [("1.5,0130,12,00 11,0", "DLCs up to 12 and 8-byte"),
+                                            ("1.5,0130,8," + " ".join(["AB"] * 9) + ",0", "DLCs up to 8 and 9-byte")])
+    def test_log_that_is_not_can_20_frames_is_refused_before_any_draw(self, row, fault, monkeypatch):
+        log = parse_log(f"1.0,0130,8,00 11 22 33 44 55 66 77,0\n{row}\n3.0,0130,0,,0\n")
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew from the attack seed"))
+        for kind in ATTACK_KINDS:
+            with pytest.raises(MalformedFrame, match=f"^cannot extend a log of {fault} payload rows as CAN 2.0"):
+                inject_attack(log, AttackSpec(kind, 1.5, 2.5, 10.0, spoof_targets=(0x130,)))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

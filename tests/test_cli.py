@@ -711,6 +711,15 @@ class TestSeedOption:
     def test_seed_zero_is_accepted(self, tmp_path, profile_path):
         run_ok(["simulate", "--profile", str(profile_path), "--seed", "0", "-o", str(tmp_path / "x.csv")])
 
+    def test_largest_seed_with_two_attacks_is_accepted(self, tmp_path, capsys):
+        # the attack seeds, the profile seed + 101 + i, lie past the u64 range a profile seed keeps to
+        profile = tmp_path / "profile.cfg"
+        profile.write_text("duration=3\necu=0A0,0.02,4,constant\necu=130,0.02,8,counter\n")
+        out = tmp_path / "x.csv"
+        run_ok(["simulate", "--profile", str(profile), "--seed", "18446744073709551615",
+                "--attack", "flooding:1:2:60", "--attack", "fuzzing:0.5:1:60", "-o", str(out)])
+        assert capsys.readouterr().out == f"wrote 390 records to {out}\n"
+
 
 class TestTrainingOptions:
     def test_lr_zero_and_tree_depth_zero_are_accepted(self, pipeline):

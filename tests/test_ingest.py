@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import struct
 
@@ -8,7 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from canids.canbus import KIND_NAMES, AttackSpec, CanFrame, EcuSpec, SimProfile, generate_traffic, inject_attack
+from canids.canbus import (
+    KIND_NAMES,
+    AttackSpec,
+    CanFrame,
+    EcuSpec,
+    RawRecord,
+    SimProfile,
+    generate_traffic,
+    inject_attack,
+    write_log,
+)
 from canids.ingest import (
     CONTAINER_MAGIC,
     N_FEATURES,
@@ -22,7 +33,6 @@ from canids.ingest import (
     NormalizationParams,
     NotText,
     PayloadTooLong,
-    RawRecord,
     RecordTable,
     TooFewValues,
     UnknownKind,
@@ -103,10 +113,35 @@ class TestParseLog:
         assert log.timestamp.tolist() == [0.123, 0.25] and log.timestamp.dtype == np.float64
         assert log.can_id.tolist() == [0x130, 0x1A3] and log.can_id.dtype == np.int64
         assert log.dlc.tolist() == [2, 0] and log.dlc.dtype == np.int64
-        assert log.data.dtype == np.uint8 and log.data.shape == (2, 8)
-        assert log.data[0, :2].tolist() == [0xAB, 0xCD] and not log.data[0, 2:].any()
-        assert log.data_len.tolist() == [2, 0] and log.label.tolist() == [0, 1]
+        assert log.payload.dtype == np.uint8 and log.payload.shape == (2, 8)
+        assert log.payload[0, :2].tolist() == [0xAB, 0xCD] and not log.payload[0, 2:].any()
+        assert log.payload_len.tolist() == [2, 0] and log.label.tolist() == [0, 1]
+        assert log.kind.tolist() == [0, 0] and log.kind.dtype == np.uint8
         assert log.missing.shape == (2, 5) and not log.missing.any()
+
+    def test_parses_into_the_simulator_log_type(self):
+        log = inject_attack(generate_traffic(SimProfile((EcuSpec(0x0A0, 0.1, 4), EcuSpec(0x130, 0.1)), 3.0, seed=2)),
+                            AttackSpec("fuzzing", 0.5, 2.5, 40.0, seed=3))
+        text = io.StringIO()
+        write_log(log, text)
+        parsed = parse_log(text.getvalue())
+        assert type(parsed) is type(log)
+        assert np.array_equal(log.payload_len, log.dlc) and not log.missing.any()
+        for name in ("timestamp", "can_id", "dlc", "payload", "payload_len", "label", "missing"):
+            assert np.array_equal(getattr(parsed, name), getattr(log, name)), name
+        again = io.StringIO()
+        write_log(parsed, again)
+        assert again.getvalue() == text.getvalue()
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_bytes_that_are_not_utf8_name_the_file_offset(self, quoted):
+        # the bad byte lies in a run of rows past the fast path's, or in a log read through csv whole
+        blob = b'Timestamp,CAN_ID,DLC,Data_Field,Label\n0.5,0130,1,AB,0\n1.0,0130,1,AB,0\n1.5,0130,1,AB,\xff\n'
+        if quoted:
+            blob += b'2.0,0130,1,"AB",0\n'
+        with pytest.raises(NotText) as exc:
+            parse_log(blob)
+        assert str(exc.value) == f"not UTF-8 text (invalid start byte at byte {blob.index(0xFF)})"
 
     def test_missing_dlc_sets_flag(self):
         [rec] = parse_log("0.5,0130,,AB CD,1")
@@ -471,11 +506,13 @@ class TestEncode:
         with pytest.raises(UnknownKind, match=message + "$"):
             kind_codes(["normal", "garbage_kind_name", "bogus"], "log.csv.kinds")
         records = parse_log("0.0,0100,1,11,0\n0.1,0100,1,11,1")
-        assert RecordTable.from_raw(records, codes).kind.tolist() == [0, 2]
+        assert RecordTable.from_raw(dataclasses.replace(records, kind=codes)).kind.tolist() == [0, 2]
         assert RecordTable.from_raw(records).kind.tolist() == [0, 0]
         for bad in ([0, len(KIND_NAMES)], [0, 255], [-1, 0]):
             with pytest.raises(UnknownKind, match="outside KIND_NAMES"):
-                RecordTable.from_raw(records, np.array(bad))
+                RecordTable.from_raw(dataclasses.replace(records, kind=np.array(bad)))
+        with pytest.raises(LengthMismatch, match="^1 kind codes for 2 rows$"):
+            RecordTable.from_raw(dataclasses.replace(records, kind=codes[:1]))
 
     def test_id_above_29_bits_rejected(self):
         # parse_log marks such identifiers missing; a hand-built log still cannot pass
@@ -487,7 +524,7 @@ class TestEncode:
     def test_data_field_above_64_bytes_rejected(self):
         log = parse_log("0.0,0100,8,FF,0")
         with pytest.raises(PayloadTooLong):
-            RecordTable.from_raw(dataclasses.replace(log, data_len=np.array([200])))
+            RecordTable.from_raw(dataclasses.replace(log, payload_len=np.array([200])))
         assert table(f"0.0,0100,64,{' '.join(['FF'] * 64)},0").data_value[0] == float(2**512 - 1)
 
     @pytest.mark.parametrize("data_hex", ["-1", "+F", "0A ZZ", "A"])
@@ -807,6 +844,10 @@ _SAMPLE = _RNG.standard_normal(40)
           ]
           for bad in (math.inf, -math.inf, math.nan)),
         (lambda: SimProfile(ecus=(), duration=1.0, jitter=0.5), "jitter must be a number in [0, 0.5), got 0.5"),
+        *((lambda seed=seed: SimProfile(ecus=(), duration=1.0, seed=seed),
+           f"seed must be an integer in [0, 18446744073709551615], got {seed!r}") for seed in (-1, 1.5, 2**64)),
+        *((lambda seed=seed: AttackSpec("flooding", 1.0, 2.0, 10.0, seed=seed),
+           f"seed must be an integer in [0, inf), got {seed!r}") for seed in (-3, 1.5)),
         (lambda: EcuSpec(0x800, 0.1), "identifier must be an integer in [0, 2047], got 2048"),
         (lambda: EcuSpec(0x130, 0.1, dlc=9), "dlc must be an integer in [0, 8], got 9"),
         (lambda: AttackSpec("spoofing", 1.0, 2.0, 3.0, (-1,)), "identifier must be an integer in [0, 2047], got -1"),

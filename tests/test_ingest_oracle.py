@@ -5,7 +5,7 @@ what the per-token reference copies in ``helpers`` give, down to the bytes
 of the prepared container. Inputs whose handling changed on purpose (signed
 or non-ASCII hex digits, identifiers above 29 bits, DLCs above 64,
 non-finite timestamps) are left out here and tested on their own in
-``test_ingest.py``. ``ParsedLog`` rows write identifiers without leading
+``test_ingest.py``. ``TrafficLog`` rows write identifiers without leading
 zeros; the reference keeps the cell's digits, so its identifiers are
 rewritten before the rows are compared.
 """

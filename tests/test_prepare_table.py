@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from helpers import legacy_prepare_table
 
-from canids import ingest
+from canids import canbus, ingest
 from canids.cli import run_command
 
 KINDS = ("normal", "normal", "normal", "flooding", "spoofing", "fuzzing")
@@ -143,9 +143,9 @@ def test_tabulates_once_before_the_outlier_test(tmp_path, logs, monkeypatch):
     calls = []
     from_raw, rosner = ingest.RecordTable.from_raw.__func__, ingest.rosner_outliers
 
-    def spy_from_raw(cls, records, kinds=None):
+    def spy_from_raw(cls, log):
         calls.append("from_raw")
-        return from_raw(cls, records, kinds)
+        return from_raw(cls, log)
 
     def spy_rosner(*args, **kwargs):
         calls.append("rosner_outliers")
@@ -160,7 +160,7 @@ def test_tabulates_once_before_the_outlier_test(tmp_path, logs, monkeypatch):
 
 def test_no_record_list_outlives_tabulation(tmp_path, logs, monkeypatch):
     def live_records():
-        return sum(isinstance(obj, (ingest.RawRecord, ingest.ParsedLog)) for obj in gc.get_objects())
+        return sum(isinstance(obj, (canbus.RawRecord, canbus.TrafficLog)) for obj in gc.get_objects())
 
     def counted(fn):
         def wrapper(*args, **kwargs):

@@ -16,7 +16,8 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_members_stay_removed():
-    assert "TrafficRecord" not in canids.__all__
+    assert "TrafficRecord" not in canids.__all__ and "ParsedLog" not in canids.__all__
+    assert not hasattr(canids, "ParsedLog") and not hasattr(ingest, "ParsedLog")
     assert not hasattr(canbus, "TrafficRecord") and not hasattr(canbus, "format_record")
     assert not hasattr(canbus.TrafficLog, "__getitem__")
     assert not hasattr(canbus.CanFrame, "crc")
