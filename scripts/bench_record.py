@@ -18,15 +18,16 @@ which side runs first, it then measures per workload:
 
 - ``PAIRS`` parent/change pairs of ``setup_s``, each value the median of perfbench's
   fresh set-up processes, as ``run.py`` reports it;
-- ``RUNS`` untraced runs per side of the length ``BENCHMARK.json`` declares, for the
-  medians and quartiles of ``pipeline_s`` and ``peak_rss_mb``. These runs write into
-  a temporary directory, not into ``perfbench/``;
+- ``PAIRS`` parent/change pairs of untraced runs of the length ``BENCHMARK.json``
+  declares, for the medians and quartiles of ``pipeline_s`` and ``peak_rss_mb``. These
+  runs write into a temporary directory, not into ``perfbench/``;
 
 and ``PAIRS`` fresh processes per side that only ``import canids``, for their peak RSS.
 
-It writes only ``--out``. A gain counts as shown when the change wins at least
-nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range. A metric that must not get worse is unresolved when the
+It writes only ``--out``. For ``setup_s``, ``pipeline_s`` and ``peak_rss_mb`` on every
+workload it records how many pairs the change won and whether a gain is shown: the
+change wins at least nine tenths of the pairs and the medians differ by more than the
+parent's interquartile range. A metric that must not get worse is unresolved when the
 parent's interquartile range is wider than the metric's bound, unless every run
 of the change reads better than every run of the parent.
 """
@@ -46,7 +47,6 @@ from pathlib import Path
 WORKLOADS = ("desk", "transfer", "paper-ingest")
 SIDES = ("parent", "change")
 PAIRS = 10
-RUNS = 5
 
 
 def load_perfbench(checkout: Path, side: str):
@@ -83,6 +83,13 @@ def alternate(count: int, measure) -> dict[str, list]:
     return values
 
 
+def gain(parent: dict, change: dict) -> dict:
+    """The gain rule for a lower-is-better metric over pairs of alternating runs (``spread`` of each side)."""
+    wins = sum(c < p for p, c in zip(parent["values"], change["values"]))
+    return {"change_wins": wins,
+            "gain_shown": wins >= 0.9 * len(parent["values"]) and parent["median"] - change["median"] > parent["iqr"]}
+
+
 def setup_pairs(bench: dict, workload: str, seed: int) -> dict:
     def measure(side):
         module = bench[side]
@@ -90,18 +97,11 @@ def setup_pairs(bench: dict, workload: str, seed: int) -> dict:
 
     values = alternate(PAIRS, measure)
     parent, change = spread(values["parent"]), spread(values["change"])
-    wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
-    return {
-        "pairs": PAIRS,
-        "parent": parent,
-        "change": change,
-        "change_wins": wins,
-        "gain_shown": wins >= 0.9 * PAIRS and parent["median"] - change["median"] > parent["iqr"],
-    }
+    return {"pairs": PAIRS, "parent": parent, "change": change, **gain(parent, change)}
 
 
 def untraced_runs(bench: dict, workload: str, seed: int, seconds: float) -> dict[str, list[dict]]:
-    """``RUNS`` untraced result files per side, each from a fresh worker process."""
+    """``PAIRS`` untraced result files per side, each from a fresh worker process."""
     def measure(side):
         module = bench[side]
         with tempfile.TemporaryDirectory() as tmp:
@@ -115,7 +115,7 @@ def untraced_runs(bench: dict, workload: str, seed: int, seconds: float) -> dict
                 raise SystemExit(f"error: {side} {workload} run failed:\n{proc.stdout[-4000:]}")
             return json.loads(out.read_text())
 
-    return alternate(RUNS, measure)
+    return alternate(PAIRS, measure)
 
 
 def verdict(parent: dict, change: dict, bound: float) -> str:
@@ -193,7 +193,8 @@ def main() -> int:
            for w in WORKLOADS}
     for sides in e2e.values():
         for name in ("pipeline_s", "peak_rss_mb"):
-            sides["change"][name]["verdict"] = verdict(sides["parent"][name], sides["change"][name], bounds[name])
+            parent, change = sides["parent"][name], sides["change"][name]
+            change.update(gain(parent, change), verdict=verdict(parent, change, bounds[name]))
     record = {
         "benchmark": "perfbench/run.py, BENCHMARK.json metrics, BLAS on 1 thread",
         "seed": args.seed,
@@ -207,7 +208,8 @@ def main() -> int:
         "import_canids_peak_rss_mb": import_rss(bench),
         "notes": [
             "end_to_end.setup_s is the median of setup_s_pairs; pipeline_s and peak_rss_mb are over the "
-            "alternating untraced runs, each of run_seconds",
+            f"{PAIRS} pairs of alternating untraced runs, each of run_seconds, with change_wins and gain_shown "
+            "taken pair by pair as for setup_s",
             "per_layer is from the traced invocation's half-length runs; trace.overhead_s is its traced "
             "pipeline_s minus its untraced one, as perfbench/run.py --trace 1 prints it",
             "quartiles are statistics.quantiles(n=4), exclusive method",
@@ -219,9 +221,9 @@ def main() -> int:
         print(f"{w}: setup_s {p['parent']['median']:.3f} -> {p['change']['median']:.3f} s, "
               f"change won {p['change_wins']}/{p['pairs']}, parent IQR {p['parent']['iqr']:.3f} s")
         for name in ("pipeline_s", "peak_rss_mb"):
-            sides = e2e[w]
-            print(f"  {name} {sides['parent'][name]['median']:.2f} -> {sides['change'][name]['median']:.2f}: "
-                  f"{sides['change'][name]['verdict']}")
+            parent, change = e2e[w]["parent"][name], e2e[w]["change"][name]
+            print(f"  {name} {parent['median']:.2f} -> {change['median']:.2f}: {change['verdict']}; "
+                  f"change won {change['change_wins']}/{PAIRS}, gain shown: {change['gain_shown']}")
     return 0
 
 

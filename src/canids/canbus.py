@@ -267,16 +267,26 @@ class TrafficLog:
         return TrafficLog(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @staticmethod
-    def concat(logs: Sequence[TrafficLog]) -> TrafficLog:
-        """The rows of ``logs`` in order, as wide as the widest."""
-        if len(logs) == 1:
+    def concat(logs: Sequence[TrafficLog], key: np.ndarray | None = None) -> TrafficLog:
+        """The rows of ``logs`` in order, as wide as the widest, or stably sorted by ``key``, one value per row.
+
+        Each column is joined and gathered on its own, so at most one column is held twice at a time.
+        """
+        order = None if key is None else np.argsort(key, kind="stable")
+        if len(logs) == 1 and order is None:
             return logs[0]
-        columns = {f.name: np.concatenate([getattr(log, f.name) for log in logs]) for f in fields(TrafficLog)
-                   if f.name != "payload"}
-        payload = np.zeros((len(columns["label"]), max(log.payload.shape[1] for log in logs)), dtype=np.uint8)
-        for log, end in zip(logs, np.cumsum([len(log) for log in logs]).tolist()):
-            payload[end - len(log) : end, : log.payload.shape[1]] = log.payload
-        return TrafficLog(payload=payload, **columns)
+
+        def gather(column: np.ndarray) -> np.ndarray:
+            return column if order is None else column[order]
+
+        def joined(name: str) -> np.ndarray:
+            parts = [getattr(log, name) for log in logs]
+            if name == "payload" and len({part.shape[1] for part in parts}) > 1:
+                width = max(part.shape[1] for part in parts)
+                parts = [np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in parts]
+            return gather(parts[0] if len(parts) == 1 else np.concatenate(parts))
+
+        return TrafficLog(*(joined(f.name) for f in fields(TrafficLog)))
 
 
 def _block(timestamp: np.ndarray, can_id, dlc, payload: np.ndarray, kind: str) -> TrafficLog:
@@ -422,8 +432,8 @@ def generate_traffic(profile: SimProfile) -> TrafficLog:
         timestamp = np.arange(1, n + 1) * ecu.period * (1.0 + jitter)
         payload = _ecu_payloads(ecu, n, rng)
         blocks.append(_block(timestamp, ecu.identifier, ecu.dlc, payload, "normal"))
-    log = TrafficLog.concat(blocks)
-    return log.take(np.argsort(log.timestamp, kind="stable"))  # ties keep profile order
+    # ties keep profile order
+    return TrafficLog.concat(blocks, key=np.concatenate([block.timestamp for block in blocks]))
 
 
 def _inject_flooding(spec: AttackSpec, n: int) -> TrafficLog:
@@ -470,7 +480,7 @@ def _inject_spoofing(spec: AttackSpec, n: int, rng: np.random.Generator, log: Tr
 
 
 def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
-    """Merge attack-labeled records into a sorted log; originals are untouched.
+    """Merge attack-labeled records into a log, sorted by timestamp first if it is not; originals are untouched.
 
     Flooding emits identifier 0x000 at fixed spacing; fuzzing draws uniform
     identifiers, DLCs, and payload bytes; spoofing replays each target's most
@@ -488,6 +498,8 @@ def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
     width, top = log.payload.shape[1], int(log.dlc.max())
     if width != MAX_DLC or top > MAX_DLC:
         raise MalformedFrame(f"cannot extend a log of DLCs up to {top} and {width}-byte payload rows as CAN 2.0 frames")
+    if (log.timestamp[1:] < log.timestamp[:-1]).any():  # a parsed log in file order need not be sorted
+        log = log.take(np.argsort(log.timestamp, kind="stable"))
     first, last = float(log.timestamp[0]), float(log.timestamp[-1])
     if spec.start < first or spec.end > last:
         raise WindowOutOfRange(f"window [{spec.start}, {spec.end}] outside log span [{first}, {last}]")
@@ -503,8 +515,8 @@ def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
         injected = _inject_fuzzing(spec, n, rng)
     else:
         injected = _inject_spoofing(spec, n, rng, log)
-    merged = TrafficLog.concat([log, injected])
-    return merged.take(np.argsort(merged.timestamp, kind="stable"))  # injected rows follow equal timestamps
+    # injected rows follow equal timestamps
+    return TrafficLog.concat([log, injected], key=np.concatenate([log.timestamp, injected.timestamp]))
 
 
 def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:

@@ -293,7 +293,8 @@ def cmd_prepare(args) -> int:
         values = table.feature_columns()[_OUTLIER_COLUMNS[column]]
         with _naming(f"{inputs}: --outliers {column}", ValueError):
             flagged = ingest.rosner_outliers(values, max_outliers=max_outliers, alpha=alpha)
-        table = table.take(np.delete(np.arange(len(table)), list(flagged)))
+        if flagged:
+            table = table.take(np.delete(np.arange(len(table)), list(flagged)))
         print(f"outlier test dropped {len(flagged)} rows", file=sys.stderr)
 
     if args.correlation_report:

@@ -411,12 +411,18 @@ def parse_log(source: bytes | str | IO[str]) -> TrafficLog:
     end at a line feed, a carriage return or both. The header row is
     optional. Malformed cells become missing flags instead of aborting; rows
     with neither an identifier nor a data field are dropped. Bytes that are
-    not UTF-8 raise ``NotText`` naming the offset of the first bad one.
+    not UTF-8, or text holding a lone surrogate (as ``surrogateescape``
+    decoding leaves for such bytes), raise ``NotText`` naming the byte offset
+    of the first bad one.
     """
+    if not isinstance(source, (bytes, str)):
+        source = source.read()
     if isinstance(source, str):
-        source = source.encode()
-    elif not isinstance(source, bytes):
-        source = source.read().encode()
+        try:
+            source = source.encode()
+        except UnicodeEncodeError as exc:
+            at = len(source[: exc.start].encode())
+            raise NotText(f"not UTF-8 text ({exc.reason} at byte {at})") from None
     buf = np.frombuffer(source, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     fast_lines = 0 if b'"' in source else len(ends)
@@ -441,17 +447,13 @@ def parse_log(source: bytes | str | IO[str]) -> TrafficLog:
         part = _parse_rows(text, at_start=run[0] == 0)
         parts.append(part)
         keys.append(np.full(len(part), run[0]))
-    if not parts:
+    for i, part in enumerate(parts):
+        dropped = part.missing[:, _ID] & (part.missing[:, _DATA] | (part.payload_len == 0))
+        if dropped.any():
+            parts[i], keys[i] = part.take(~dropped), keys[i][~dropped]
+    if not sum(map(len, parts)):
         raise EmptyInput("no data rows found")
-    log = TrafficLog.concat(parts)
-    if len(lines):
-        log = log.take(np.argsort(np.concatenate(keys), kind="stable"))
-    dropped = log.missing[:, _ID] & (log.missing[:, _DATA] | (log.payload_len == 0))
-    if dropped.any():
-        log = log.take(~dropped)
-    if not len(log):
-        raise EmptyInput("no data rows found")
-    return log
+    return TrafficLog.concat(parts, key=np.concatenate(keys) if len(lines) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +473,7 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
     largest prefix of removals whose statistic exceeds it. A sample with zero
     variance yields the empty set.
     """
-    from scipy import stats  # on first use: it takes longer to load than all of canids
+    from scipy import special  # on first use: it takes longer to load than all of canids
 
     ALPHA.check(alpha)
     MAX_OUTLIERS.check(max_outliers)
@@ -494,7 +496,7 @@ def rosner_outliers(values: Sequence[float], max_outliers: int, alpha: float = 0
         r_i = dev[j] / sd
         m = n - i + 1  # sample size the statistic was computed on
         p = 1 - alpha / (2 * m)
-        t = stats.t.ppf(p, m - 2)
+        t = special.stdtrit(m - 2, p)  # the Student-t quantile, as scipy.stats.t.ppf(p, m - 2) computes it
         lam = (m - 1) * t / math.sqrt((m - 2 + t * t) * m)
         statistics.append((r_i, lam))
         removed.append(int(np.flatnonzero(keep)[j]))
@@ -615,7 +617,7 @@ class CorrelationResult:
 
 def correlation_matrix(columns: Mapping[str, Sequence[float]], alpha: float = 0.05) -> CorrelationResult:
     """Pairwise correlations with two-sided significance flags (p < alpha)."""
-    from scipy import stats  # imported on first use, as in rosner_outliers
+    from scipy import special  # imported on first use, as in rosner_outliers
 
     names = tuple(columns)
     arrays = [np.asarray(columns[name], dtype=np.float64) for name in names]
@@ -627,7 +629,7 @@ def correlation_matrix(columns: Mapping[str, Sequence[float]], alpha: float = 0.
         for j in range(i + 1, k):
             rij = pearson(arrays[i], arrays[j])
             t = rij * math.sqrt((n - 2) / max(1 - rij * rij, 1e-300))
-            pij = 2 * float(stats.t.sf(abs(t), n - 2))
+            pij = 2 * float(special.stdtr(n - 2, -abs(t)))  # Student-t survival, as scipy.stats.t.sf computes it
             r[i, j] = r[j, i] = rij
             p[i, j] = p[j, i] = pij
     significant = (p < alpha) & ~np.eye(k, dtype=bool)
@@ -657,6 +659,15 @@ class NormalizationParams:
             raise ValueError("feature max must be >= feature min")
 
 
+def _scale_in_place(x: np.ndarray, params: NormalizationParams) -> np.ndarray:
+    """``x`` (float64, last axis the features) min-max scaled in place, and returned."""
+    span = params.maxs - params.mins
+    x -= params.mins
+    x /= np.where(span == 0, 1.0, span)
+    x[..., span == 0] = 0.0
+    return np.clip(x, 0.0, 1.0, out=x)
+
+
 def apply_minmax(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """(x - min) / (max - min), clamped into [0, 1]; degenerate features map to 0."""
     values = np.asarray(values, dtype=np.float64)
@@ -664,11 +675,7 @@ def apply_minmax(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
         raise UnnormalizedInput(
             f"params cover {params.mins.shape[0]} features, input has {values.shape[-1]}"
         )
-    span = params.maxs - params.mins
-    out = np.subtract(values, params.mins)  # the only array as large as values
-    out /= np.where(span == 0, 1.0, span)
-    out[..., span == 0] = 0.0
-    return np.clip(out, 0.0, 1.0, out=out)
+    return _scale_in_place(values.copy(), params)
 
 
 def kind_codes(names: Sequence[str], path: str | Path) -> np.ndarray:
@@ -765,33 +772,41 @@ class RecordTable:
         }
 
 
-def fit_feature_params(table: RecordTable) -> NormalizationParams:
-    """Normalization for the 16-wide layout, fitted on the given (training) rows.
+def _fit_features(can_id: np.ndarray, dlc: np.ndarray) -> NormalizationParams:
+    """Normalization for the 16-wide layout, fitted on the identifiers and DLCs of the (training) rows.
 
     Identifier and DLC ranges come from the data; payload byte positions are
     pinned to (0, 255) and the padding positions to (0, 1).
     """
-    if len(table) == 0:
+    if len(can_id) == 0:
         raise EmptyColumn("cannot fit normalization on an empty table")
-    mins = np.concatenate(
-        ([table.can_id.min(), table.dlc.min()], np.zeros(PAYLOAD_WIDTH), np.zeros(6))
-    )
-    maxs = np.concatenate(
-        ([table.can_id.max(), table.dlc.max()], np.full(PAYLOAD_WIDTH, 255.0), np.ones(6))
-    )
+    mins = np.concatenate(([can_id.min(), dlc.min()], np.zeros(PAYLOAD_WIDTH), np.zeros(6)))
+    maxs = np.concatenate(([can_id.max(), dlc.max()], np.full(PAYLOAD_WIDTH, 255.0), np.ones(6)))
     return NormalizationParams(mins, maxs)
+
+
+def fit_feature_params(table: RecordTable) -> NormalizationParams:
+    """Normalization for the 16-wide layout, fitted on the given (training) rows."""
+    return _fit_features(table.can_id, table.dlc)
+
+
+def _raw_features(table: RecordTable, rows: np.ndarray | None = None) -> np.ndarray:
+    """The unscaled (n, 16) float64 features of every row, or of the rows ``rows`` indexes in its order."""
+    def gather(column):
+        return column if rows is None else column[rows]
+
+    raw = np.zeros((len(table) if rows is None else len(rows), N_FEATURES))
+    raw[:, 0] = gather(table.can_id)
+    raw[:, 1] = gather(table.dlc)
+    raw[:, 2 : 2 + PAYLOAD_WIDTH] = gather(table.payload)
+    return raw
 
 
 def encode_table(table: RecordTable, params: NormalizationParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized record encoding: (n, 16) float64 features plus uint8 labels."""
     if params.mins.shape[0] != N_FEATURES:
         raise UnnormalizedInput(f"params must cover {N_FEATURES} features")
-    n = len(table)
-    raw = np.zeros((n, N_FEATURES))
-    raw[:, 0] = table.can_id
-    raw[:, 1] = table.dlc
-    raw[:, 2 : 2 + PAYLOAD_WIDTH] = table.payload
-    return apply_minmax(raw, params), table.label.copy()
+    return _scale_in_place(_raw_features(table), params), table.label.copy()
 
 
 @dataclass
@@ -835,6 +850,9 @@ def split_dataset(
     remainder is the training block, whose first floor(val_fraction * size)
     rows become validation. Normalization is fitted on the final training
     rows only and applied to all partitions.
+
+    The features of all rows are encoded once, in shuffled order, into one
+    (N, 16) buffer scaled in place; the three partitions are row slices of it.
     """
     TEST_FRACTION.check(test_fraction)
     VAL_FRACTION.check(val_fraction)
@@ -843,32 +861,26 @@ def split_dataset(
         raise EmptyInput("cannot split an empty table")
     perm = np.random.default_rng(seed).permutation(n)
     n_test = math.floor(test_fraction * n)
-    test_idx = perm[:n_test]
-    rest = perm[n_test:]
-    n_val = math.floor(val_fraction * len(rest))
-    val_idx = rest[:n_val]
-    train_idx = rest[n_val:]
+    n_val = math.floor(val_fraction * (n - n_test))
+    test, val, train = slice(0, n_test), slice(n_test, n_test + n_val), slice(n_test + n_val, n)
 
-    train = table.take(train_idx)
-    val = table.take(val_idx)
-    test = table.take(test_idx)
-    params = fit_feature_params(train)
-    train_x, train_y = encode_table(train, params)
-    val_x, val_y = encode_table(val, params)
-    test_x, test_y = encode_table(test, params)
+    x = _raw_features(table, perm)
+    params = _fit_features(x[train, 0], x[train, 1])
+    _scale_in_place(x, params)
+    y, kind = table.label[perm], table.kind[perm]
     return PreparedDataset(
-        train_x,
-        train_y,
-        val_x,
-        val_y,
-        test_x,
-        test_y,
+        x[train],
+        y[train],
+        x[val],
+        y[val],
+        x[test],
+        y[test],
         norm=params,
         provenance=provenance,
         seed=seed,
-        train_kind=train.kind,
-        val_kind=val.kind,
-        test_kind=test.kind,
+        train_kind=kind[train],
+        val_kind=kind[val],
+        test_kind=kind[test],
     )
 
 

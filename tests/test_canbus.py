@@ -349,6 +349,19 @@ class TestInjectAttack:
         spec = AttackSpec("spoofing", 2.0, 4.0, 80.0, spoof_targets=(0x0A0, 0x2B0), seed=13)
         assert log_text(inject_attack(parse_log(log_text(base_log)), spec)) == log_text(inject_attack(base_log, spec))
 
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_a_log_out_of_time_order_is_sorted_first(self, kind):
+        rows = {t: f"{t}.0,0130,8,{' '.join([f'0{t}'] * 8)},0\n" for t in (5, 1, 9, 2)}
+        unsorted, in_order = parse_log("".join(rows.values())), parse_log("".join(rows[t] for t in sorted(rows)))
+        spec = AttackSpec(kind, 2.0, 9.0, 3.0, spoof_targets=(0x130,), seed=7)
+        merged = inject_attack(unsorted, spec)
+        assert log_text(merged) == log_text(inject_attack(in_order, spec))
+        assert merged.timestamp.tolist() == sorted(merged.timestamp.tolist()) and int(merged.label.sum()) == 21
+        assert unsorted.timestamp.tolist() == [5.0, 1.0, 9.0, 2.0]
+        if kind == "spoofing":  # each replays the latest legitimate payload, seven of its eight bytes unchanged
+            for t, payload in zip(merged.timestamp[merged.label == 1], merged.payload[merged.label == 1]):
+                assert np.bincount(payload).argmax() == max(r for r in rows if r <= t)
+
     @pytest.mark.parametrize("row, fault", [("1.5,0130,12,00 11,0", "DLCs up to 12 and 8-byte"),
                                             ("1.5,0130,8," + " ".join(["AB"] * 9) + ",0", "DLCs up to 8 and 9-byte")])
     def test_log_that_is_not_can_20_frames_is_refused_before_any_draw(self, row, fault, monkeypatch):

@@ -1,7 +1,9 @@
 import dataclasses
 import io
+import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +144,17 @@ class TestParseLog:
         with pytest.raises(NotText) as exc:
             parse_log(blob)
         assert str(exc.value) == f"not UTF-8 text (invalid start byte at byte {blob.index(0xFF)})"
+
+    @pytest.mark.parametrize("as_stream", [False, True])
+    def test_text_with_a_lone_surrogate_names_the_byte_offset(self, as_stream):
+        # what surrogateescape decoding leaves for the byte 0xFF at byte 11 of "1.0,0130,1,\xff,0\n"
+        text = "1.0,0130,1,\udcff,0\n"
+        with pytest.raises(NotText) as exc:
+            parse_log(io.StringIO(text) if as_stream else text)
+        assert str(exc.value) == "not UTF-8 text (surrogates not allowed at byte 11)"
+        # the offset counts UTF-8 bytes, not characters
+        with pytest.raises(NotText, match=r"^not UTF-8 text \(surrogates not allowed at byte 13\)$"):
+            parse_log("1.0,0130,1,é\udcff,0\n")
 
     def test_missing_dlc_sets_flag(self):
         [rec] = parse_log("0.5,0130,,AB CD,1")
@@ -423,6 +436,92 @@ class TestCorrelationMatrix:
         assert not result.significant.diagonal().any()
 
 
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestStudentT:
+    """``rosner_outliers`` and ``correlation_matrix`` take the Student-t quantile and survival function from
+    ``scipy.special``; every value they get must equal ``scipy.stats.t``'s bit for bit."""
+
+    DFS = [-1, 0, 1, 2, 3, 23, 1000, 1_257_301, 0.5, math.inf, math.nan]
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_quantile_grid(self, df):
+        from scipy import special
+
+        # p = 0 is left out: there stdtrit gives +inf and stats.t.ppf -inf, but rosner_outliers asks for
+        # p = 1 - alpha / (2m) > 5/6 only
+        for p in (1e-300, 1e-10, 0.025, 0.5, 5 / 6, 0.975, 1 - 1e-10, 1 - 1e-16, 1 - 1e-17, 1.0, 1.5, -0.1, math.nan):
+            assert same_bits(special.stdtrit(df, p), stats.t.ppf(p, df)), p
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_survival_grid(self, df):
+        from scipy import special
+
+        for x in (0.0, 1e-300, 0.5, 2.0, 40.0, 1e10, 1e300, math.inf, math.nan):
+            assert same_bits(special.stdtr(df, -x), stats.t.sf(x, df)), x
+
+    ORACLES = {"stdtrit": lambda df, p: stats.t.ppf(p, df), "stdtr": lambda df, x: stats.t.sf(-x, df)}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each Student-t call the library makes, with its result; ``check`` compares them with ``scipy.stats.t``."""
+        from scipy import special
+
+        made = []
+
+        def spy(name):
+            real = getattr(special, name)
+
+            def call(df, x):
+                made.append((name, df, x, real(df, x)))
+                return made[-1][-1]
+
+            monkeypatch.setattr(special, name, call)
+
+        for name in self.ORACLES:
+            spy(name)
+        yield made
+
+    def check(self, calls, monkeypatch):
+        monkeypatch.undo()  # scipy.stats.t calls the same scipy.special functions
+        for name, df, x, out in calls:
+            assert same_bits(out, self.ORACLES[name](df, x)), (name, df, x)
+
+    def test_rosner_outliers(self, calls, monkeypatch):
+        rng = np.random.default_rng(12)
+        samples = [rng.standard_normal(25), np.r_[rng.standard_normal(60), 40.0, -35.0], rng.standard_normal(2000)]
+        # alpha 1e-300 makes p round to 1 (an infinite quantile, a NaN critical value, nothing flagged)
+        cases = [(values, min(len(values) - 2, 30), alpha)  # df down to 1 on the 25-value sample
+                 for values, alpha in itertools.product(samples, (1e-300, 1e-17, 0.05, 0.5, 1 - 1e-16))]
+        with np.errstate(invalid="ignore"):
+            got = [rosner_outliers(values, max_outliers=k, alpha=alpha) for values, k, alpha in cases]
+            self.check(calls, monkeypatch)
+            assert got == [esd_oracle(*case) for case in cases]
+        assert {df for _, df, _, _ in calls} >= {1, 1998} and 1.0 in {p for _, _, p, _ in calls}
+
+    def test_correlation_matrix(self, calls, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(200)
+        cases = [
+            {"a": [1.0, 2.0], "b": [3.0, 5.0]},  # two rows: df 0
+            {"a": x, "b": 2 * x + 1, "c": -x},  # |r| = 1 to rounding
+            {"a": x, "b": x + rng.standard_normal(200), "c": rng.standard_normal(200)},
+            {"a": np.r_[x[:-1], math.inf], "b": x},  # an infinite value: r and t are NaN
+        ]
+        with np.errstate(invalid="ignore"):
+            results = [correlation_matrix(columns) for columns in cases]
+            self.check(calls, monkeypatch)
+            for columns, result in zip(cases, results):
+                n = len(columns["a"])
+                for i, j in itertools.combinations(range(len(columns)), 2):
+                    r = result.r[i, j]
+                    t = r * math.sqrt((n - 2) / max(1 - r * r, 1e-300))
+                    assert same_bits(result.p[i, j], 2 * float(stats.t.sf(abs(t), n - 2))), (i, j)
+        assert 0 in {df for _, df, _, _ in calls} and any(math.isnan(x) for _, _, x, _ in calls)
+
+
 class TestMinMax:
     def test_bounds_and_midpoint(self):
         params = NormalizationParams([0.0], [10.0])
@@ -603,6 +702,36 @@ class TestSplitDataset:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             split_dataset(self.toy_table(0))
+
+    def test_partitions_equal_encoding_each_taken_partition(self):
+        table = self.toy_table(301, seed=6)
+        ds = split_dataset(table, test_fraction=0.3, val_fraction=0.25, seed=9)
+        perm = np.random.default_rng(9).permutation(301)
+        test_idx, rest = perm[:90], perm[90:]
+        val_idx, train_idx = rest[:52], rest[52:]
+        params = fit_feature_params(table.take(train_idx))
+        assert ds.norm.mins.tobytes() == params.mins.tobytes() and ds.norm.maxs.tobytes() == params.maxs.tobytes()
+        for idx, x, y, kind in ((train_idx, ds.train_x, ds.train_y, ds.train_kind),
+                                (val_idx, ds.val_x, ds.val_y, ds.val_kind),
+                                (test_idx, ds.test_x, ds.test_y, ds.test_kind)):
+            want_x, want_y = encode_table(table.take(idx), params)
+            assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+            assert kind.tobytes() == table.kind[idx].tobytes()
+
+    def test_allocates_little_beyond_its_output(self):
+        table = self.toy_table(50_000, seed=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ds = split_dataset(table, seed=2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = sum(getattr(ds, name).nbytes for name in ("train_x", "train_y", "val_x", "val_y", "test_x",
+                                                            "test_y", "train_kind", "val_kind", "test_kind"))
+        assert output == 50_000 * (N_FEATURES * 8 + 2)
+        assert peak <= 1.25 * output, (peak, output)
 
 
 class TestContainerRoundTrip:

@@ -6,6 +6,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import canids
 from canids import canbus, ingest
 from canids.nncore import Conv1D, Dense, Network
@@ -33,8 +35,8 @@ def test_one_kind_name_table():
     assert canbus.KIND_NAMES == ("normal", "flooding", "fuzzing", "spoofing")
 
 
-# Run in a fresh interpreter: the pytest process has loaded scipy.stats through other tests.
-STATS_ON_DEMAND = textwrap.dedent("""\
+# Run in a fresh interpreter: the pytest process has loaded scipy through other tests.
+SCIPY_ON_DEMAND = textwrap.dedent("""\
     import sys
     from pathlib import Path
 
@@ -42,29 +44,34 @@ STATS_ON_DEMAND = textwrap.dedent("""\
     import canids.cli
     from canids.cli import run_command
 
-    def loaded():
-        return "scipy.stats" in sys.modules
+    def loaded(what):
+        print(what, "scipy.stats" in sys.modules, "scipy.special" in sys.modules)
 
-    print("import", loaded())
-    out = Path(sys.argv[1])
+    loaded("import")
+    out, statistical = Path(sys.argv[1]), sys.argv[2:]
     (out / "p.cfg").write_text("duration=3\\nseed=5\\necu=0A0,0.02,4,constant\\necu=130,0.02,8,counter\\n")
+    data, model = str(out / "d.bin"), str(out / "m.ckpt")
     for argv in (["simulate", "--profile", str(out / "p.cfg"), "--attack", "flooding:1:2:60",
                   "-o", str(out / "l.csv")],
-                 ["prepare", "--input", str(out / "l.csv"), "--output", str(out / "d.bin")],
-                 ["train", "--data", str(out / "d.bin"), "--output", str(out / "m.ckpt"), "--epochs", "1"]):
+                 ["prepare", "--input", str(out / "l.csv"), "--output", data],
+                 ["train", "--data", data, "--output", model, "--epochs", "1"],
+                 ["evaluate", "--checkpoint", model, "--data", data],
+                 ["transfer", "--source", model, "--data", data, "--output", str(out / "t.ckpt"), "--epochs", "1"],
+                 ["compare", "--data", data, "--epochs", "1"],
+                 ["gradcheck", "--seeds", "1"],
+                 ["prepare", "--input", str(out / "l.csv"), "--output", str(out / "o.bin"), *statistical]):
         assert run_command(argv) == 0, argv
-        print(argv[0], loaded())
-    assert run_command(["prepare", "--input", str(out / "l.csv"), "--output", str(out / "o.bin"),
-                        "--outliers", "dlc:0.05:3"]) == 0
-    print("outliers", loaded())
+        loaded(argv[0])
 """)
 
 
-def test_scipy_stats_is_imported_only_by_the_statistical_tests(tmp_path):
+@pytest.mark.parametrize("statistical", [["--outliers", "dlc:0.05:3"], ["--correlation-report", "c.csv"]])
+def test_no_command_loads_scipy_stats_and_only_the_statistical_tests_load_scipy_special(tmp_path, statistical):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", STATS_ON_DEMAND, str(tmp_path)], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND, str(tmp_path), *statistical], env=env,
+                            cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     lines = [line for line in result.stdout.splitlines() if line.endswith((" True", " False"))]
-    assert lines == ["import False", "simulate False", "prepare False", "train False", "outliers True"]
+    commands = ["import", "simulate", "prepare", "train", "evaluate", "transfer", "compare", "gradcheck"]
+    assert lines == [f"{command} False False" for command in commands] + ["prepare False True"]
