@@ -479,19 +479,25 @@ def _inject_spoofing(spec: AttackSpec, n: int, rng: np.random.Generator, log: Tr
     return _block(times, ids, dlcs, payload, "spoofing")
 
 
-def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
-    """Merge attack-labeled records into a log, sorted by timestamp first if it is not; originals are untouched.
+def inject_attack(log: TrafficLog, *specs: AttackSpec) -> TrafficLog:
+    """Merge the attack-labeled records of each spec into a log, sorted by timestamp first if it is not.
 
     Flooding emits identifier 0x000 at fixed spacing; fuzzing draws uniform
     identifiers, DLCs, and payload bytes; spoofing replays each target's most
     recent legitimate payload with one byte perturbed. The injected count is
     floor(rate * (end - start)) and all randomness comes from the attack
     seed, with a fixed draw order (timestamps, then identifiers/targets,
-    then per-frame bytes) so a seeded replay reproduces every field. Injected
-    rows follow existing rows of equal timestamp. A window that would take
+    then per-frame bytes) so a seeded replay reproduces every field.
+
+    Specs are checked and drawn in order from the input log (injected rows
+    are labeled 1 and lie in the log's span, so none changes what a later
+    spec sees), then one stable merge puts them after existing rows of equal
+    timestamp, in spec order: the log one call per spec would give. With no
+    spec a log in time order comes back as it is. A window that would take
     the log past ``MAX_RECORDS`` records raises ``TooManyRecords``, and a
     log whose rows are not CAN 2.0 frames (a DLC above ``MAX_DLC``, or a
-    payload matrix not ``MAX_DLC`` bytes wide) ``MalformedFrame``.
+    payload matrix not ``MAX_DLC`` bytes wide) ``MalformedFrame``; an error
+    raised for a spec carries it as ``spec``.
     """
     if not len(log):
         raise WindowOutOfRange("cannot inject into an empty log")
@@ -500,23 +506,32 @@ def inject_attack(log: TrafficLog, spec: AttackSpec) -> TrafficLog:
         raise MalformedFrame(f"cannot extend a log of DLCs up to {top} and {width}-byte payload rows as CAN 2.0 frames")
     if (log.timestamp[1:] < log.timestamp[:-1]).any():  # a parsed log in file order need not be sorted
         log = log.take(np.argsort(log.timestamp, kind="stable"))
+    if not specs:
+        return log
     first, last = float(log.timestamp[0]), float(log.timestamp[-1])
-    if spec.start < first or spec.end > last:
-        raise WindowOutOfRange(f"window [{spec.start}, {spec.end}] outside log span [{first}, {last}]")
-    what = f"{spec.kind} attack [{spec.start!r}, {spec.end!r}] at rate {spec.rate!r}"
-    count = spec.rate * (spec.end - spec.start)
-    _check_count(count, what)
-    _check_count(len(log) + count, f"log of {len(log)} records with the {what}")
-    rng = np.random.default_rng(spec.seed)
-    n = math.floor(count)
-    if spec.kind == "flooding":
-        injected = _inject_flooding(spec, n)
-    elif spec.kind == "fuzzing":
-        injected = _inject_fuzzing(spec, n, rng)
-    else:
-        injected = _inject_spoofing(spec, n, rng, log)
-    # injected rows follow equal timestamps
-    return TrafficLog.concat([log, injected], key=np.concatenate([log.timestamp, injected.timestamp]))
+    blocks, total = [log], len(log)
+    for spec in specs:
+        try:
+            if spec.start < first or spec.end > last:
+                raise WindowOutOfRange(f"window [{spec.start}, {spec.end}] outside log span [{first}, {last}]")
+            what = f"{spec.kind} attack [{spec.start!r}, {spec.end!r}] at rate {spec.rate!r}"
+            count = spec.rate * (spec.end - spec.start)
+            _check_count(count, what)
+            _check_count(total + count, f"log of {total} records with the {what}")
+            rng = np.random.default_rng(spec.seed)
+            n = math.floor(count)
+            if spec.kind == "flooding":
+                blocks.append(_inject_flooding(spec, n))
+            elif spec.kind == "fuzzing":
+                blocks.append(_inject_fuzzing(spec, n, rng))
+            else:
+                blocks.append(_inject_spoofing(spec, n, rng, log))
+        except ValueError as exc:
+            exc.spec = spec
+            raise
+        total += n
+    # injected rows follow equal timestamps, in spec order
+    return TrafficLog.concat(blocks, key=np.concatenate([block.timestamp for block in blocks]))
 
 
 def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:

@@ -231,10 +231,12 @@ def cmd_simulate(args) -> int:
     profile = parse_profile(args.profile)
     if args.seed is not None:
         profile = canbus.SimProfile(profile.ecus, profile.duration, profile.jitter, args.seed)
-    log = canbus.generate_traffic(profile)
-    for i, text in enumerate(args.attack or []):
-        with _naming(f"attack spec {text!r}", canbus.WindowOutOfRange, canbus.EmptySpoofTargets):
-            log = canbus.inject_attack(log, parse_attack(text, seed=profile.seed + 101 + i))
+    texts = args.attack or []
+    specs = [parse_attack(text, seed=profile.seed + 101 + i) for i, text in enumerate(texts)]
+    try:
+        log = canbus.inject_attack(canbus.generate_traffic(profile), *specs)
+    except (canbus.WindowOutOfRange, canbus.EmptySpoofTargets) as exc:
+        raise type(exc)(f"attack spec {texts[specs.index(exc.spec)]!r}: {exc}") from None
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         canbus.write_log(log, fh)

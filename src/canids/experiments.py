@@ -5,11 +5,13 @@ for byte. Two studies:
 
 * Detection: a 20,000-frame three-ECU log carrying flooding, fuzzing, and
   spoofing windows at a 10% total attack share (``desk_profile`` and
-  ``desk_attacks``, or ``desk_log`` in memory), and the CNN's training
-  budget ``desk_train_config``. ``scripts/run_desk_experiment.py`` runs
-  the study through the CLI.
+  ``desk_attacks``, or ``desk_log`` in memory, which injects all three
+  windows in one ``inject_attack`` call), and the CNN's training budget
+  ``desk_train_config``. ``scripts/run_desk_experiment.py`` runs the
+  study through the CLI.
 * Transfer: a flooding-heavy source domain (with a small fuzzing tail that
-  forces payload-template features) and a spoofing-heavy target domain. A
+  forces payload-template features) and a spoofing-heavy target domain,
+  each with its attacks injected in one call. A
   1,000-record subset of the target trains both a warm-started copy of the
   source model and a from-scratch model under the same budget; both are
   scored on the target's held-out test partition.
@@ -46,10 +48,7 @@ def desk_attacks(seed: int) -> list[AttackSpec]:
 
 
 def desk_log(seed: int) -> TrafficLog:
-    log = generate_traffic(desk_profile(seed))
-    for spec in desk_attacks(seed):
-        log = inject_attack(log, spec)
-    return log
+    return inject_attack(generate_traffic(desk_profile(seed)), *desk_attacks(seed))
 
 
 def desk_train_config(seed: int) -> TrainConfig:
@@ -62,19 +61,21 @@ def desk_train_config(seed: int) -> TrainConfig:
 def source_domain(seed: int) -> PreparedDataset:
     """Flooding-heavy source: 9,000 normal, 1,350 flooding, 270 fuzzing."""
     profile = SimProfile(ecus=DESK_ECUS, duration=30.0, jitter=0.05, seed=seed)
-    log = generate_traffic(profile)
-    log = inject_attack(log, AttackSpec("flooding", 5.0, 18.5, 100.0, seed=seed + 1))
-    log = inject_attack(log, AttackSpec("fuzzing", 20.0, 22.7, 100.0, seed=seed + 2))
+    log = inject_attack(
+        generate_traffic(profile),
+        AttackSpec("flooding", 5.0, 18.5, 100.0, seed=seed + 1),
+        AttackSpec("fuzzing", 20.0, 22.7, 100.0, seed=seed + 2),
+    )
     return prepare_records(log, seed=seed, provenance=f"transfer-source(seed={seed})")
 
 
 def target_domain(seed: int) -> PreparedDataset:
     """Spoofing-heavy target: 5,400 normal, 2,400 spoofing, 90 flooding."""
     profile = SimProfile(ecus=DESK_ECUS, duration=18.0, jitter=0.05, seed=seed + 50)
-    log = generate_traffic(profile)
-    log = inject_attack(log, AttackSpec("flooding", 0.5, 1.4, 100.0, seed=seed + 53))
     log = inject_attack(
-        log, AttackSpec("spoofing", 1.0, 17.0, 150.0, spoof_targets=SPOOF_TARGETS, seed=seed + 51)
+        generate_traffic(profile),
+        AttackSpec("flooding", 0.5, 1.4, 100.0, seed=seed + 53),
+        AttackSpec("spoofing", 1.0, 17.0, 150.0, spoof_targets=SPOOF_TARGETS, seed=seed + 51),
     )
     return prepare_records(log, seed=seed + 52, provenance=f"transfer-target(seed={seed})")
 

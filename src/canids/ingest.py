@@ -102,10 +102,6 @@ class EmptyColumn(ValueError):
     """Normalization fit needs at least one value per feature."""
 
 
-class UnnormalizedInput(ValueError):
-    """Normalization parameters do not cover the feature layout."""
-
-
 class CorruptContainer(ValueError):
     """Dataset container fails structural validation."""
 
@@ -668,16 +664,6 @@ def _scale_in_place(x: np.ndarray, params: NormalizationParams) -> np.ndarray:
     return np.clip(x, 0.0, 1.0, out=x)
 
 
-def apply_minmax(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """(x - min) / (max - min), clamped into [0, 1]; degenerate features map to 0."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] != params.mins.shape[0]:
-        raise UnnormalizedInput(
-            f"params cover {params.mins.shape[0]} features, input has {values.shape[-1]}"
-        )
-    return _scale_in_place(values.copy(), params)
-
-
 def kind_codes(names: Sequence[str], path: str | Path) -> np.ndarray:
     """Each name's uint8 code into ``KIND_NAMES``; any other name raises ``UnknownKind`` naming the sidecar ``path``."""
     unknown = sorted(set(names) - _KIND_CODES.keys())
@@ -785,28 +771,13 @@ def _fit_features(can_id: np.ndarray, dlc: np.ndarray) -> NormalizationParams:
     return NormalizationParams(mins, maxs)
 
 
-def fit_feature_params(table: RecordTable) -> NormalizationParams:
-    """Normalization for the 16-wide layout, fitted on the given (training) rows."""
-    return _fit_features(table.can_id, table.dlc)
-
-
-def _raw_features(table: RecordTable, rows: np.ndarray | None = None) -> np.ndarray:
-    """The unscaled (n, 16) float64 features of every row, or of the rows ``rows`` indexes in its order."""
-    def gather(column):
-        return column if rows is None else column[rows]
-
-    raw = np.zeros((len(table) if rows is None else len(rows), N_FEATURES))
-    raw[:, 0] = gather(table.can_id)
-    raw[:, 1] = gather(table.dlc)
-    raw[:, 2 : 2 + PAYLOAD_WIDTH] = gather(table.payload)
+def _raw_features(table: RecordTable, rows: np.ndarray) -> np.ndarray:
+    """The unscaled (n, 16) float64 features of the rows ``rows`` indexes, in its order."""
+    raw = np.zeros((len(rows), N_FEATURES))
+    raw[:, 0] = table.can_id[rows]
+    raw[:, 1] = table.dlc[rows]
+    raw[:, 2 : 2 + PAYLOAD_WIDTH] = table.payload[rows]
     return raw
-
-
-def encode_table(table: RecordTable, params: NormalizationParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized record encoding: (n, 16) float64 features plus uint8 labels."""
-    if params.mins.shape[0] != N_FEATURES:
-        raise UnnormalizedInput(f"params must cover {N_FEATURES} features")
-    return _scale_in_place(_raw_features(table), params), table.label.copy()
 
 
 @dataclass
@@ -945,7 +916,7 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> PreparedDataset:
     """A container with its manifest and kinds sidecar, if present; any fault raises ``CorruptContainer``.
 
-    Labels must be 0 or 1 and features finite in [0, 1], as ``encode_table`` writes them.
+    Labels must be 0 or 1 and features finite in [0, 1], as ``split_dataset`` encodes them.
     """
     path = Path(path)
     reader = BinaryReader(path, CorruptContainer)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from canids import canbus, ingest
 from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, RawRecord, WindowOutOfRange
 from canids.ingest import (
+    N_FEATURES,
     PAYLOAD_WIDTH,
     AllRowsMissing,
     EmptyInput,
@@ -702,6 +703,22 @@ def legacy_from_traffic(records):
         label=np.array([r.label for r in records], dtype=np.uint8),
         kind=np.array([kind_code(r.kind) for r in records], dtype=np.uint8),
     )
+
+
+def fit_feature_params(table):
+    """Reference normalization fit: the rows' identifier and DLC ranges, payload bytes (0, 255), padding (0, 1)."""
+    mins = [table.can_id.min(), table.dlc.min()] + [0.0] * PAYLOAD_WIDTH + [0.0] * 6
+    maxs = [table.can_id.max(), table.dlc.max()] + [255.0] * PAYLOAD_WIDTH + [1.0] * 6
+    return NormalizationParams(mins, maxs)
+
+
+def encode_table(table, params):
+    """Reference encoding: (n, 16) features min-max scaled into [0, 1] (a constant one to 0), and the labels."""
+    raw = np.zeros((len(table), N_FEATURES))
+    raw[:, 0], raw[:, 1], raw[:, 2 : 2 + PAYLOAD_WIDTH] = table.can_id, table.dlc, table.payload
+    span = params.maxs - params.mins
+    x = np.where(span == 0, 0.0, (raw - params.mins) / np.where(span == 0, 1.0, span))
+    return np.clip(x, 0.0, 1.0), table.label.copy()
 
 
 GARBLES = ("blank_timestamp", "nonhex_id", "negative_dlc", "bad_payload", "unknown_label")

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from canids.canbus import (
     inject_attack,
     write_log,
 )
+from canids.experiments import desk_attacks, desk_profile
 from canids.ingest import parse_log
 from helpers import LogRow, traffic_log
 
@@ -334,8 +336,10 @@ class TestInjectAttack:
             inject_attack(base_log, AttackSpec("flooding", 1.0, last + 5.0, 10.0))
 
     def test_spoofing_without_targets(self, base_log):
-        with pytest.raises(EmptySpoofTargets):
-            inject_attack(base_log, AttackSpec("spoofing", 1.0, 2.0, 10.0))
+        good, bad = AttackSpec("flooding", 1.0, 2.0, 10.0), AttackSpec("spoofing", 1.0, 2.0, 10.0)
+        with pytest.raises(EmptySpoofTargets) as raised:
+            inject_attack(base_log, good, bad, good)
+        assert raised.value.spec is bad  # the error names the spec at fault
 
     def test_record_cap_checked_before_allocation(self, base_log):
         # each count is compared as a float, so none of these allocates a row
@@ -370,6 +374,57 @@ class TestInjectAttack:
         for kind in ATTACK_KINDS:
             with pytest.raises(MalformedFrame, match=f"^cannot extend a log of {fault} payload rows as CAN 2.0"):
                 inject_attack(log, AttackSpec(kind, 1.5, 2.5, 10.0, spoof_targets=(0x130,)))
+
+    def test_several_specs_in_one_call_equal_one_call_each(self):
+        # a parsed log out of time order, flooding on the ECU timestamps 2..11 (existing rows
+        # first on ties), and two spoofs that must replay the ECUs' payloads, never an attack's
+        rows = [f"{t}.0,{ident},8,{' '.join([f'{t:02X}'] * 8)},0\n" for t in range(21) for ident in ("0130", "00A0")]
+        unsorted = parse_log("".join(np.random.default_rng(1).permutation(rows).tolist()))
+        specs = (
+            AttackSpec("flooding", 2.0, 12.0, 1.0, seed=1),
+            AttackSpec("spoofing", 1.0, 19.0, 2.0, spoof_targets=(0x130,), seed=2),
+            AttackSpec("fuzzing", 4.0, 9.0, 3.0, seed=3),
+            AttackSpec("spoofing", 3.0, 15.0, 1.5, spoof_targets=(0x130, 0x0A0, 0x7FF), seed=4),
+        )
+        chained = unsorted
+        for spec in specs:
+            chained = inject_attack(chained, spec)
+        merged = inject_attack(unsorted, *specs)
+        for field in dataclasses.fields(TrafficLog):
+            assert getattr(merged, field.name).tobytes() == getattr(chained, field.name).tobytes(), field.name
+        assert np.bincount(merged.kind).tolist() == [42, 10, 15, 36 + 18]
+        ties = np.flatnonzero(merged.timestamp == 2.0)
+        assert merged.can_id[ties].tolist() == [0x130, 0x0A0, 0x000]
+
+    def test_specs_that_fit_alone_but_not_together_are_refused(self, base_log, monkeypatch):
+        monkeypatch.setattr("canids.canbus.MAX_RECORDS", len(base_log) + 120)  # small enough to draw either alone
+        first, second = AttackSpec("fuzzing", 1.0, 2.0, 100.0, seed=1), AttackSpec("flooding", 1.0, 2.0, 50.0)
+        assert len(inject_attack(base_log, first)) == len(base_log) + 100
+        assert len(inject_attack(base_log, second)) == len(base_log) + 50
+        message = f"^log of {len(base_log) + 100} records with the flooding attack \\[1.0, 2.0\\] at rate 50.0 would emit"
+        with pytest.raises(TooManyRecords, match=message) as raised:
+            inject_attack(base_log, first, second)
+        assert raised.value.spec is second
+
+    def test_no_spec_returns_a_log_in_time_order_as_it_is(self, base_log):
+        assert inject_attack(base_log) is base_log
+        unsorted = parse_log("5.0,0130,0,,0\n1.0,0130,0,,0\n")
+        assert inject_attack(unsorted).timestamp.tolist() == [1.0, 5.0]
+
+    def test_allocates_little_beyond_its_output(self):
+        # the merge gathers one column at a time, and no attack copies the log
+        log, specs = generate_traffic(desk_profile(23)), desk_attacks(23)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            merged = inject_attack(log, *specs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = sum(getattr(merged, field.name).nbytes for field in dataclasses.fields(TrafficLog))
+        assert len(merged) == 20_000
+        assert peak <= 1.75 * output, (peak, output)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

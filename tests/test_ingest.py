@@ -39,10 +39,7 @@ from canids.ingest import (
     TooFewValues,
     UnknownKind,
     ZeroVariance,
-    apply_minmax,
     correlation_matrix,
-    encode_table,
-    fit_feature_params,
     impute_missing,
     kind_codes,
     load_dataset,
@@ -53,7 +50,7 @@ from canids.ingest import (
     save_dataset,
     split_dataset,
 )
-from helpers import LogRow, traffic_log
+from helpers import LogRow, encode_table, fit_feature_params, traffic_log
 
 from canids import ingest
 from canids.baselines import knn_fit, knn_predict, tree_fit
@@ -522,22 +519,24 @@ class TestStudentT:
         assert 0 in {df for _, df, _, _ in calls} and any(math.isnan(x) for _, _, x, _ in calls)
 
 
+def scaled(values, params):
+    """``values`` min-max scaled by the kernel ``split_dataset`` runs in place on its buffer."""
+    return ingest._scale_in_place(np.array(values, dtype=np.float64), params)
+
+
 class TestMinMax:
     def test_bounds_and_midpoint(self):
         params = NormalizationParams([0.0], [10.0])
-        assert apply_minmax(np.array([0.0]), params)[0] == 0.0
-        assert apply_minmax(np.array([10.0]), params)[0] == 1.0
-        assert apply_minmax(np.array([5.0]), params)[0] == 0.5
+        assert scaled([[0.0], [10.0], [5.0]], params).tolist() == [[0.0], [1.0], [0.5]]
 
     def test_degenerate_feature_maps_to_zero(self):
         params = NormalizationParams([7.0], [7.0])
-        assert apply_minmax(np.array([7.0]), params)[0] == 0.0
-        assert apply_minmax(np.array([[9.0], [-1.0]]), params).tolist() == [[0.0], [0.0]]
+        assert scaled([7.0], params)[0] == 0.0
+        assert scaled([[9.0], [-1.0]], params).tolist() == [[0.0], [0.0]]
 
     def test_out_of_range_clamped(self):
         params = NormalizationParams([0.0], [10.0])
-        assert apply_minmax(np.array([-5.0]), params)[0] == 0.0
-        assert apply_minmax(np.array([15.0]), params)[0] == 1.0
+        assert scaled([[-5.0], [15.0]], params).tolist() == [[0.0], [1.0]]
 
     @pytest.mark.parametrize("mins, maxs", [([np.nan], [1.0]), ([0.0], [np.nan]), ([np.nan], [np.nan]),
                                             ([-np.inf], [1.0]), ([0.0], [np.inf])])
@@ -546,57 +545,61 @@ class TestMinMax:
             NormalizationParams(mins, maxs)
 
     def test_empty_fit(self):
-        table = RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 0, b"", 0)]))
         with pytest.raises(EmptyColumn):
-            fit_feature_params(table.take(np.arange(0)))
+            ingest._fit_features(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_apply_fit_in_unit_interval(self, values):
         col = np.asarray(values)[:, None]
         params = NormalizationParams(col.min(axis=0), col.max(axis=0))
-        out = apply_minmax(col, params)
+        out = scaled(col, params)
         assert np.all((out >= 0.0) & (out <= 1.0))
         if col.max() > col.min():
             assert out.min() == 0.0 and out.max() == 1.0
 
 
 class TestEncode:
-    @pytest.fixture
-    def params(self):
-        table = RecordTable.from_traffic(
-            traffic_log(
-                [
-                    LogRow(0.0, 0x100, 8, bytes(range(8)), 0),
-                    LogRow(1.0, 0x700, 0, b"", 1),
-                ]
-            )
-        )
-        return fit_feature_params(table)
+    # identifiers 0x100..0x700 and DLCs 0..8: the ranges every case below stays within
+    FIT_ROWS = (LogRow(0.0, 0x100, 8, bytes(range(8)), 0), LogRow(1.0, 0x700, 0, b"", 1))
 
-    def test_minimum_id_empty_payload(self, params):
-        x, y = encode_table(RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 0, b"", 0)])), params)
+    def encode(self, table):
+        """Features and labels of ``table``'s rows as ``split_dataset`` encodes them, beside ``FIT_ROWS``, in row order."""
+        fit = RecordTable.from_traffic(traffic_log(self.FIT_ROWS))
+        both = RecordTable(*(np.concatenate([getattr(fit, f.name), getattr(table, f.name)])
+                             for f in dataclasses.fields(RecordTable)))
+        ds = split_dataset(both, test_fraction=0, val_fraction=0)
+        assert ds.sizes() == (len(both), 0, 0)
+        order = np.random.default_rng(0).permutation(len(both))
+        x, y = np.empty_like(ds.train_x), np.empty_like(ds.train_y)
+        x[order], y[order] = ds.train_x, ds.train_y
+        return x[len(fit):], y[len(fit):]
+
+    def test_minimum_id_empty_payload(self):
+        x, y = self.encode(RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 0, b"", 0)])))
         assert x[0, 0] == 0.0
         assert np.all(x[0, 2:] == 0.0)
         assert y.tolist() == [0]
 
-    def test_full_byte_scales_to_one(self, params):
-        x, _ = encode_table(RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 1, b"\xff", 0)])), params)
+    def test_full_byte_scales_to_one(self):
+        x, _ = self.encode(RecordTable.from_traffic(traffic_log([LogRow(0.0, 0x100, 1, b"\xff", 0)])))
         assert x[0, 2] == 1.0
 
-    def test_shape_and_range(self, params):
+    def test_shape_and_range(self):
         rng = np.random.default_rng(2)
+        records = []
         for _ in range(20):
             dlc = int(rng.integers(0, 9))
-            rec = LogRow(
+            records.append(LogRow(
                 0.0,
                 int(rng.integers(0x100, 0x701)),
                 dlc,
                 bytes(int(b) for b in rng.integers(0, 256, dlc)),
                 int(rng.integers(0, 2)),
-            )
-            x, _ = encode_table(RecordTable.from_traffic(traffic_log([rec])), params)
-            assert x.shape == (1, 16)
-            assert np.all((x >= 0.0) & (x <= 1.0))
+            ))
+        x, y = self.encode(RecordTable.from_traffic(traffic_log(records)))
+        assert x.shape == (20, 16)
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        assert y.tolist() == [r.label for r in records]
 
     def test_unknown_sidecar_kind_rejected(self):
         codes = kind_codes(["normal", "fuzzing"], "log.csv.kinds")
@@ -642,8 +645,8 @@ class TestEncode:
         assert got.data_value.tolist() == [float(0x0A00FF), 0.0]
         assert got.label.tolist() == [1, 0]
 
-    def test_oversized_payload_truncated(self, params):
-        x, _ = encode_table(table(f"0.0,0100,10,{' '.join(['11'] * 10)},0"), params)
+    def test_oversized_payload_truncated(self):
+        x, _ = self.encode(table(f"0.0,0100,10,{' '.join(['11'] * 10)},0"))
         assert x.shape == (1, 16)
         assert np.all(x[0, 2:10] == 0x11 / 255)
         assert np.all(x[0, 10:] == 0.0)

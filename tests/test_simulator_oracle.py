@@ -1,11 +1,12 @@
 """The columnar simulator against the per-record reference copies in ``helpers``.
 
 ``generate_traffic`` and ``inject_attack`` build a ``TrafficLog`` of numpy
-columns; ``helpers.legacy_generate_traffic``/``legacy_inject_attack`` build
-one ``helpers.LogRow`` per frame and sort Python lists. For the same profile
-and attack sequence both must hold the same columns (dtype and bytes), write
-the same log and ``.kinds`` text, raise the same error type, and tabulate to
-the same ``RecordTable`` columns.
+columns, one ``inject_attack`` call merging every attack;
+``helpers.legacy_generate_traffic``/``legacy_inject_attack`` build one
+``helpers.LogRow`` per frame and sort Python lists, one call per attack.
+For the same profile and attack sequence both must hold the same columns
+(dtype and bytes), write the same log and ``.kinds`` text, raise the same
+first error type, and tabulate to the same ``RecordTable`` columns.
 """
 
 import dataclasses
@@ -75,14 +76,17 @@ def scenarios(draw):
     return profile, attacks
 
 
-def _simulate(generate, inject, profile, attacks):
+def _simulate(generate, inject_all, profile, attacks):
     """The final log, or the type of the first error raised."""
     try:
-        log = generate(profile)
-        for spec in attacks:
-            log = inject(log, spec)
+        return inject_all(generate(profile), attacks)
     except ValueError as exc:
         return type(exc)
+
+
+def _legacy_inject_all(log, attacks):
+    for spec in attacks:
+        log = legacy_inject_attack(log, spec)
     return log
 
 
@@ -110,8 +114,8 @@ TIES = (
 @example(TIES)
 def test_columnar_simulator_matches_record_oracle(scenario):
     profile, attacks = scenario
-    log = _simulate(generate_traffic, inject_attack, profile, attacks)
-    records = _simulate(legacy_generate_traffic, legacy_inject_attack, profile, attacks)
+    log = _simulate(generate_traffic, lambda log, attacks: inject_attack(log, *attacks), profile, attacks)
+    records = _simulate(legacy_generate_traffic, _legacy_inject_all, profile, attacks)
     if isinstance(records, type):
         assert log is records
         return

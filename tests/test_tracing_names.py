@@ -52,7 +52,8 @@ def test_traced_training_runs_every_backward(tmp_path):
 
 
 def test_traced_simulate_counts_the_rows_written(tmp_path):
-    # canbus.frames is len() of generate_traffic's log plus the rows each inject_attack adds
+    # canbus.frames is len() of generate_traffic's log plus the rows inject_attack adds,
+    # in one call for both attacks
     profile = "duration=3\njitter=0.05\necu=130,0.01,8,counter\necu=2B0,0.02,8,sensor\n"
     (tmp_path / "profile.cfg").write_text(profile)
     code = (
@@ -64,15 +65,17 @@ def test_traced_simulate_counts_the_rows_written(tmp_path):
         "mark = tracer.mark()\n"
         "assert cli.run_command(['simulate', '--profile', 'profile.cfg', '--attack', 'flooding:1:2:50',\n"
         "                        '--attack', 'spoofing:0.5:2.5:40:130,7FF', '-o', 'log.csv']) == 0\n"
-        "print(json.dumps(tracer.unit_totals(mark)['counts']))\n"
+        "totals = tracer.unit_totals(mark)\n"
+        "print(json.dumps([totals['counts'], totals['calls']]))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, check=True
     )
-    counts = json.loads(result.stdout.splitlines()[-1])
+    counts, calls = json.loads(result.stdout.splitlines()[-1])
     rows = (tmp_path / "log.csv").read_text().count("\n") - 1  # less the header
     assert rows == 300 + 150 + 50 + 80
     assert counts["canbus.frames"] == rows
+    assert calls["canbus.inject_attack"] == 1
 
 
 def test_traced_prepare_counts_what_the_garbling_predicts(tmp_path):
