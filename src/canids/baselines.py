@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Range
+from .ingest import N_FEATURES
 from .nncore import Dense, Network, ReLU, Softmax
 
 MLP_HIDDEN = (68, 68)
@@ -247,17 +248,20 @@ def tree_fit(
 
 
 def tree_predict(tree: TreeNode, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hard labels plus the attack fraction of each query's leaf."""
+    """Hard labels plus the attack fraction of each query's leaf; queries go down as index sets."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     labels = np.empty(len(queries), dtype=np.uint8)
     scores = np.empty(len(queries))
-    for i, row in enumerate(queries):
-        node = tree
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        labels[i] = node.label
-        neg, pos = node.counts
-        scores[i] = pos / (neg + pos) if neg + pos else 0.5
+    pending = [(tree, np.arange(len(queries)))]
+    while pending:
+        node, idx = pending.pop()
+        if node.is_leaf:
+            labels[idx] = node.label
+            neg, pos = node.counts
+            scores[idx] = pos / (neg + pos) if neg + pos else 0.5
+        elif len(idx):
+            left = queries[idx, node.feature] <= node.threshold
+            pending += [(node.left, idx[left]), (node.right, idx[~left])]
     return labels, scores
 
 
@@ -272,11 +276,11 @@ def tree_depth(tree: TreeNode) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_mlp(seed: int = 0, input_width: int = 16) -> Network:
+def build_mlp(seed: int = 0) -> Network:
     rng = np.random.default_rng(seed)
     return Network(
         [
-            Dense(input_width, MLP_HIDDEN[0], rng),
+            Dense(N_FEATURES, MLP_HIDDEN[0], rng),
             ReLU(),
             Dense(MLP_HIDDEN[0], MLP_HIDDEN[1], rng),
             ReLU(),

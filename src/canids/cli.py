@@ -349,14 +349,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_arrays(ds: ingest.PreparedDataset, split: str):
-    if split == "train":
-        return ds.train_x, ds.train_y, ds.train_kind
-    if split == "validation":
-        return ds.val_x, ds.val_y, ds.val_kind
-    return ds.test_x, ds.test_y, ds.test_kind
-
-
 def _evaluate_model(model, x, y, kind) -> metrics.MetricsReport:
     probs, labels = plenet.predict(model, x)
     return metrics.evaluate_predictions(y, labels, scores=probs[:, 1], kinds=kind)
@@ -367,7 +359,7 @@ def cmd_evaluate(args) -> int:
     ds = ingest.load_dataset(args.data)
     if len(norm.mins) and not (np.array_equal(norm.mins, ds.norm.mins) and np.array_equal(norm.maxs, ds.norm.maxs)):
         print("warning: checkpoint and dataset normalization differ", file=sys.stderr)
-    x, y, kind = _split_arrays(ds, args.split)
+    x, y, kind = ds.partitions()[args.split]
     report = _evaluate_model(model, x, y, kind)
     table = write_reports({args.split: report}, args.report, args.json)
     sys.stdout.write(table)
@@ -398,7 +390,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_compare(args) -> int:
     ds = ingest.load_dataset(args.data)
-    x, y, kind = _split_arrays(ds, "test")
+    x, y, kind = ds.partitions()["test"]
     cfg = _train_config(args)
     rows: dict[str, metrics.MetricsReport] = {}
 
@@ -431,7 +423,7 @@ def cmd_gradcheck(args) -> int:
         while checked < args.seeds:
             net = builder(seed=int(rng.integers(0, 2**31)))
             nncore.jitter_parameters(net, rng)
-            x = net.layers[0].layout_rows(rng.uniform(size=(args.batch, 16)))
+            x = net.layers[0].layout_rows(rng.uniform(size=(args.batch, ingest.N_FEATURES)))
             labels = rng.integers(0, 2, args.batch)
             if nncore.boundary_margin(net, x) < KINK_MARGIN:
                 print(f"{name}: redrew a configuration sitting within {KINK_MARGIN:g} of a kink/tie")
@@ -523,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint against a dataset split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "validation", "test"), default="test")
+    p.add_argument("--split", choices=ingest.PARTITIONS, default="test")
     p.add_argument("--report", help="write the text table here")
     p.add_argument("--json", help="write the JSON report here")
     p.set_defaults(func=cmd_evaluate)

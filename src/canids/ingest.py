@@ -63,6 +63,7 @@ from .bounds import Range
 from .canbus import _DATA, _DLC, _FIELDS, _ID, _LABEL, _TS, KIND_NAMES, TrafficLog
 
 N_FEATURES = 16
+PARTITIONS = ("train", "validation", "test")
 PAYLOAD_WIDTH = 8
 
 CONTAINER_MAGIC = b"CANIDS1"
@@ -766,8 +767,9 @@ def _fit_features(can_id: np.ndarray, dlc: np.ndarray) -> NormalizationParams:
     """
     if len(can_id) == 0:
         raise EmptyColumn("cannot fit normalization on an empty table")
-    mins = np.concatenate(([can_id.min(), dlc.min()], np.zeros(PAYLOAD_WIDTH), np.zeros(6)))
-    maxs = np.concatenate(([can_id.max(), dlc.max()], np.full(PAYLOAD_WIDTH, 255.0), np.ones(6)))
+    padding = N_FEATURES - 2 - PAYLOAD_WIDTH
+    mins = np.concatenate(([can_id.min(), dlc.min()], np.zeros(PAYLOAD_WIDTH), np.zeros(padding)))
+    maxs = np.concatenate(([can_id.max(), dlc.max()], np.full(PAYLOAD_WIDTH, 255.0), np.ones(padding)))
     return NormalizationParams(mins, maxs)
 
 
@@ -797,11 +799,21 @@ class PreparedDataset:
     val_kind: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
     test_kind: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
 
+    def partitions(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The features, labels and kinds of each partition, keyed by its name in ``PARTITIONS``."""
+        return dict(zip(PARTITIONS, ((self.train_x, self.train_y, self.train_kind),
+                                     (self.val_x, self.val_y, self.val_kind),
+                                     (self.test_x, self.test_y, self.test_kind))))
+
     def sizes(self) -> tuple[int, int, int]:
         return len(self.train_y), len(self.val_y), len(self.test_y)
 
     def has_kinds(self) -> bool:
-        return len(self.train_kind) == len(self.train_y) and len(self.train_y) > 0
+        """Whether the rows hold one kind each; empty kinds mean unknown, other lengths raise ``LengthMismatch``."""
+        counts = (len(self.train_kind), len(self.val_kind), len(self.test_kind))
+        if any(counts) and counts != self.sizes():
+            raise LengthMismatch(f"{counts} kinds per partition for {self.sizes()} rows")
+        return any(counts)
 
 
 TEST_FRACTION = Range("test_fraction", 0, 1, integer=False)
@@ -870,16 +882,12 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
     The manifest and the kinds sidecar are UTF-8 text whatever the locale;
     a container without kinds removes any kinds sidecar left at ``path``.
     Kinds that are not uint8 codes into ``KIND_NAMES`` raise ``UnknownKind``,
-    and a provenance that is not one line of UTF-8 text raises ``NotText``,
-    before any file is written.
+    kinds neither empty nor one per row ``LengthMismatch``, and a provenance
+    that is not one line of UTF-8 text ``NotText``, before any file is written.
     """
     path = Path(path)
-    parts = [
-        (ds.train_x, ds.train_y),
-        (ds.val_x, ds.val_y),
-        (ds.test_x, ds.test_y),
-    ]
-    kinds = (ds.train_kind, ds.val_kind, ds.test_kind) if ds.has_kinds() else ()
+    parts = ds.partitions().values()
+    kinds = [kind for _, _, kind in parts] if ds.has_kinds() else []
     for codes in kinds:
         if codes.dtype != np.uint8 or codes.max(initial=0) >= len(KIND_NAMES):
             raise UnknownKind(f"kinds must be uint8 codes into KIND_NAMES, got {codes.dtype} {codes[:5].tolist()}")
@@ -891,15 +899,15 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
     try:
         manifest_bytes = (
             f"format=CANIDS1\n{source}\nseed={ds.seed}\nfeatures={N_FEATURES}\n"
-            f"train={sizes[0]}\nvalidation={sizes[1]}\ntest={sizes[2]}\n"
+            + "".join(f"{partition}={size}\n" for partition, size in zip(PARTITIONS, sizes))
         ).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise NotText(f"{manifest}: provenance {ds.provenance!r} is not UTF-8 text ({exc.reason})") from None
 
     with open(path, "wb") as fh:
         fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<4Q", N_FEATURES, *(len(y) for _, y in parts)))
-        for x, y in parts:
+        fh.write(struct.pack("<4Q", N_FEATURES, *sizes))
+        for x, y, _ in parts:
             fh.write(np.ascontiguousarray(x, dtype="<f8").data)
             fh.write(np.ascontiguousarray(y, dtype=np.uint8).data)
         fh.write(np.column_stack([ds.norm.mins, ds.norm.maxs]).astype("<f8").data)
@@ -909,7 +917,7 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
         kinds_path.unlink(missing_ok=True)  # an earlier container's kinds are not this one's
     else:
         with open(kinds_path, "w", encoding="utf-8") as fh:
-            for partition, codes in zip(("train", "validation", "test"), kinds):
+            for partition, codes in zip(PARTITIONS, kinds):
                 fh.writelines(f"{partition},{KIND_NAMES[code]}\n" for code in codes.tolist())
 
 
@@ -926,7 +934,7 @@ def load_dataset(path: str | Path) -> PreparedDataset:
     if n_feat != N_FEATURES:
         raise reader.corrupt(f"unexpected feature width {n_feat}")
     arrays = []
-    for partition, count in zip(("train", "validation", "test"), sizes):
+    for partition, count in zip(PARTITIONS, sizes):
         x = reader.array("<f8", (count, n_feat)).copy()
         y = reader.array(np.uint8, (count,)).copy()
         if not (x.min(initial=0.0) >= 0 and x.max(initial=0.0) <= 1):  # NaN fails both
@@ -950,18 +958,18 @@ def load_dataset(path: str | Path) -> PreparedDataset:
             raise CorruptContainer(f"{manifest}: seed {meta['seed']!r} is not an integer") from None
     kinds_path = path.with_name(path.name + ".kinds")
     if kinds_path.exists():
-        per_part: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
+        per_part: dict[str, list[int]] = {partition: [] for partition in PARTITIONS}
         for lineno, line in enumerate(read_utf8(kinds_path, CorruptContainer).splitlines(), 1):
             partition, sep, kind = line.partition(",")
             if not sep or partition not in per_part:
                 raise CorruptContainer(
-                    f"{kinds_path} line {lineno}: expected train|validation|test,<kind>, got {line!r}"
+                    f"{kinds_path} line {lineno}: expected {'|'.join(PARTITIONS)},<kind>, got {line!r}"
                 )
             if kind not in _KIND_CODES:
                 raise CorruptContainer(f"{kinds_path} line {lineno}: unknown kind {kind!r}")
             per_part[partition].append(_KIND_CODES[kind])
         ds.train_kind, ds.val_kind, ds.test_kind = (np.array(codes, dtype=np.uint8) for codes in per_part.values())
-        counts = tuple(len(per_part[p]) for p in ("train", "validation", "test"))
+        counts = tuple(map(len, per_part.values()))
         if ds.sizes() != counts:
             raise CorruptContainer(f"{kinds_path}: {counts} kinds per partition, container holds {ds.sizes()}")
     return ds

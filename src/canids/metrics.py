@@ -30,6 +30,10 @@ class SingleClassInput(ValueError):
     """ROC needs at least one positive and one negative label."""
 
 
+class NonFiniteScore(ValueError):
+    """A ROC score is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     tp: int
@@ -72,21 +76,11 @@ class MetricsReport:
     per_kind_recall: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tpr": self.tpr,
-            "tnr": self.tnr,
-        }
-        if self.roc_auc is not None:
-            out["roc_auc"] = self.roc_auc
-        if self.degenerate:
-            out["degenerate"] = list(self.degenerate)
-        if self.per_kind_recall:
-            out["per_kind_recall"] = dict(self.per_kind_recall)
-        return out
+        """The six rates, then ``roc_auc``, ``degenerate`` and ``per_kind_recall`` where they are set."""
+        out = {name: getattr(self, name) for name in ("accuracy", "precision", "recall", "f1", "tpr", "tnr")}
+        optional = {"roc_auc": self.roc_auc, "degenerate": list(self.degenerate),
+                    "per_kind_recall": dict(self.per_kind_recall)}
+        return out | {name: value for name, value in optional.items() if value not in (None, [], {})}
 
 
 def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
@@ -130,7 +124,8 @@ def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float]]]:
     """Trapezoidal area under the ROC sweep plus its (FPR, TPR) points.
 
     Thresholds descend over the unique scores with ties grouped into one
-    step, so the area equals the normalized rank-sum statistic.
+    step (the last row of each run), so the area equals the normalized
+    rank-sum statistic. A non-finite score raises ``NonFiniteScore``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -138,6 +133,9 @@ def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float]]]:
         raise LengthMismatch(f"{scores.shape} vs {labels.shape}")
     if not np.isin(labels, (0, 1)).all():
         raise InvalidLabel("labels must be 0/1")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise NonFiniteScore(f"score {scores.flat[bad[0]]} at index {bad[0]} is not finite")
     n_pos = int((labels == 1).sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -145,23 +143,12 @@ def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float]]]:
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = fp = 0
-    points = [(0.0, 0.0)]
-    area = 0.0
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j < len(sorted_scores) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int((sorted_labels[i:j] == 1).sum())
-        fp += int((sorted_labels[i:j] == 0).sum())
-        fpr, tpr = fp / n_neg, tp / n_pos
-        prev_fpr, prev_tpr = points[-1]
-        area += (fpr - prev_fpr) * (tpr + prev_tpr) / 2
-        points.append((fpr, tpr))
-        i = j
-    return area, points
+    last = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    tp = np.cumsum(labels[order] == 1)[last]
+    fpr = np.concatenate(([0.0], (last + 1 - tp) / n_neg))
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    area = np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2)[-1]
+    return float(area), list(zip(fpr.tolist(), tpr.tolist()))
 
 
 def per_kind_recall(labels, predictions, kinds) -> dict[str, float]:
@@ -180,12 +167,11 @@ def per_kind_recall(labels, predictions, kinds) -> dict[str, float]:
 
 
 def evaluate_predictions(labels, predictions, scores=None, kinds=None) -> MetricsReport:
-    """Full report for one model's predictions over one split."""
-    report = metrics_from_confusion(confusion(labels, predictions))
-    if scores is not None:
-        labels_arr = np.asarray(labels)
-        if 0 < labels_arr.sum() < len(labels_arr):
-            report.roc_auc = roc_auc(scores, labels)[0]
-    if kinds is not None and len(kinds) == len(labels):
+    """Full report for one model's predictions over one split; ``kinds`` are empty (unknown) or one per row."""
+    cm = confusion(labels, predictions)
+    report = metrics_from_confusion(cm)
+    if scores is not None and 0 < cm.tp + cm.fn < cm.total:
+        report.roc_auc = roc_auc(scores, labels)[0]
+    if kinds is not None and len(kinds):
         report.per_kind_recall = per_kind_recall(labels, predictions, kinds)
     return report

@@ -22,7 +22,7 @@ from itertools import takewhile
 import numpy as np
 
 from .bounds import Range
-from .ingest import PreparedDataset
+from .ingest import N_FEATURES, PreparedDataset
 from .nncore import (
     Adam,
     Conv1D,
@@ -39,7 +39,7 @@ from .nncore import (
     one_hot,
 )
 
-INPUT_LENGTH = 16
+INPUT_LENGTH = N_FEATURES
 EXPECTED_PARAM_COUNT = 12_052
 EXPECTED_LAYER_COUNTS = (30, 520, 10_500, 1_002)
 
@@ -117,16 +117,20 @@ def build_plenet(seed: int = 0) -> Network:
     return net
 
 
+def decide(probs: np.ndarray) -> np.ndarray:
+    """Hard labels of (batch, 2) probability pairs; an exact 0.5 tie counts as attack."""
+    return (probs[:, 1] >= probs[:, 0]).astype(np.uint8)
+
+
 def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probability pairs and hard labels; an exact 0.5 tie counts as attack.
+    """Probability pairs and their ``decide`` labels.
 
     ``x`` is one feature row or a (batch, 16) block, laid out for the
     network by its first layer.
     """
     rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
     probs = model.forward(model.layers[0].layout_rows(rows))
-    labels = (probs[:, 1] >= probs[:, 0]).astype(np.uint8)
-    return probs, labels
+    return probs, decide(probs)
 
 
 def _evaluate(model: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> tuple[float, float]:
@@ -180,7 +184,7 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
             model.backward(dprobs)
             opt.step(grads)
             epoch_loss += loss * len(idx)
-            correct += int((probs.argmax(axis=1) == data.train_y[idx]).sum())
+            correct += int((decide(probs) == data.train_y[idx]).sum())
 
         val_loss, val_acc = _evaluate(model, data.val_x, data.val_y)
         history.train_loss.append(epoch_loss / n)

@@ -59,6 +59,48 @@ def knn_difference_tensor(model, queries, k, chunk=256):
     return labels, votes
 
 
+def roc_auc_loop(scores, labels):
+    """Reference ROC sweep: a Python loop over runs of tied scores, in descending order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    tp = fp = 0
+    points = [(0.0, 0.0)]
+    area = 0.0
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j < len(sorted_scores) and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int((sorted_labels[i:j] == 1).sum())
+        fp += int((sorted_labels[i:j] == 0).sum())
+        fpr, tpr = fp / n_neg, tp / n_pos
+        prev_fpr, prev_tpr = points[-1]
+        area += (fpr - prev_fpr) * (tpr + prev_tpr) / 2
+        points.append((fpr, tpr))
+        i = j
+    return area, points
+
+
+def tree_predict_loop(tree, queries):
+    """Reference tree prediction: each row walks from the root to its leaf."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    labels = np.empty(len(queries), dtype=np.uint8)
+    scores = np.empty(len(queries))
+    for i, row in enumerate(queries):
+        node = tree
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        labels[i] = node.label
+        neg, pos = node.counts
+        scores[i] = pos / (neg + pos) if neg + pos else 0.5
+    return labels, scores
+
+
 class LegacyAdam:
     """Reference Adam: one parameter array at a time, fresh temporaries per expression."""
 

@@ -16,7 +16,7 @@ from canids.baselines import (
 )
 from canids.nncore import boundary_margin, grad_check, jitter_parameters
 from canids.plenet import TrainConfig, train
-from helpers import knn_difference_tensor, toy_dataset
+from helpers import knn_difference_tensor, toy_dataset, tree_predict_loop
 
 
 def knn_oracle(train_x, train_y, query, k):
@@ -174,6 +174,26 @@ class TestDecisionTree:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             tree_fit(np.empty((0, 2)), np.empty(0))
+
+    @pytest.mark.parametrize("depth", [0, 1, 4, 10])
+    def test_equals_reference_loop_bit_for_bit(self, depth):
+        rng = np.random.default_rng(6)
+        x = rng.integers(0, 8, size=(400, 6)) / 7  # repeated values, so queries land on thresholds
+        y = ((x[:, 0] > 0.5) ^ (x[:, 1] > 0.3) | (rng.uniform(size=400) < 0.1)).astype(np.uint8)
+        tree = tree_fit(x, y, max_depth=depth, min_leaf=3)
+        thresholds, stack = [], [tree]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                thresholds.append(node.threshold)
+                stack += [node.left, node.right]
+        on_thresholds = np.resize(thresholds or [0.5], (60, 6))
+        queries = np.vstack([x, rng.uniform(size=(200, 6)), on_thresholds, np.full((1, 6), np.nan)])
+        for q in (queries, queries[:0], queries[7]):
+            labels, scores = tree_predict(tree, q)
+            want_labels, want_scores = tree_predict_loop(tree, q)
+            assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
+            assert scores.tobytes() == want_scores.tobytes()
 
 
 class TestMlp:

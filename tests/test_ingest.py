@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import math
+import re
 import struct
 import tracemalloc
 
@@ -938,6 +939,19 @@ class TestContainerRoundTrip:
         with pytest.raises(UnknownKind, match="kinds must be uint8 codes into KIND_NAMES"):
             save_dataset(ds, tmp_path / "data.bin")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("short", ["train_kind", "test_kind"])
+    def test_kinds_one_short_rejected_before_writing(self, tmp_path, short):
+        path = tmp_path / "data.bin"
+        save_dataset(self.make_dataset(), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        ds = self.make_dataset()
+        setattr(ds, short, getattr(ds, short)[:-1])
+        sizes = ds.sizes()
+        counts = (len(ds.train_kind), len(ds.val_kind), len(ds.test_kind))
+        with pytest.raises(LengthMismatch, match=rf"^{re.escape(f'{counts} kinds per partition for {sizes} rows')}$"):
+            save_dataset(ds, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 _RNG = np.random.default_rng(0)

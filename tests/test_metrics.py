@@ -4,11 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from canids.canbus import KIND_NAMES
+from helpers import roc_auc_loop
 from canids.metrics import (
     ConfusionMatrix,
     EmptyMatrix,
     InvalidLabel,
     LengthMismatch,
+    NonFiniteScore,
     SingleClassInput,
     confusion,
     evaluate_predictions,
@@ -176,6 +178,26 @@ class TestRocAuc:
         with pytest.raises(SingleClassInput):
             roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NonFiniteScore, match=rf"^score {bad} at index 1 is not finite$"):
+            roc_auc([0.1, bad, 0.9, bad], [0, 1, 1, 0])
+
+    @pytest.mark.parametrize("ties", ["none", "rounded", "constant", "few"])
+    def test_equals_reference_loop_bit_for_bit(self, ties):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(2, 300))
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            scores = {"none": rng.uniform(size=n), "rounded": np.round(rng.uniform(size=n), 1),
+                      "constant": np.full(n, 0.25), "few": rng.integers(0, 3, n) / 3}[ties]
+            auc, points = roc_auc(scores, labels)
+            want_auc, want_points = roc_auc_loop(scores, labels)
+            assert type(auc) is float
+            assert np.float64(auc).view(np.int64) == np.float64(want_auc).view(np.int64)
+            assert points == want_points
+
     @given(st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=4, max_size=80))
     def test_rank_sum_equivalence_property(self, pairs):
         scores = np.array([p[0] for p in pairs])
@@ -207,3 +229,9 @@ class TestPerKindRecall:
         assert report.roc_auc == pytest.approx(rank_sum_auc(scores, labels), abs=1e-12)
         assert "fuzzing" in report.per_kind_recall
         assert report.as_dict()["accuracy"] == report.accuracy
+
+    def test_evaluate_predictions_refuses_kinds_not_one_per_row(self):
+        labels = np.array([0, 1, 1])
+        with pytest.raises(LengthMismatch):
+            evaluate_predictions(labels, labels, kinds=np.array([0, 1], dtype=np.uint8))
+        assert evaluate_predictions(labels, labels, kinds=np.zeros(0, dtype=np.uint8)).per_kind_recall == {}

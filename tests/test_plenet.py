@@ -108,6 +108,17 @@ class TestTrain:
         assert all(np.array_equal(p, q) for p, q in zip(model.parameters(), before))
         assert len(set(history.val_acc)) == 1
 
+    def test_training_accuracy_counts_a_tie_as_attack(self):
+        data = toy_dataset(n=60, seed=11)
+        model = build_plenet(seed=11)
+        dense_out = model.layers[-2]
+        dense_out.w[...] = 0.0
+        dense_out.b[...] = 0.0  # every probability pair is exactly (0.5, 0.5)
+        _, history = train(model, data, TrainConfig(epochs=1, batch_size=16, lr=0.0, seed=11))
+        assert 0 < data.train_y.mean() < 1
+        assert history.train_acc[0] == data.train_y.mean()
+        assert history.val_acc[0] == data.val_y.mean()
+
     def test_bit_reproducible_per_seed(self):
         data = toy_dataset(n=120, seed=9)
         cfg = TrainConfig(epochs=5, batch_size=16, seed=3)

@@ -1,5 +1,6 @@
 """The names ``import canids`` exports, members taken off the public surface, and what importing it loads."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import canids
-from canids import canbus, ingest
+from canids import baselines, canbus, cli, ingest
 from canids.nncore import Conv1D, Dense, Network
 
 
@@ -30,6 +31,8 @@ def test_removed_members_stay_removed():
     for name in ("hex_to_dec", "dec_to_hex", "data_bytes", "_ObservedMeans", "InvalidHexDigit", "SIDECAR_KINDS",
                  "apply_minmax", "fit_feature_params", "encode_table", "UnnormalizedInput"):
         assert not hasattr(ingest, name), name
+    assert not hasattr(cli, "_split_arrays")
+    assert "input_width" not in inspect.signature(baselines.build_mlp).parameters
 
 
 def test_one_kind_name_table():
