@@ -58,17 +58,17 @@ def knn_fit(train_x: np.ndarray, train_y: np.ndarray) -> KnnModel:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _gram_candidates(block: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+def _gram_candidates(block: np.ndarray, x: np.ndarray, sq_x: np.ndarray, sq_x_max: float, k: int) -> np.ndarray:
     """Mask of the rows of x within the Gram error band of each query's k-th nearest.
 
+    ``sq_x`` holds the squared norms of x's rows and ``sq_x_max`` their max.
     See ``knn_predict`` for the bound. Overflow is silenced here because a
     query whose bound overflows takes every row.
     """
     sq_q = (block * block).sum(axis=1)
-    sq_x = (x * x).sum(axis=1)
     gram = sq_q[:, None] + sq_x[None, :] - 2.0 * (block @ x.T)
     kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-    norms = sq_q + sq_x.max()
+    norms = sq_q + sq_x_max
     info = np.finfo(np.float64)
     tol = 8 * (x.shape[1] + 4) * (info.eps * norms + info.smallest_subnormal)
     candidate = gram <= (kth + 2 * tol)[:, None]
@@ -77,6 +77,16 @@ def _gram_candidates(block: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 K = Range("k", 1)
+CHUNK = Range("chunk", 1)
+KNN_BLOCK_BYTES = 16 * 2**20  # one block's Gram matrix, float64 queries x training rows
+
+
+def check_k(k: int, n_train: int) -> int:
+    """``k`` if it is a neighbor count ``n_train`` stored rows can answer, else ``OutOfRange`` or ``KTooLarge``."""
+    K.check(k)
+    if k > n_train:
+        raise KTooLarge(f"k={k} with {n_train} training rows")
+    return k
 
 
 def knn_predict(
@@ -87,14 +97,18 @@ def knn_predict(
     The distance of query q to training row x is the float64 value of
     ``((q - x) ** 2).sum()``. Distance ties break toward the lower training
     index; vote ties predict attack. Returns hard labels and the attack-vote
-    fraction. Working memory is a few ``chunk x n_train`` float arrays.
+    fraction. A block takes at most ``chunk`` queries and at most as many
+    as keep its Gram matrix within ``KNN_BLOCK_BYTES`` (one query at least),
+    so working memory is a few such matrices, the n_train squared norms and
+    the candidates' difference rows, whatever the training set's size.
 
     The k nearest are found without forming every difference row:
 
     1. Duplicate queries are solved once, because the answer depends only
        on the query's values.
-    2. For each block of ``chunk`` unique queries, one matrix product gives
-       the Gram form ``g = |q|^2 + |x|^2 - 2 q.x`` against every row.
+    2. For each block of unique queries, one matrix product gives the Gram
+       form ``g = |q|^2 + |x|^2 - 2 q.x`` against every row; the ``|x|^2``
+       are computed once per call.
     3. The candidates of q are the rows with ``g <= t + 2 tol``, where t is
        q's k-th smallest g and ``tol`` bounds ``|g - e|`` (below).
     4. The distance e, as defined above, is computed for the candidates
@@ -126,24 +140,29 @@ def knn_predict(
     does. A query for which it does not takes every row as a candidate.
     Non-finite inputs raise ``NonFiniteInput``.
     """
-    K.check(k)
+    check_k(k, len(model.x))
+    CHUNK.check(chunk)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if k > len(model.x):
-        raise KTooLarge(f"k={k} with {len(model.x)} training rows")
     _require_finite("queries", queries)
     unique, inverse = np.unique(queries, axis=0, return_inverse=True)
     x = model.x
+    # einsum makes no n_train x d temporary; a norm that overflows to inf makes every row a candidate
+    with np.errstate(over="ignore"):
+        sq_x = np.einsum("ij,ij->i", x, x)
+    sq_x_max = sq_x.max()
+    step = min(chunk, max(1, KNN_BLOCK_BYTES // (sq_x.itemsize * len(x))))
     frac = np.empty(len(unique))
-    for start in range(0, len(unique), chunk):
-        block = unique[start : start + chunk]
-        rows, cols = np.nonzero(_gram_candidates(block, x, k))
+    for start in range(0, len(unique), step):
+        block = unique[start : start + step]
+        # row-major like np.nonzero, whose 2-D form is many times slower
+        rows, cols = np.divmod(np.flatnonzero(_gram_candidates(block, x, sq_x, sq_x_max, k)), len(x))
         with np.errstate(over="ignore"):  # a square may overflow to inf, which sorts last
             dist = ((block[rows] - x[cols]) ** 2).sum(axis=1)
         order = np.lexsort((cols, dist, rows))
         counts = np.bincount(rows, minlength=len(block))
         first = np.cumsum(counts) - counts
         nearest = cols[order[first[:, None] + np.arange(k)]]
-        frac[start : start + chunk] = model.y[nearest].mean(axis=1)
+        frac[start : start + step] = model.y[nearest].mean(axis=1)
     labels = (frac >= 0.5).astype(np.uint8)
     inverse = inverse.reshape(-1)  # numpy 2.0.0 alone returns it as a column
     return labels[inverse], frac[inverse]

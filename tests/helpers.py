@@ -2,6 +2,7 @@ import bisect
 import csv
 import io
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,18 @@ from canids.ingest import (
     PreparedDataset,
     RecordTable,
 )
+
+
+def traced_peak(call):
+    """``call()``'s result and its ``tracemalloc`` peak in bytes above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def toy_dataset(n=200, seed=0, gap=0.6):

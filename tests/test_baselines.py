@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from canids import baselines
 from canids.baselines import (
+    KNN_BLOCK_BYTES,
     EmptyTrainingSet,
     KTooLarge,
     NonFiniteInput,
@@ -14,9 +16,10 @@ from canids.baselines import (
     tree_fit,
     tree_predict,
 )
+from canids.bounds import OutOfRange
 from canids.nncore import boundary_margin, grad_check, jitter_parameters
 from canids.plenet import TrainConfig, train
-from helpers import knn_difference_tensor, toy_dataset, tree_predict_loop
+from helpers import knn_difference_tensor, toy_dataset, traced_peak, tree_predict_loop
 
 
 def knn_oracle(train_x, train_y, query, k):
@@ -69,8 +72,38 @@ class TestKnn:
         with pytest.raises(EmptyTrainingSet):
             knn_fit(np.empty((0, 16)), np.empty(0))
         model = knn_fit(np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(KTooLarge):
+        with pytest.raises(KTooLarge, match="^k=4 with 3 training rows$"):
             knn_predict(model, np.zeros((1, 2)), k=4)
+        for chunk in (0, -1):
+            with pytest.raises(OutOfRange, match=f"^chunk must be an integer in \\[1, inf\\), got {chunk}$"):
+                knn_predict(model, np.zeros((2, 2)), k=1, chunk=chunk)
+
+    def test_block_budget_caps_the_queries_per_block(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 3, size=(40, 16)) / 2
+        y = rng.integers(0, 2, 40).astype(np.uint8)
+        queries = rng.integers(0, 3, size=(30, 16)) / 2
+        model = knn_fit(x, y)
+        for budget in (1, 8 * 40, 3 * 8 * 40 + 7):  # blocks of one query (never fewer), one and three
+            monkeypatch.setattr(baselines, "KNN_BLOCK_BYTES", budget)
+            got = knn_predict(model, queries, k=5)
+            want = knn_difference_tensor(model, queries, k=5)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    def test_working_memory_does_not_grow_with_the_training_rows(self):
+        # 163 queries a block against 12,800 rows, 20 against 102,400: one Gram block and its
+        # working copy, plus the norms, each time (34.0 MiB both); 256-query blocks made it 53 and 426 MiB
+        rng = np.random.default_rng(0)
+        queries = rng.uniform(size=(256, 16))
+        train = rng.uniform(size=(8 * 12_800, 16))
+        labels = (train[:, 0] > 0.5).astype(np.uint8)
+        peaks = []
+        for n in (12_800, 8 * 12_800):
+            model = knn_fit(train[:n], labels[:n])
+            _, peak = traced_peak(lambda: knn_predict(model, queries, k=12))
+            peaks.append(peak)
+            assert peak <= 2.5 * KNN_BLOCK_BYTES + 8 * n, (n, peak)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(NonFiniteInput):

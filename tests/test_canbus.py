@@ -2,7 +2,6 @@ import dataclasses
 import io
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from canids.canbus import (
 )
 from canids.experiments import desk_attacks, desk_profile
 from canids.ingest import parse_log
-from helpers import LogRow, traffic_log
+from helpers import LogRow, traced_peak, traffic_log
 
 
 def log_text(log):
@@ -414,14 +413,7 @@ class TestInjectAttack:
     def test_allocates_little_beyond_its_output(self):
         # the merge gathers one column at a time, and no attack copies the log
         log, specs = generate_traffic(desk_profile(23)), desk_attacks(23)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            merged = inject_attack(log, *specs)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        merged, peak = traced_peak(lambda: inject_attack(log, *specs))
         output = sum(getattr(merged, field.name).nbytes for field in dataclasses.fields(TrafficLog))
         assert len(merged) == 20_000
         assert peak <= 1.75 * output, (peak, output)

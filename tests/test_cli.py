@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -12,9 +13,9 @@ import pytest
 from canids.baselines import build_mlp
 from canids.checkpoint import save_checkpoint
 from canids.cli import MalformedSpec, build_parser, parse_attack, parse_profile, run_command
-from canids.ingest import NormalizationParams, load_dataset, save_dataset
+from canids.ingest import NormalizationParams, PreparedDataset, load_dataset, save_dataset
 from canids.plenet import build_plenet
-from helpers import toy_dataset
+from helpers import toy_dataset, traced_peak
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,6 +138,26 @@ class TestPipeline:
         again = tmp_path / "again.bin"
         run_ok(["prepare", "--input", str(log), "--output", str(again), "--seed", "3"])
         assert data.read_bytes() == again.read_bytes()
+
+    def test_prepare_releases_the_free_heap_before_encoding(self, pipeline, monkeypatch):
+        # parsing's freed temporaries go back to the system before the feature buffer is allocated
+        import canids.ingest
+
+        tmp_path, log, data = pipeline
+        events = []
+        split = canids.ingest.split_dataset
+        monkeypatch.setattr("canids.cli._malloc_trim", lambda pad: events.append(("trim", pad)))
+        monkeypatch.setattr("canids.ingest.split_dataset", lambda *a, **kw: events.append(("split",)) or split(*a, **kw))
+        again = tmp_path / "again.bin"
+        run_ok(["prepare", "--input", str(log), "--output", str(again), "--seed", "3"])
+        assert events == [("trim", 0), ("split",)]
+        assert data.read_bytes() == again.read_bytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_malloc_trim_found_on_glibc(self):
+        import canids.cli
+
+        assert canids.cli._malloc_trim is not None
 
     def test_prepare_outlier_and_correlation_options(self, pipeline):
         tmp_path, log, data = pipeline
@@ -266,6 +287,30 @@ class TestPipeline:
         assert set(payload) == {"plenet", "knn", "dt", "mlp"}
         for row in payload.values():
             assert "accuracy" in row
+
+    def test_compare_refuses_k_above_the_training_rows_before_training(self, pipeline, monkeypatch, capsys):
+        tmp_path, log, data = pipeline
+        n_train = len(load_dataset(data).train_y)
+        monkeypatch.setattr("canids.plenet.train", lambda *a, **kw: pytest.fail("compare trained a model"))
+        assert run_command(["compare", "--data", str(data), "--knn-k", str(n_train + 1)]) == 1
+        assert capsys.readouterr().err == f"error: k={n_train + 1} with {n_train} training rows\n"
+
+    def test_compare_peaks_no_higher_than_evaluate(self, tmp_path):
+        # Both peak in plenet's forward pass over the 4,000 test rows (42.6 and 42.7 MiB traced). A trained
+        # CNN still alive while KNN ran added KNN's blocks on top: 53.6 MiB.
+        rng = np.random.default_rng(0)
+        parts = []
+        for n in (2_560, 256, 4_000):
+            x = rng.uniform(size=(n, 16))
+            parts += [x, (x[:, 0] + 0.1 * x[:, 1] > 0.55).astype(np.uint8)]
+        data, ckpt = tmp_path / "data.bin", tmp_path / "model.ckpt"
+        save_dataset(PreparedDataset(*parts, NormalizationParams(np.zeros(16), np.ones(16))), data)
+        save_checkpoint(build_plenet(seed=0), ckpt)
+        code, evaluate = traced_peak(lambda: run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]))
+        assert code == 0
+        code, compare = traced_peak(lambda: run_command(["compare", "--data", str(data), "--epochs", "1"]))
+        assert code == 0
+        assert compare <= evaluate + 4 * 2**20, (compare, evaluate)
 
 
 class TestConfigFile:

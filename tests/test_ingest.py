@@ -4,7 +4,6 @@ import itertools
 import math
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +50,7 @@ from canids.ingest import (
     save_dataset,
     split_dataset,
 )
-from helpers import LogRow, encode_table, fit_feature_params, traffic_log
+from helpers import LogRow, encode_table, fit_feature_params, traced_peak, traffic_log
 
 from canids import ingest
 from canids.baselines import knn_fit, knn_predict, tree_fit
@@ -724,14 +723,7 @@ class TestSplitDataset:
 
     def test_allocates_little_beyond_its_output(self):
         table = self.toy_table(50_000, seed=2)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            ds = split_dataset(table, seed=2)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(lambda: split_dataset(table, seed=2))
         output = sum(getattr(ds, name).nbytes for name in ("train_x", "train_y", "val_x", "val_y", "test_x",
                                                             "test_y", "train_kind", "val_kind", "test_kind"))
         assert output == 50_000 * (N_FEATURES * 8 + 2)
