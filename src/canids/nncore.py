@@ -333,14 +333,21 @@ class Dense(_Affine):
 
 
 class ReLU(Layer):
-    def forward(self, x):
-        self._x = x
-        return np.maximum(x, 0.0)
+    """max(x, 0), caching its output: ``out > 0`` is ``x > 0`` for every float, NaN and signed zeros included.
+
+    ``in_place=True`` writes the output over ``x``; ``Network.forward`` asks
+    for it only on an array the layer below has just allocated, never on a
+    caller's.
+    """
+
+    def forward(self, x, in_place=False):
+        self._out = np.maximum(x, 0.0, out=x if in_place else None)
+        return self._out
 
     def backward(self, grad):
-        if grad.shape != self._x.shape:
+        if grad.shape != self._out.shape:
             raise ShapeMismatch(f"upstream gradient shape {grad.shape} mismatches forward output")
-        return _select(self._x > 0, grad)
+        return _select(self._out > 0, grad)
 
     def spec(self):
         return "relu"
@@ -402,8 +409,16 @@ class Network:
         self._frozen_layers = int(Range("frozen_layers", 0, len(self.trainable_layers()), "[]").check(count))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The stack's output for ``x``, which it never writes into.
+
+        A ReLU directly above a trainable layer overwrites that layer's
+        freshly allocated output, so the pass holds one copy of each such
+        activation, not two.
+        """
+        fresh = False  # x is a trainable layer's new output; Flatten, for one, may return a view of the caller's rows
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, in_place=True) if fresh and isinstance(layer, ReLU) else layer.forward(x)
+            fresh = layer.trainable
         return x
 
     def backward(self, grad: np.ndarray) -> None:

@@ -128,10 +128,11 @@ def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``x`` is one feature row or a (batch, 16) block, laid out for the
     network by its first layer. Its memory grows linearly with the rows:
     one forward pass holds every layer's activations for the whole block,
-    about 10 KiB a row (40.9 MiB traced for 4,000 rows). It is not blocked,
-    because a smaller batch changes the probability bits BLAS gives (1,932
-    of 4,000 rows in 512-row blocks, even on one thread), and so every
-    report built on them.
+    about 6 KiB a row (22.6 MiB traced for 4,000 rows), as each ReLU
+    above a trainable layer writes over that layer's output. It is not
+    blocked, because a smaller batch changes the probability bits BLAS
+    gives (1,932 of 4,000 rows in 512-row blocks, even on one thread), and
+    so every report built on them.
     """
     rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
     probs = model.forward(model.layers[0].layout_rows(rows))

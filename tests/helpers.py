@@ -135,8 +135,14 @@ class LegacyAdam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def legacy_relu_forward(layer, x):
+    """Reference ReLU forward pass: caches its input and returns a new array."""
+    layer._x = x
+    return np.maximum(x, 0.0)
+
+
 def legacy_relu_backward(layer, grad):
-    """Reference ReLU backward pass with ``np.where`` masking."""
+    """Reference ReLU backward pass with ``np.where`` masking on the cached input."""
     return np.where(layer._x > 0, grad, 0.0)
 
 
@@ -175,6 +181,13 @@ def legacy_conv_backward(layer, grad):
     return dx
 
 
+def legacy_network_forward(net, x):
+    """Reference ``Network.forward``: each layer's ``forward`` on the one below's output."""
+    for layer in net.layers:
+        x = layer.forward(x)
+    return x
+
+
 def legacy_network_backward(net, grad):
     """Reference ``Network.backward``: every layer, down to the input gradient."""
     for layer in reversed(net.layers):
@@ -207,8 +220,9 @@ class PerBatchOneHot:
 def legacy_kernels(monkeypatch):
     """Patch training to the kernels the current ones must match bit for bit.
 
-    Per-array Adam, per-layer zeroing, ``np.where`` masking, the 3-D conv
-    products, a backward pass through every layer, and per-batch one-hot
+    Per-array Adam, per-layer zeroing, a ReLU that caches its input and
+    never writes in place, ``np.where`` masking, the 3-D conv products, a
+    backward pass through every layer, and per-batch one-hot
     targets scored by the checked ``cross_entropy``. ``plenet.train`` then
     hands the optimizer one array per updated weight or bias, as it did
     before the flat parameter buffer.
@@ -227,10 +241,12 @@ def legacy_kernels(monkeypatch):
     monkeypatch.setattr(plenet, "Adam", LegacyAdam)
     monkeypatch.setattr(nncore.Network, "updated_slice", per_array_runs)
     monkeypatch.setattr(nncore.Network, "zero_grads", per_layer_zero_grads)
+    monkeypatch.setattr(nncore.ReLU, "forward", legacy_relu_forward)
     monkeypatch.setattr(nncore.ReLU, "backward", legacy_relu_backward)
     monkeypatch.setattr(nncore.MaxPool1D, "backward", legacy_maxpool_backward)
     monkeypatch.setattr(nncore.Conv1D, "forward", legacy_conv_forward)
     monkeypatch.setattr(nncore.Conv1D, "backward", legacy_conv_backward)
+    monkeypatch.setattr(nncore.Network, "forward", legacy_network_forward)
     monkeypatch.setattr(nncore.Network, "backward", legacy_network_backward)
     monkeypatch.setattr(plenet, "one_hot", PerBatchOneHot)
     monkeypatch.setattr(plenet, "_cross_entropy", nncore.cross_entropy)

@@ -27,8 +27,8 @@ from canids.nncore import (
     softmax,
 )
 from canids.baselines import build_mlp
-from canids.plenet import build_plenet
-from helpers import legacy_grad_check
+from canids.plenet import build_plenet, predict
+from helpers import legacy_grad_check, legacy_network_forward
 
 
 def finite_difference(loss_fn, array, h=1e-5):
@@ -442,6 +442,32 @@ class TestGradCheckProbePath:
 
         layer.backward = wrong_backward
         assert grad_check(net, x, y, block=4) > 1e-3
+
+
+class TestForwardInPlace:
+    """A ReLU overwrites only what the layer below it has just allocated, never the caller's rows."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_plenet(seed=2),
+            lambda: build_mlp(seed=2),
+            lambda: network_from_descriptor("relu|dense:16:2|softmax"),
+            lambda: network_from_descriptor("conv1d:1:2:3|maxpool|flatten|relu|dense:14:2|softmax"),
+        ],
+        ids=["plenet", "mlp", "relu-first", "relu-after-flatten"],
+    )
+    def test_equals_layer_by_layer_and_keeps_the_rows(self, build):
+        net = build()
+        jitter_parameters(net, np.random.default_rng(3))
+        rows = np.random.default_rng(4).standard_normal((6, 16))
+        before = rows.tobytes()
+        want = legacy_network_forward(net, net.layers[0].layout_rows(rows.copy()))
+        probs, _ = predict(net, rows)
+        assert rows.tobytes() == before
+        got = net.forward(net.layers[0].layout_rows(rows))
+        assert rows.tobytes() == before
+        assert probs.tobytes() == got.tobytes() == want.tobytes()
 
 
 class TestUnbatchedInput:

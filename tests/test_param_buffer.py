@@ -30,6 +30,7 @@ from helpers import (
     legacy_maxpool_backward,
     legacy_network_backward,
     legacy_relu_backward,
+    legacy_relu_forward,
     toy_dataset,
 )
 
@@ -173,9 +174,17 @@ class TestMaskedSelect:
            st.data())
     def test_relu_backward_matches_where(self, x, data):
         grad = data.draw(hnp.arrays(np.float64, x.shape, elements=any_float))
-        layer = ReLU()
+        before = x.tobytes()
+        layer, legacy = ReLU(), ReLU()
         layer.forward(x)
-        assert layer.backward(grad).tobytes() == legacy_relu_backward(layer, grad).tobytes()
+        assert x.tobytes() == before  # a standalone ReLU never writes into its input
+        legacy_relu_forward(legacy, x)
+        assert layer.backward(grad).tobytes() == legacy_relu_backward(legacy, grad).tobytes()
+
+    @given(hnp.arrays(np.float64, st.integers(0, 9), elements=any_float))
+    def test_output_mask_is_input_mask(self, x):
+        # ReLU caches its output, and backward's mask must not change with that
+        assert np.array_equal(np.maximum(x, 0.0) > 0, x > 0)
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(2, 9), st.integers(1, 3)),
                       elements=any_float),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import toy_dataset
+from helpers import toy_dataset, traced_peak
 
 from canids.baselines import build_mlp
 from canids.nncore import Conv1D, Dense, Network, one_hot
@@ -82,6 +82,14 @@ class TestPredict:
         dense_out.b[...] = 0.0  # forces softmax output (0.5, 0.5)
         _, labels = predict(net, np.random.default_rng(4).uniform(size=(5, 16)))
         assert labels.tolist() == [1] * 5
+
+    @pytest.mark.parametrize("builder, kib_a_row", [(build_plenet, 7.0), (build_mlp, 1.5)])
+    def test_memory_per_row(self, builder, kib_a_row):
+        # traced 5.79 and 1.15 KiB a row; 10.48 and 2.21 when each ReLU kept a second 500- or 68-wide copy
+        net = builder(seed=1)
+        rows = np.random.default_rng(5).uniform(size=(2_000, 16))
+        _, peak = traced_peak(lambda: predict(net, rows))
+        assert peak <= kib_a_row * 1024 * len(rows), peak / 1024 / len(rows)
 
     @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
     def test_empty_batch(self, builder):
