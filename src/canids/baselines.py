@@ -167,8 +167,14 @@ def knn_predict(
         block = unique[start : start + step]
         # row-major like np.nonzero, whose 2-D form is many times slower
         rows, cols = np.divmod(np.flatnonzero(_gram_candidates(block, x, sq_x, sq_x_max, k)), len(x))
+        # the difference rows in one buffer, the training rows gathered a sixteenth of KNN_BLOCK_BYTES at a time
+        diff = block[rows]
+        group = max(1, KNN_BLOCK_BYTES // 16 // max(1, x[:1].nbytes))
+        for i in range(0, len(diff), group):
+            diff[i : i + group] -= x[cols[i : i + group]]
         with np.errstate(over="ignore"):  # a square may overflow to inf, which sorts last
-            dist = ((block[rows] - x[cols]) ** 2).sum(axis=1)
+            dist = np.square(diff, out=diff).sum(axis=1)
+        del diff
         order = np.lexsort((cols, dist, rows))
         counts = np.bincount(rows, minlength=len(block))
         first = np.cumsum(counts) - counts

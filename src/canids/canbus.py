@@ -25,6 +25,10 @@ MAX_STD_ID = 0x7FF
 MAX_DLC = 8
 FLOODING_ID = 0x000
 
+# largest CAN 2.0B extended (29-bit) identifier, and largest payload (CAN FD), that a log may hold
+MAX_CAN_ID = 0x1FFFFFFF
+MAX_PAYLOAD_BYTES = 64
+
 # the numeric fields of frames, ECUs, profiles and attacks; a spoof target is an identifier too
 IDENTIFIER = Range("identifier", 0, MAX_STD_ID, "[]")
 DLC = Range("dlc", 0, MAX_DLC, "[]")
@@ -70,6 +74,10 @@ class EmptySpoofTargets(ValueError):
 
 class TooManyRecords(ValueError):
     """A profile or an attack would emit more than ``MAX_RECORDS`` records."""
+
+
+class UnwritableRow(ValueError):
+    """A log row holds a value outside what ``write_log`` writes and ``ingest`` reads back."""
 
 
 def crc15(bits: Sequence[int]) -> int:
@@ -392,6 +400,36 @@ def _check_count(count: float, what: str) -> None:
         raise TooManyRecords(f"{what} would emit {count:.4g} records, more than {MAX_RECORDS}")
 
 
+# steps one segment of ``_clamped_walk`` covers at most, which bounds its temporaries
+_WALK_CHUNK = 1 << 16
+
+
+def _clamped_walk(steps: np.ndarray, start: int, top: int) -> np.ndarray:
+    """The int64 walk ``v[k] = min(max(v[k - 1] + steps[k], 0), top)`` from ``v[-1] = start`` in [0, top].
+
+    Until the walk passes ``top`` only the floor binds, and the walk is Lindley's recursion
+    ``S + max(v0, -minimum.accumulate(S))`` over the partial sums ``S`` of the steps. At the first
+    value above ``top`` it stands at ``top``, and the mirrored walk ``top - v`` carries on until the
+    floor binds again. A segment spans at most twice the steps the one before it took, so the work
+    stays linear in the steps however often the walk goes from one bound to the other.
+    """
+    walk = np.empty(len(steps), dtype=np.int64)
+    at, value, span, floor = 0, start, _WALK_CHUNK, True  # floor: the floor is the bound that binds
+    while at < len(steps):
+        sums = np.cumsum(steps[at : at + span] if floor else -steps[at : at + span], dtype=np.int64)
+        free = sums + np.maximum(value if floor else top - value, -np.minimum.accumulate(sums))
+        over = free > top
+        end = int(over.argmax()) if over.any() else len(free)
+        walk[at : at + end] = free[:end] if floor else top - free[:end]
+        if end == len(free):
+            value, span = int(walk[at + end - 1]), min(2 * span, _WALK_CHUNK)
+        else:  # the other bound binds at step end
+            value = walk[at + end] = top if floor else 0
+            end, span, floor = end + 1, 2 * end + 2, not floor
+        at += end
+    return walk
+
+
 def _ecu_payloads(ecu: EcuSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     payload = np.zeros((count, MAX_DLC), dtype=np.uint8)
     payload[:, : ecu.dlc] = np.frombuffer(ecu.base_pattern(), dtype=np.uint8)
@@ -399,12 +437,7 @@ def _ecu_payloads(ecu: EcuSpec, count: int, rng: np.random.Generator) -> np.ndar
         payload[:, 0] = np.arange(1, count + 1) % 256
     elif ecu.payload_rule == "sensor":
         # 16-bit random walk, clipped to the representable range at every step
-        steps = rng.integers(-256, 257, size=count)
-        walk, value = [], 0x8000
-        for step in steps.tolist():
-            value = min(max(value + step, 0), 0xFFFF)
-            walk.append(value)
-        walk = np.array(walk, dtype=np.int64)
+        walk = _clamped_walk(rng.integers(-256, 257, size=count), 0x8000, 0xFFFF)
         payload[:, 0] = walk >> 8
         payload[:, 1] = walk & 0xFF
     return payload
@@ -441,15 +474,34 @@ def _inject_flooding(spec: AttackSpec, n: int) -> TrafficLog:
     return _block(timestamp, FLOODING_ID, MAX_DLC, np.zeros((n, MAX_DLC), dtype=np.uint8), "flooding")
 
 
+def _random_payloads(dlcs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``MAX_DLC``-wide rows of uniform bytes below each DLC and zeros past it, drawn row-major in one call.
+
+    The draw equals one ``integers(0, 256, size=dlc)`` a row: a range below 2**32 takes one 32-bit
+    output a value, and PCG64 keeps the spare half of a 64-bit output across calls.
+    """
+    payload = np.zeros((len(dlcs), MAX_DLC), dtype=np.uint8)
+    payload[np.arange(MAX_DLC) < dlcs[:, None]] = rng.integers(0, 256, size=int(dlcs.sum()))
+    return payload
+
+
+def _perturb_one_byte(payload: np.ndarray, dlcs: np.ndarray, rng: np.random.Generator) -> None:
+    """Add a uniform delta in [1, 256), mod 256, at a uniform position below the DLC of each row with one.
+
+    One call draws each such row's position and then its delta, the values and the generator state
+    a scalar ``integers(0, dlc)`` and ``integers(1, 256)`` a row give; a DLC of 1 draws no position.
+    """
+    rows = np.flatnonzero(dlcs)
+    high = np.column_stack((dlcs[rows], np.full(len(rows), 256))).ravel()
+    pos, delta = rng.integers(np.tile([0, 1], len(rows)), high).reshape(-1, 2).T
+    payload[rows, pos] = (payload[rows, pos] + delta) % 256
+
+
 def _inject_fuzzing(spec: AttackSpec, n: int, rng: np.random.Generator) -> TrafficLog:
     times = rng.uniform(spec.start, spec.end, size=n)
     ids = rng.integers(0, MAX_STD_ID + 1, size=n)
     dlcs = rng.integers(0, MAX_DLC + 1, size=n)
-    payload = np.zeros((n, MAX_DLC), dtype=np.uint8)
-    for i, dlc in enumerate(dlcs.tolist()):
-        # one draw per frame: a single draw for all frames would change the stream
-        payload[i, :dlc] = rng.integers(0, 256, size=dlc)
-    return _block(times, ids, dlcs, payload, "fuzzing")
+    return _block(times, ids, dlcs, _random_payloads(dlcs, rng), "fuzzing")
 
 
 def _inject_spoofing(spec: AttackSpec, n: int, rng: np.random.Generator, log: TrafficLog) -> TrafficLog:
@@ -471,11 +523,7 @@ def _inject_spoofing(spec: AttackSpec, n: int, rng: np.random.Generator, log: Tr
         source = rows[np.maximum(seen, 0)]
         dlcs[frames] = log.dlc[source]
         payload[frames] = log.payload[source]
-    for i, dlc in enumerate(dlcs.tolist()):
-        if dlc:
-            pos = int(rng.integers(0, dlc))
-            delta = int(rng.integers(1, 256))
-            payload[i, pos] = (int(payload[i, pos]) + delta) % 256
+    _perturb_one_byte(payload, dlcs, rng)
     return _block(times, ids, dlcs, payload, "spoofing")
 
 
@@ -534,6 +582,45 @@ def inject_attack(log: TrafficLog, *specs: AttackSpec) -> TrafficLog:
     return TrafficLog.concat(blocks, key=np.concatenate([block.timestamp for block in blocks]))
 
 
+# ASCII digits by value, and each byte's " XX" in a data field
+_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+_BYTE_TEXT = np.frombuffer(b"".join(b" %02X" % b for b in range(256)), dtype=np.uint8).reshape(256, 3)
+
+
+def _digit_text(values: np.ndarray, base: int, least: int) -> np.ndarray:
+    """Each non-negative value's digits in ``base``, at least ``least`` of them, one ASCII column each.
+
+    There is a column per digit of the largest value; a shorter value's leading columns hold 0.
+    """
+    places = base ** np.arange(max(least, len(np.base_repr(int(values.max(initial=0)), base))) - 1, -1, -1)
+    text = _DIGITS[values[:, None] // places % base]
+    lead = len(places) - least
+    text[:, :lead][values[:, None] < places[:lead]] = 0
+    return text
+
+
+def _log_lines(log: TrafficLog) -> str:
+    """The rows of ``log`` as CSV lines: one uint8 matrix, a line per row, padded with 0 and then taken without it."""
+    n, width = log.payload.shape
+    # a cell is the float's repr; numpy's astype(str) gives the same text, but slower
+    timestamp = np.array(list(map(repr, log.timestamp.tolist())), dtype="S")
+    data = _BYTE_TEXT[log.payload]
+    data[np.arange(width) >= log.payload_len[:, None]] = 0
+    data = data.reshape(n, 3 * width)
+    data[:, :1] = 0  # no space before the first byte
+    comma = np.full((n, 1), ord(","), dtype=np.uint8)
+    lines = np.concatenate((
+        timestamp.view(np.uint8).reshape(n, timestamp.itemsize), comma,
+        _digit_text(log.can_id, 16, 4), comma,
+        _digit_text(log.dlc, 10, 1), comma,
+        data, comma,
+        _DIGITS[log.label][:, None], np.full((n, 1), ord("\n"), dtype=np.uint8),
+    ), axis=1)
+    del timestamp, data  # before the take, which sets the block's peak
+    lines = lines[lines != 0]
+    return str(lines, "ascii")
+
+
 def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
     """The log as CSV rows under ``LOG_HEADER``, one per frame.
 
@@ -541,22 +628,28 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
     timestamp, the identifier as ``%04X``, the DLC in decimal, the first
     ``payload_len`` payload bytes (a simulated log's DLC) as uppercase hex
     pairs joined by single spaces (empty for none), and the label, e.g.
-    ``0.123,0130,2,AB CD,0``.
+    ``0.123,0130,2,AB CD,0``. Each block of ``_BLOCK_ROWS`` rows is one write.
+
+    Every value must lie within the bounds ``ingest`` reads back: an
+    identifier up to ``MAX_CAN_ID``, a DLC and a payload length up to
+    ``MAX_PAYLOAD_BYTES`` (the length also within the payload's width), and
+    a label of 0 or 1. A row outside them raises ``UnwritableRow`` naming
+    the first such row, before anything is written.
     """
+    width = log.payload.shape[1]
+    for name, column, top in (
+        ("identifier", log.can_id, MAX_CAN_ID),
+        ("DLC", log.dlc, MAX_PAYLOAD_BYTES),
+        ("payload length", log.payload_len, min(width, MAX_PAYLOAD_BYTES)),
+        ("label", log.label, 1),
+    ):
+        if len(column) and (column.min() < 0 or column.max() > top):
+            row = int(np.flatnonzero((column < 0) | (column > top))[0])
+            raise UnwritableRow(f"row {row}: {name} {column[row]} outside [0, {top}]")
     if header:
         stream.write(LOG_HEADER + "\n")
-    id_text = {i: f"{i:04X}" for i in np.unique(log.can_id).tolist()}
-    width = log.payload.shape[1]
     for start in range(0, len(log), _BLOCK_ROWS):
-        part = slice(start, start + _BLOCK_ROWS)
-        raw = log.payload[part].tobytes()
-        stream.write("".join(
-            f"{t!r},{id_text[c]},{d},{raw[width * i : width * i + n].hex(' ').upper()},{y}\n"
-            for i, (t, c, d, n, y) in enumerate(zip(
-                log.timestamp[part].tolist(), log.can_id[part].tolist(), log.dlc[part].tolist(),
-                log.payload_len[part].tolist(), log.label[part].tolist(),
-            ))
-        ))
+        stream.write(_log_lines(log.take(slice(start, start + _BLOCK_ROWS))))
 
 
 def write_kinds(log: TrafficLog, stream: IO[str]) -> None:

@@ -60,7 +60,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .bounds import Range
-from .canbus import _DATA, _DLC, _FIELDS, _ID, _LABEL, _TS, KIND_NAMES, TrafficLog
+from .canbus import _DATA, _DLC, _FIELDS, _ID, _LABEL, _TS, KIND_NAMES, MAX_CAN_ID, MAX_PAYLOAD_BYTES, TrafficLog
 
 N_FEATURES = 16
 PARTITIONS = ("train", "validation", "test")
@@ -69,12 +69,6 @@ PAYLOAD_WIDTH = 8
 CONTAINER_MAGIC = b"CANIDS1"
 
 IMPUTE_POLICIES = ("droprow", "fieldmean")
-
-# largest CAN 2.0B extended (29-bit) identifier
-MAX_CAN_ID = 0x1FFFFFFF
-
-# largest payload of a frame (CAN FD); also the largest DLC a log may give
-MAX_PAYLOAD_BYTES = 64
 
 _KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 

@@ -3,7 +3,7 @@ import csv
 import io
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -651,6 +651,49 @@ def traffic_log(records):
     )
 
 
+def parsed_traffic_log(records, width=PAYLOAD_WIDTH):
+    """A ``canbus.TrafficLog`` of ``LogRow`` rows as ``ingest`` may parse them: ``width`` bytes wide, lengths not DLCs."""
+    payload = np.zeros((len(records), width), dtype=np.uint8)
+    for i, r in enumerate(records):
+        payload[i, : len(r.payload)] = list(r.payload)
+    return replace(
+        traffic_log([replace(r, payload=b"") for r in records]),
+        payload=payload,
+        payload_len=np.array([len(r.payload) for r in records], dtype=np.int64),
+    )
+
+
+# Per-frame references for what canbus draws and steps as array code.
+
+
+def random_payloads_per_frame(dlcs, rng):
+    """Reference ``canbus._random_payloads``: one ``integers(0, 256, size=dlc)`` draw a frame."""
+    payload = np.zeros((len(dlcs), MAX_DLC), dtype=np.uint8)
+    for i, dlc in enumerate(dlcs.tolist()):
+        payload[i, :dlc] = rng.integers(0, 256, size=dlc)
+    return payload
+
+
+def perturb_one_byte_per_frame(payload, dlcs, rng):
+    """Reference ``canbus._perturb_one_byte`` on a copy: a scalar position, then a scalar delta, a frame."""
+    payload = payload.copy()
+    for i, dlc in enumerate(dlcs.tolist()):
+        if dlc:
+            pos = int(rng.integers(0, dlc))
+            delta = int(rng.integers(1, 256))
+            payload[i, pos] = (int(payload[i, pos]) + delta) % 256
+    return payload
+
+
+def clamped_walk_loop(steps, start, top):
+    """Reference ``canbus._clamped_walk``: one clamped Python step a value."""
+    walk, value = [], start
+    for step in steps.tolist():
+        value = min(max(value + step, 0), top)
+        walk.append(value)
+    return np.array(walk, dtype=np.int64)
+
+
 # Reference simulator: one LogRow per frame, Python-list sorts and bisect.
 
 
@@ -660,12 +703,8 @@ def _legacy_ecu_payloads(ecu, count, rng):
         return [base] * count
     if ecu.payload_rule == "counter":
         return [bytes([k % 256]) + base[1:] for k in range(1, count + 1)]
-    steps = rng.integers(-256, 257, size=count)
-    out, value = [], 0x8000
-    for step in steps:
-        value = int(min(max(value + step, 0), 0xFFFF))
-        out.append(bytes([value >> 8, value & 0xFF]) + base[2:])
-    return out
+    walk = clamped_walk_loop(rng.integers(-256, 257, size=count), 0x8000, 0xFFFF)
+    return [bytes([value >> 8, value & 0xFF]) + base[2:] for value in walk.tolist()]
 
 
 def _by_time(record):

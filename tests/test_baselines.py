@@ -107,6 +107,16 @@ class TestKnn:
             assert peak <= 1.5 * KNN_BLOCK_BYTES + 8 * n, (n, peak)
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    def test_re_rank_holds_one_copy_of_the_difference_rows(self):
+        # every row ties, so all 200,000 (query, row) pairs are candidates: 1.22x their difference rows
+        # with the square in place and the rows gathered in groups, 2.16x as one expression
+        x = np.tile(np.arange(16.0) / 16, (100_000, 1))
+        model = knn_fit(x, (np.arange(100_000) % 2).astype(np.uint8))
+        queries = np.array([[0.5] * 16, [0.25] * 16])
+        (labels, votes), peak = traced_peak(lambda: knn_predict(model, queries, k=3))
+        assert labels.tolist() == [0, 0] and votes.tolist() == [1 / 3, 1 / 3]
+        assert peak <= 1.3 * len(queries) * x.nbytes, peak
+
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(NonFiniteInput):
             knn_fit(np.array([[0.0, np.inf]]), np.zeros(1))

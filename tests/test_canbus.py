@@ -2,12 +2,14 @@ import dataclasses
 import io
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from canids import canbus
 from canids.canbus import (
     ATTACK_KINDS,
     AttackSpec,
@@ -18,11 +20,15 @@ from canids.canbus import (
     EmptySpoofTargets,
     KIND_NAMES,
     LOG_HEADER,
+    MAX_CAN_ID,
+    MAX_DLC,
+    MAX_PAYLOAD_BYTES,
     MAX_RECORDS,
     MalformedFrame,
     SimProfile,
     TooManyRecords,
     TrafficLog,
+    UnwritableRow,
     WindowOutOfRange,
     crc15,
     decode_frame,
@@ -31,9 +37,18 @@ from canids.canbus import (
     inject_attack,
     write_log,
 )
-from canids.experiments import desk_attacks, desk_profile
-from canids.ingest import parse_log
-from helpers import LogRow, traced_peak, traffic_log
+from canids.experiments import DESK_ECUS, desk_attacks, desk_profile
+from canids.ingest import PAYLOAD_WIDTH, parse_log
+from helpers import (
+    LogRow,
+    clamped_walk_loop,
+    legacy_format_record,
+    parsed_traffic_log,
+    perturb_one_byte_per_frame,
+    random_payloads_per_frame,
+    traced_peak,
+    traffic_log,
+)
 
 
 def log_text(log):
@@ -259,6 +274,13 @@ class TestGenerateTraffic:
         log = generate_traffic(SimProfile(ecus=(EcuSpec(0x130, 5.0), EcuSpec(0x131, 1.0)), duration=1.0))
         assert log.can_id.tolist() == [0x131]
 
+    def test_allocates_little_beyond_its_output(self):
+        # the final merge sets the peak: 2.78x the output, the same with the per-step sensor loop
+        log, peak = traced_peak(lambda: generate_traffic(desk_profile(23)))
+        output = sum(getattr(log, field.name).nbytes for field in dataclasses.fields(TrafficLog))
+        assert len(log) == 18_000
+        assert peak <= 3.0 * output, (peak, output)
+
 
 @pytest.fixture
 def base_log():
@@ -425,7 +447,118 @@ class TestInjectAttack:
             AttackSpec("fuzzing", 1.0, 2.0, 0.0)  # zero rate
 
 
+# a parsed log's rows at ingest's bounds: 5-8 digit identifiers, DLCs apart from the payload length,
+# widths up to 64, and timestamps negative, in exponent form or subnormal
+PARSED_ROWS = st.builds(
+    LogRow,
+    st.one_of(st.floats(), st.sampled_from([1e-05, 1e16, -2.5e-07, 5e-324, -0.0, 2.2250738585072014e-308])),
+    st.one_of(st.integers(0, 0xFFFF), st.integers(0x10000, MAX_CAN_ID)),
+    st.integers(0, MAX_PAYLOAD_BYTES),
+    st.binary(max_size=MAX_PAYLOAD_BYTES),
+    st.integers(0, 1),
+)
+
+
 class TestLogFormat:
     def test_row_layout(self):
         log = traffic_log([LogRow(0.123, 0x130, 2, bytes([0xAB, 0xCD]), 0)])
         assert log_text(log) == LOG_HEADER + "\n0.123,0130,2,AB CD,0\n"
+
+    @given(st.lists(PARSED_ROWS, min_size=1, max_size=30), st.integers(0, MAX_PAYLOAD_BYTES),
+           st.sampled_from([1, 3, canbus._BLOCK_ROWS]))
+    @example([LogRow(-1e16, MAX_CAN_ID, MAX_PAYLOAD_BYTES, b"", 1), LogRow(5e-324, 0x10000, 0, b"\0" * 64, 0)],
+             0, 1)
+    def test_rows_at_the_parsed_log_bounds_match_the_f_string_reference(self, records, extra, block_rows):
+        width = min(MAX_PAYLOAD_BYTES, max(PAYLOAD_WIDTH, *(len(r.payload) for r in records)) + extra)
+        text = io.StringIO()
+        with patch.object(canbus, "_BLOCK_ROWS", block_rows):
+            write_log(parsed_traffic_log(records, width), text, header=False)
+        assert text.getvalue() == "".join(legacy_format_record(r) + "\n" for r in records)
+
+    @pytest.mark.parametrize(
+        "column, value, name",
+        [
+            ("can_id", MAX_CAN_ID + 1, "identifier"),
+            ("can_id", -1, "identifier"),
+            ("dlc", MAX_PAYLOAD_BYTES + 1, "DLC"),
+            ("dlc", -1, "DLC"),
+            ("payload_len", MAX_DLC + 1, "payload length"),
+            ("payload_len", -1, "payload length"),
+            ("label", 2, "label"),
+        ],
+    )
+    def test_a_value_outside_the_bounds_is_refused_before_any_write(self, column, value, name):
+        log = traffic_log([LogRow(0.5, 0x130, 2, b"\x01\x02", 0)] * 3)
+        getattr(log, column)[1] = value
+        text = io.StringIO()
+        with pytest.raises(UnwritableRow, match=f"^row 1: {name} {value} outside \\[0, "):
+            write_log(log, text)
+        assert text.getvalue() == ""
+
+    def test_holds_one_block_at_a_time(self):
+        # 9.9 MiB at 2 and at 4 blocks of rows (the per-row f-strings took 12.4 MiB at both)
+        class Discard:
+            def write(self, text):
+                pass
+
+        log = generate_traffic(SimProfile(DESK_ECUS, 1000.0, jitter=0.05, seed=23))
+        peaks = []
+        for blocks in (2, 4):
+            part = log.take(slice(0, blocks * canbus._BLOCK_ROWS))
+            _, peak = traced_peak(lambda: write_log(part, Discard()))
+            peaks.append(peak)
+        assert peaks[1] <= 1.01 * peaks[0], peaks
+        assert peaks[0] <= 11 * 2**20, peaks
+
+
+class TestArrayDraws:
+    """The single draws and the clamped walk of ``canbus`` against per-frame references in ``helpers``.
+
+    Each equivalence rests on how numpy's ``Generator.integers`` takes PCG64 output (one 32-bit half
+    a value for ranges below 2**32, the spare half kept across calls, nothing for a range of one), so a
+    numpy release that changes it fails here by name, not only through a golden digest.
+    """
+
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, MAX_DLC), max_size=40), st.integers(0, 3))
+    @example(0, [0, 0, 3, 0, 1, 7, 8, 5, 0], 1)
+    def test_one_fuzzing_draw_equals_a_draw_per_frame(self, seed, dlcs, odd):
+        dlcs = np.array(dlcs, dtype=np.int64)
+        one, per_frame = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (one, per_frame):
+            rng.integers(0, 256, size=odd)  # an odd count leaves half of a 64-bit output spare
+        got = canbus._random_payloads(dlcs, one)
+        assert got.tobytes() == random_payloads_per_frame(dlcs, per_frame).tobytes()
+        assert one.bit_generator.state == per_frame.bit_generator.state
+
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, MAX_DLC), max_size=40), st.integers(0, 3))
+    @example(0, [1, 1, 0, 8, 1, 3], 1)
+    def test_one_spoofing_draw_equals_a_scalar_pair_per_frame(self, seed, dlcs, odd):
+        dlcs = np.array(dlcs, dtype=np.int64)
+        payload = np.random.default_rng(~seed % 2**64).integers(0, 256, size=(len(dlcs), MAX_DLC), dtype=np.uint8)
+        one, per_frame = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (one, per_frame):
+            rng.integers(0, 256, size=odd)
+        got = payload.copy()
+        canbus._perturb_one_byte(got, dlcs, one)
+        assert got.tobytes() == perturb_one_byte_per_frame(payload, dlcs, per_frame).tobytes()
+        assert one.bit_generator.state == per_frame.bit_generator.state
+
+    @given(st.lists(st.integers(-40_000, 40_000), max_size=200), st.sampled_from([0, 1, 255, 0xFFFF]), st.data())
+    @example([], 0xFFFF, None)
+    @example([7], 0xFFFF, None)
+    @example([40_000] * 3 + [-40_000] * 4 + [256, -300, 40_000], 0xFFFF, None)  # both bounds, then the floor again
+    def test_clamped_walk_equals_the_step_loop(self, steps, top, data):
+        start = top // 2 if data is None else data.draw(st.integers(0, top))
+        steps = np.array(steps, dtype=np.int64)
+        want = clamped_walk_loop(steps, start, top)
+        for chunk in (1, 2, 5, canbus._WALK_CHUNK):
+            with patch.object(canbus, "_WALK_CHUNK", chunk):
+                got = canbus._clamped_walk(steps, start, top)
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), chunk
+
+    def test_clamped_walk_over_many_crossings(self):
+        # steps of +-40,000 cross a 16-bit range every few steps; each segment restarts at the crossing
+        steps = np.random.default_rng(5).integers(-40_000, 40_001, size=100_000)
+        want = clamped_walk_loop(steps, 0x8000, 0xFFFF)
+        assert (want == 0).sum() > 10_000 and (want == 0xFFFF).sum() > 10_000
+        assert canbus._clamped_walk(steps, 0x8000, 0xFFFF).tobytes() == want.tobytes()
