@@ -87,7 +87,6 @@ def _gram_candidates(block: np.ndarray, x: np.ndarray, sq_x: np.ndarray, sq_x_ma
 
 
 K = Range("k", 1)
-CHUNK = Range("chunk", 1)
 KNN_BLOCK_BYTES = 16 * 2**20  # one block's Gram matrix, float64 queries x training rows
 
 
@@ -99,18 +98,28 @@ def check_k(k: int, n_train: int) -> int:
     return k
 
 
-def knn_predict(
-    model: KnnModel, queries: np.ndarray, k: int, chunk: int = 256
-) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(over="ignore")  # a square may overflow to inf, which sorts last
+def _candidate_distances(block: np.ndarray, x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``((block[rows] - x[cols]) ** 2).sum(axis=1)``, squared in place a sixteenth of ``KNN_BLOCK_BYTES`` at a time."""
+    dist = np.empty(len(rows))
+    group = max(1, KNN_BLOCK_BYTES // 16 // max(1, x[:1].nbytes))
+    for i in range(0, len(rows), group):
+        diff = block[rows[i : i + group]]
+        diff -= x[cols[i : i + group]]
+        np.square(diff, out=diff).sum(axis=1, out=dist[i : i + group])
+    return dist
+
+
+def knn_predict(model: KnnModel, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k-nearest vote by Euclidean distance.
 
     The distance of query q to training row x is the float64 value of
     ``((q - x) ** 2).sum()``. Distance ties break toward the lower training
     index; vote ties predict attack. Returns hard labels and the attack-vote
-    fraction. A block takes at most ``chunk`` queries and at most as many
-    as keep its Gram matrix within ``KNN_BLOCK_BYTES`` (one query at least),
-    so working memory is about one such matrix, the n_train squared norms and
-    the candidates' difference rows, whatever the training set's size
+    fraction. A block takes as many distinct queries as keep its Gram matrix
+    within ``KNN_BLOCK_BYTES`` (one at least), and the re-rank forms the
+    difference rows a sixteenth of that at a time: working memory is one such
+    matrix, the n_train norms and ~32 bytes a candidate at any size or width
     (19.0 MiB traced for desk's 4,000 queries against 12,800 rows).
 
     The k nearest are found without forming every difference row:
@@ -123,8 +132,8 @@ def knn_predict(
     3. The candidates of q are the rows with ``g <= t + 2 tol``, where t is
        q's k-th smallest g and ``tol`` bounds ``|g - e|`` (below).
     4. The distance e, as defined above, is computed for the candidates
-       only. They are sorted stably by (e, training index) and the first k
-       vote.
+       only, in groups (a row's sum is the same in any group), sorted
+       stably by (e, training index); the first k vote.
 
     Error bound. Let u = eps/2, gamma_n = n u / (1 - n u), d the width,
     D the real squared distance and S = |q|^2 + max |x|^2, so D <= 2S and
@@ -152,7 +161,6 @@ def knn_predict(
     Non-finite inputs raise ``NonFiniteInput``.
     """
     check_k(k, len(model.x))
-    CHUNK.check(chunk)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     _require_finite("queries", queries)
     unique, inverse = np.unique(queries, axis=0, return_inverse=True)
@@ -161,20 +169,13 @@ def knn_predict(
     with np.errstate(over="ignore"):
         sq_x = np.einsum("ij,ij->i", x, x)
     sq_x_max = sq_x.max()
-    step = min(chunk, max(1, KNN_BLOCK_BYTES // (sq_x.itemsize * len(x))))
+    step = max(1, KNN_BLOCK_BYTES // (sq_x.itemsize * len(x)))
     frac = np.empty(len(unique))
     for start in range(0, len(unique), step):
         block = unique[start : start + step]
         # row-major like np.nonzero, whose 2-D form is many times slower
         rows, cols = np.divmod(np.flatnonzero(_gram_candidates(block, x, sq_x, sq_x_max, k)), len(x))
-        # the difference rows in one buffer, the training rows gathered a sixteenth of KNN_BLOCK_BYTES at a time
-        diff = block[rows]
-        group = max(1, KNN_BLOCK_BYTES // 16 // max(1, x[:1].nbytes))
-        for i in range(0, len(diff), group):
-            diff[i : i + group] -= x[cols[i : i + group]]
-        with np.errstate(over="ignore"):  # a square may overflow to inf, which sorts last
-            dist = np.square(diff, out=diff).sum(axis=1)
-        del diff
+        dist = _candidate_distances(block, x, rows, cols)
         order = np.lexsort((cols, dist, rows))
         counts = np.bincount(rows, minlength=len(block))
         first = np.cumsum(counts) - counts

@@ -633,9 +633,13 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
     Every value must lie within the bounds ``ingest`` reads back: an
     identifier up to ``MAX_CAN_ID``, a DLC and a payload length up to
     ``MAX_PAYLOAD_BYTES`` (the length also within the payload's width), and
-    a label of 0 or 1. A row outside them raises ``UnwritableRow`` naming
-    the first such row, before anything is written.
+    a label of 0 or 1, with no cell missing (an empty data field reads back
+    as no payload, not a missing one). A row outside them raises
+    ``UnwritableRow`` naming the first such row, before anything is written.
     """
+    if log.missing.any():
+        row, field = np.argwhere(log.missing)[0]
+        raise UnwritableRow(f"row {row}: {LOG_HEADER.split(',')[field]} missing")
     width = log.payload.shape[1]
     for name, column, top in (
         ("identifier", log.can_id, MAX_CAN_ID),

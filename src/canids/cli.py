@@ -277,8 +277,6 @@ def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, b
         with _naming(path, ingest.AllRowsMissing):
             logs.append(ingest.impute_missing(log, policy))
     log = canbus.TrafficLog.concat(logs)
-    if not known:  # a log without kinds leaves every kind unknown, which the table holds as 0
-        log = dataclasses.replace(log, kind=np.zeros_like(log.kind))
     with _naming(", ".join(paths), ingest.EmptyInput):
         return ingest.RecordTable.from_raw(log), known
 

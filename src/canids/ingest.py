@@ -86,7 +86,7 @@ class AllRowsMissing(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """Paired sequences differ in length."""
+    """Sequences that must align one to one differ in length; ``metrics`` raises this class too."""
 
 
 class ZeroVariance(ValueError):

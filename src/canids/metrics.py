@@ -12,10 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canbus import KIND_NAMES
-
-
-class LengthMismatch(ValueError):
-    """Labels and predictions differ in length."""
+from .ingest import LengthMismatch
 
 
 class InvalidLabel(ValueError):

@@ -3,7 +3,7 @@ import csv
 import io
 import math
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from canids import canbus, ingest
 from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, RawRecord, WindowOutOfRange
+from canids.experiments import desk_attacks, desk_profile
 from canids.ingest import (
     N_FEATURES,
     PAYLOAD_WIDTH,
@@ -875,6 +876,22 @@ def garbled_log_lines(seed, rows=40):
     for row in rng.choice(len(lines), size=rows, replace=False).tolist():
         garble_row(lines, row, GARBLES[row % len(GARBLES)])
     return lines
+
+
+def desk_log_bytes(rows):
+    """The seed-23 desk log as ``write_log`` writes it, repeated to ``rows`` rows; every 2,500th has a blank timestamp."""
+    text = io.StringIO()
+    canbus.write_log(canbus.inject_attack(canbus.generate_traffic(desk_profile(23)), *desk_attacks(23)), text)
+    lines = text.getvalue().splitlines()[1:]
+    lines = (lines * (rows // len(lines) + 1))[:rows]
+    for row in range(0, rows, 2500):
+        lines[row] = lines[row][lines[row].index(","):]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def array_bytes(obj):
+    """The bytes of a dataclass's array fields."""
+    return sum(value.nbytes for f in fields(obj) if isinstance(value := getattr(obj, f.name), np.ndarray))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,6 @@ from canids.baselines import (
     tree_fit,
     tree_predict,
 )
-from canids.bounds import OutOfRange
 from canids.nncore import boundary_margin, grad_check, jitter_parameters
 from canids.plenet import TrainConfig, train
 from helpers import knn_difference_tensor, toy_dataset, traced_peak, tree_predict_loop
@@ -74,9 +75,6 @@ class TestKnn:
         model = knn_fit(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(KTooLarge, match="^k=4 with 3 training rows$"):
             knn_predict(model, np.zeros((1, 2)), k=4)
-        for chunk in (0, -1):
-            with pytest.raises(OutOfRange, match=f"^chunk must be an integer in \\[1, inf\\), got {chunk}$"):
-                knn_predict(model, np.zeros((2, 2)), k=1, chunk=chunk)
 
     def test_block_budget_caps_the_queries_per_block(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -107,15 +105,29 @@ class TestKnn:
             assert peak <= 1.5 * KNN_BLOCK_BYTES + 8 * n, (n, peak)
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
-    def test_re_rank_holds_one_copy_of_the_difference_rows(self):
-        # every row ties, so all 200,000 (query, row) pairs are candidates: 1.22x their difference rows
-        # with the square in place and the rows gathered in groups, 2.16x as one expression
+    def test_re_rank_holds_under_48_bytes_a_candidate(self):
+        # every row ties, so all 200,000 (query, row) pairs are candidates: 38.5 bytes each (their query, row,
+        # distance and sort order, plus one group of difference rows), against 156 bytes with every
+        # candidate's difference row held at once
         x = np.tile(np.arange(16.0) / 16, (100_000, 1))
         model = knn_fit(x, (np.arange(100_000) % 2).astype(np.uint8))
         queries = np.array([[0.5] * 16, [0.25] * 16])
         (labels, votes), peak = traced_peak(lambda: knn_predict(model, queries, k=3))
         assert labels.tolist() == [0, 0] and votes.tolist() == [1 / 3, 1 / 3]
-        assert peak <= 1.3 * len(queries) * x.nbytes, peak
+        assert peak <= 48 * len(queries) * len(x), peak
+
+    def test_re_rank_memory_does_not_grow_with_the_width(self):
+        # all 40,000 pairs tie: 3.08 MiB at both widths, against 6.65 and 21.3 MiB with every candidate's
+        # difference row held at once
+        peaks = []
+        for width in (16, 64):
+            x = np.tile(np.arange(width) / width, (20_000, 1))
+            model = knn_fit(x, (np.arange(20_000) % 2).astype(np.uint8))
+            queries = np.array([[0.5] * width, [0.25] * width])
+            (labels, _), peak = traced_peak(lambda: knn_predict(model, queries, k=3))
+            assert labels.tolist() == [0, 0]
+            peaks.append(peak)
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(NonFiniteInput):
@@ -149,11 +161,13 @@ class TestKnn:
         picks = data.draw(st.lists(st.integers(0, n - 1), max_size=10))
         queries = [train[i] for i in picks] + data.draw(st.lists(row, min_size=1, max_size=10))
         queries = queries * data.draw(st.integers(1, 2))
-        chunk = data.draw(st.sampled_from([1, 3, 256]))
+        # down to 1 byte: blocks of one query and groups of one candidate
+        budget = data.draw(st.one_of(st.integers(1, 2**14), st.just(KNN_BLOCK_BYTES)))
         model = knn_fit(np.array(train) * scale, np.array(y, dtype=np.uint8))
         q = np.array(queries) * scale
         for k in range(1, n + 1):
-            labels, votes = knn_predict(model, q, k=k, chunk=chunk)
+            with patch.object(baselines, "KNN_BLOCK_BYTES", budget):
+                labels, votes = knn_predict(model, q, k=k)
             want_labels, want_votes = knn_difference_tensor(model, q, k=k)
             assert labels.tobytes() == want_labels.tobytes()
             assert votes.tobytes() == want_votes.tobytes()

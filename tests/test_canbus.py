@@ -38,10 +38,11 @@ from canids.canbus import (
     write_log,
 )
 from canids.experiments import DESK_ECUS, desk_attacks, desk_profile
-from canids.ingest import PAYLOAD_WIDTH, parse_log
+from canids.ingest import IMPUTE_POLICIES, PAYLOAD_WIDTH, impute_missing, parse_log
 from helpers import (
     LogRow,
     clamped_walk_loop,
+    garbled_log_lines,
     legacy_format_record,
     parsed_traffic_log,
     perturb_one_byte_per_frame,
@@ -494,6 +495,32 @@ class TestLogFormat:
         with pytest.raises(UnwritableRow, match=f"^row 1: {name} {value} outside \\[0, "):
             write_log(log, text)
         assert text.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "text, row, field",
+        [
+            (",0130,2,AB CD,0\n0.5,0130,2,AB CD,?\n", 0, "Timestamp"),
+            ("0.25,0130,2,AB CD,0\n0.5,0130,2,AB CD,?\n", 1, "Label"),
+            ("0.25,0130,2,AB CD,0\n0.5,0130,2,AB ZZ,1\n", 1, "Data_Field"),
+            ("0.25,0130,2,AB CD,0\n0.5,0130,,AB CD,1\n", 1, "DLC"),
+        ],
+    )
+    def test_a_missing_cell_is_refused_before_any_write(self, text, row, field):
+        # written as the 0 its column holds, a blank timestamp read back as 0.0 and an unknown label as normal
+        log = parse_log(text)
+        out = io.StringIO()
+        with pytest.raises(UnwritableRow, match=f"^row {row}: {field} missing$"):
+            write_log(log, out)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("policy", IMPUTE_POLICIES)
+    def test_a_cleaned_log_writes_what_it_reads_back(self, policy):
+        log = impute_missing(parse_log("\n".join(garbled_log_lines(seed=4))), policy)
+        text = log_text(log)
+        parsed = parse_log(text)
+        assert not parsed.missing.any() and log_text(parsed) == text
+        for name in ("timestamp", "can_id", "dlc", "label"):
+            assert np.array_equal(getattr(parsed, name), getattr(log, name)), name
 
     def test_holds_one_block_at_a_time(self):
         # 9.9 MiB at 2 and at 4 blocks of rows (the per-row f-strings took 12.4 MiB at both)

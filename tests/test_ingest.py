@@ -50,7 +50,15 @@ from canids.ingest import (
     save_dataset,
     split_dataset,
 )
-from helpers import LogRow, encode_table, fit_feature_params, traced_peak, traffic_log
+from helpers import (
+    LogRow,
+    array_bytes,
+    desk_log_bytes,
+    encode_table,
+    fit_feature_params,
+    traced_peak,
+    traffic_log,
+)
 
 from canids import ingest
 from canids.baselines import knn_fit, knn_predict, tree_fit
@@ -728,6 +736,45 @@ class TestSplitDataset:
                                                             "test_y", "train_kind", "val_kind", "test_kind"))
         assert output == 50_000 * (N_FEATURES * 8 + 2)
         assert peak <= 1.25 * output, (peak, output)
+
+
+class TestAllocationBudgets:
+    """Traced peaks of the preparation stages on the desk log repeated, with 0.04% of its timestamps blank.
+
+    Each bound is a multiple of the output plus a constant for the fixed part that small inputs show, set from the
+    peaks quoted beside it with at least 9% headroom.
+    """
+
+    @pytest.mark.parametrize("rows", [20_000, 80_000])
+    def test_parse_log(self, rows):
+        # 4.72 MiB for 0.90 MiB of columns (5.26x) and 15.7 MiB for 3.59 MiB (4.37x); 43.1 MiB for 14.3 MiB (3.0x)
+        # at 320,000 rows, where the bound has 9.6% headroom
+        text = desk_log_bytes(rows)
+        log, peak = traced_peak(lambda: parse_log(text))
+        assert log.missing.sum() == rows // 2500
+        assert peak <= 2.8 * array_bytes(log) + 7 * 2**20, (peak, array_bytes(log))
+
+    @pytest.mark.parametrize("rows", [20_000, 80_000])
+    def test_impute_missing_fieldmean(self, rows):
+        # 0.41x and 0.40x the cleaned log, as at 320,000 rows
+        log = parse_log(desk_log_bytes(rows))
+        cleaned, peak = traced_peak(lambda: impute_missing(log, "fieldmean"))
+        assert peak <= 0.45 * array_bytes(cleaned), (peak, array_bytes(cleaned))
+
+    @pytest.mark.parametrize("rows", [20_000, 80_000])
+    def test_record_table_from_raw(self, rows):
+        # 2.17 MiB for a 0.80 MiB table and 4.35 MiB for 3.20 MiB; 17.4 MiB for 12.8 MiB (1.36x) at 320,000 rows
+        log = impute_missing(parse_log(desk_log_bytes(rows)), "fieldmean")
+        table, peak = traced_peak(lambda: RecordTable.from_raw(log))
+        assert peak <= 1.45 * array_bytes(table) + 1.2 * 2**20, (peak, array_bytes(table))
+
+    @pytest.mark.parametrize("rows", [20_000, 80_000])
+    def test_save_dataset(self, tmp_path, rows):
+        # 0.16 MiB for a 2.5 MiB file and 0.45 MiB for 9.8 MiB; 1.6 MiB for 39 MiB at 320,000 rows
+        ds = split_dataset(RecordTable.from_raw(impute_missing(parse_log(desk_log_bytes(rows)), "fieldmean")), seed=3)
+        _, peak = traced_peak(lambda: save_dataset(ds, tmp_path / "data.bin"))
+        size = (tmp_path / "data.bin").stat().st_size
+        assert peak <= 0.045 * size + 0.1 * 2**20, (peak, size)
 
 
 class TestContainerRoundTrip:

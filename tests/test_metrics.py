@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from canids import ingest
 from canids.canbus import KIND_NAMES
 from helpers import roc_auc_loop
 from canids.metrics import (
@@ -74,6 +75,10 @@ class TestConfusion:
     def test_errors(self):
         with pytest.raises(LengthMismatch):
             confusion([0, 1], [0])
+        with pytest.raises(ingest.LengthMismatch):  # one class for both modules
+            confusion([0, 1], [0])
+        with pytest.raises(LengthMismatch):
+            ingest.pearson([1.0, 2.0], [1.0])
         with pytest.raises(InvalidLabel):
             confusion([0, 2], [0, 1])
 

@@ -5,7 +5,7 @@ import pytest
 from helpers import toy_dataset, traced_peak
 
 from canids.baselines import build_mlp
-from canids.nncore import Conv1D, Dense, Network, one_hot
+from canids.nncore import Adam, Conv1D, Dense, Network, one_hot
 from canids.plenet import (
     DimensionMismatch,
     EmptyDomain,
@@ -171,6 +171,27 @@ class TestTrain:
         monkeypatch.setattr(Network, "forward", spy_forward)
         monkeypatch.setattr(plenet, "_cross_entropy", spy_loss)
         train(build_plenet(seed=8), data, TrainConfig(epochs=2, batch_size=16, seed=8))
+
+    @pytest.mark.parametrize("builder, kib", [(build_plenet, 1000), (build_mlp, 160)])
+    def test_one_step_allocates_under_its_budget(self, builder, kib):
+        # a batch of 64 after one warm-up step, as train runs it: 901 and 143 KiB traced
+        from canids.plenet import _cross_entropy
+
+        net = builder(seed=1)
+        params, grads = net.updated_slice()
+        opt = Adam(params)
+        rng = np.random.default_rng(6)
+        rows, targets = net.layers[0].layout_rows(rng.uniform(size=(64, 16))), one_hot(rng.integers(0, 2, 64))
+
+        def step():
+            _, dprobs = _cross_entropy(net.forward(rows), targets)
+            net.zero_grads()
+            net.backward(dprobs)
+            opt.step(grads)
+
+        step()
+        _, peak = traced_peak(step)
+        assert peak <= kib * 1024, peak / 1024
 
     def test_empty_partition_rejected(self):
         data = toy_dataset(n=50, seed=12)

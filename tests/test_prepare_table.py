@@ -70,8 +70,11 @@ INPUTS = {
 OUTLIERS = [None, "timestamp:0.05:10", "can_id:0.05:10", "dlc:0.05:10", "data_field:0.05:10"]
 
 
-def assert_tables_equal(got, want):
+def assert_tables_equal(got, want, kinds_known=True):
+    """Column by column; kinds only when every log has a sidecar, since otherwise the container leaves them out."""
     for f in fields(ingest.RecordTable):
+        if f.name == "kind" and not kinds_known:
+            continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a.dtype == b.dtype and a.shape == b.shape, f.name
         assert a.tobytes() == b.tobytes(), f.name
@@ -118,7 +121,7 @@ def test_matches_record_list_path(tmp_path, logs, monkeypatch, capsys, policy, i
     got = prepare(paths, policy, outliers, tmp_path / "new" / "data.bin", monkeypatch)
     want, flagged = legacy_prepare(paths, policy, outliers, tmp_path / "old" / "data.bin")
 
-    assert_tables_equal(got, want)
+    assert_tables_equal(got, want, kinds_known=inputs == "sidecar")
     if outliers:
         assert flagged > 0  # the extreme rows really are dropped
         assert f"outlier test dropped {flagged} rows" in capsys.readouterr().err

@@ -33,6 +33,7 @@ def test_removed_members_stay_removed():
         assert not hasattr(ingest, name), name
     assert not hasattr(cli, "_split_arrays")
     assert "input_width" not in inspect.signature(baselines.build_mlp).parameters
+    assert not hasattr(baselines, "CHUNK") and "chunk" not in inspect.signature(baselines.knn_predict).parameters
 
 
 def test_one_kind_name_table():
