@@ -621,6 +621,21 @@ def _log_lines(log: TrafficLog) -> str:
     return str(lines, "ascii")
 
 
+def _check_lengths(log: TrafficLog, *names: str) -> None:
+    """``UnwritableRow`` unless each named column holds one entry a row."""
+    for name in names:
+        count = len(getattr(log, name))
+        if count != len(log):
+            raise UnwritableRow(f"{name} column has length {count} for {len(log)} rows")
+
+
+def _check_range(name: str, column: np.ndarray, top: int) -> None:
+    """``UnwritableRow`` naming the first row whose value lies outside ``[0, top]``."""
+    if len(column) and (column.min() < 0 or column.max() > top):
+        row = int(np.flatnonzero((column < 0) | (column > top))[0])
+        raise UnwritableRow(f"row {row}: {name} {column[row]} outside [0, {top}]")
+
+
 def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
     """The log as CSV rows under ``LOG_HEADER``, one per frame.
 
@@ -630,16 +645,21 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
     pairs joined by single spaces (empty for none), and the label, e.g.
     ``0.123,0130,2,AB CD,0``. Each block of ``_BLOCK_ROWS`` rows is one write.
 
-    Every value must lie within the bounds ``ingest`` reads back: an
+    Every column it writes must hold one entry a row, and every value must
+    lie within the bounds ``ingest`` reads back: a finite timestamp, an
     identifier up to ``MAX_CAN_ID``, a DLC and a payload length up to
     ``MAX_PAYLOAD_BYTES`` (the length also within the payload's width), and
     a label of 0 or 1, with no cell missing (an empty data field reads back
-    as no payload, not a missing one). A row outside them raises
-    ``UnwritableRow`` naming the first such row, before anything is written.
+    as no payload, not a missing one). Otherwise it raises ``UnwritableRow``
+    naming the column or the first row at fault, before anything is written.
     """
+    _check_lengths(log, "can_id", "dlc", "payload", "payload_len", "label", "missing")
     if log.missing.any():
         row, field = np.argwhere(log.missing)[0]
         raise UnwritableRow(f"row {row}: {LOG_HEADER.split(',')[field]} missing")
+    if not np.isfinite(log.timestamp).all():
+        row = int(np.argmin(np.isfinite(log.timestamp)))
+        raise UnwritableRow(f"row {row}: timestamp {log.timestamp[row]} not finite")
     width = log.payload.shape[1]
     for name, column, top in (
         ("identifier", log.can_id, MAX_CAN_ID),
@@ -647,9 +667,7 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
         ("payload length", log.payload_len, min(width, MAX_PAYLOAD_BYTES)),
         ("label", log.label, 1),
     ):
-        if len(column) and (column.min() < 0 or column.max() > top):
-            row = int(np.flatnonzero((column < 0) | (column > top))[0])
-            raise UnwritableRow(f"row {row}: {name} {column[row]} outside [0, {top}]")
+        _check_range(name, column, top)
     if header:
         stream.write(LOG_HEADER + "\n")
     for start in range(0, len(log), _BLOCK_ROWS):
@@ -657,6 +675,12 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
 
 
 def write_kinds(log: TrafficLog, stream: IO[str]) -> None:
-    """Sidecar with one ``KIND_NAMES`` name per data row ("normal" for label 0)."""
+    """Sidecar with one ``KIND_NAMES`` name per data row ("normal" for label 0).
+
+    A kind column not one code a row, or a code outside ``KIND_NAMES``, raises
+    ``UnwritableRow`` before anything is written.
+    """
+    _check_lengths(log, "kind")
+    _check_range("kind code", log.kind, len(KIND_NAMES) - 1)
     names = [name + "\n" for name in KIND_NAMES]
     stream.write("".join(names[k] for k in log.kind.tolist()))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import SEED
 from .ingest import BinaryReader, NormalizationParams
-from .nncore import MalformedDescriptor, Network, network_from_descriptor
+from .nncore import Adam, MalformedDescriptor, Network, network_from_descriptor
 
 MAGIC = b"CANCKPT1"
 FORMAT_VERSION = 1
@@ -37,8 +37,11 @@ class VersionMismatch(ValueError):
 
 
 def config_digest(cfg) -> str:
-    """Stable short digest of a training configuration dataclass."""
-    text = repr(sorted(vars(cfg).items()))
+    """Stable short digest of a training configuration dataclass and Adam's constants.
+
+    The constants hash under the names they had as configuration fields, so a digest is unchanged from then.
+    """
+    text = repr(sorted({**vars(cfg), "beta1": Adam.BETA1, "beta2": Adam.BETA2, "eps": Adam.EPS}.items()))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -351,22 +351,30 @@ def _train_config(args) -> plenet.TrainConfig:
     return plenet.TrainConfig(seed=args.seed, **{b.name: getattr(args, b.name) for b in plenet.TRAIN_BOUNDS})
 
 
+def _save_trained(args, cfg: plenet.TrainConfig, model, history: plenet.TrainHistory, norm, summary: str) -> None:
+    """Checkpoint the model, write its optional history CSV, and print ``summary`` with the best epoch."""
+    checkpoint.save_checkpoint(model, args.output, norm=norm, seed=args.seed, digest=checkpoint.config_digest(cfg))
+    if args.history:
+        write_history_csv(history, args.history)
+    best = history.best_epoch
+    print(f"{summary}; best validation accuracy {history.val_acc[best]:.4f} at epoch {best}")
+
+
 def cmd_train(args) -> int:
     ds = ingest.load_dataset(args.data)
     cfg = _train_config(args)
     model = plenet.build_plenet(args.seed) if args.arch == "plenet" else baselines.build_mlp(args.seed)
     model, history = plenet.train(model, ds, cfg)
-    checkpoint.save_checkpoint(
-        model, args.output, norm=ds.norm, seed=args.seed, digest=checkpoint.config_digest(cfg)
-    )
-    if args.history:
-        write_history_csv(history, args.history)
-    best = history.best_epoch
-    print(
-        f"trained {args.arch} for {len(history)} epochs; "
-        f"best validation accuracy {history.val_acc[best]:.4f} at epoch {best}"
-    )
+    _save_trained(args, cfg, model, history, ds.norm, f"trained {args.arch} for {len(history)} epochs")
     return 0
+
+
+def _scored_partition(ds: ingest.PreparedDataset, path: str, split: str):
+    """The features, labels and kinds of the partition a report scores; an empty one raises ``EmptyPartition``."""
+    x, y, kind = ds.partitions()[split]
+    if not len(y):
+        raise plenet.EmptyPartition(f"{path}: the {split} partition holds no rows to score")
+    return x, y, kind
 
 
 def _evaluate_model(model, x, y, kind) -> metrics.MetricsReport:
@@ -377,9 +385,9 @@ def _evaluate_model(model, x, y, kind) -> metrics.MetricsReport:
 def cmd_evaluate(args) -> int:
     model, norm, _, _ = checkpoint.load_checkpoint(args.checkpoint)
     ds = ingest.load_dataset(args.data)
+    x, y, kind = _scored_partition(ds, args.data, args.split)
     if len(norm.mins) and not (np.array_equal(norm.mins, ds.norm.mins) and np.array_equal(norm.maxs, ds.norm.maxs)):
         print("warning: checkpoint and dataset normalization differ", file=sys.stderr)
-    x, y, kind = ds.partitions()[args.split]
     report = _evaluate_model(model, x, y, kind)
     table = write_reports({args.split: report}, args.report, args.json)
     sys.stdout.write(table)
@@ -395,23 +403,15 @@ def cmd_transfer(args) -> int:
         print(f"domain mean discrepancy (source vs target train features): {distance:.6f}")
     cfg = _train_config(args)
     model, history = plenet.transfer_finetune(source_model, target, cfg, freeze=args.freeze)
-    checkpoint.save_checkpoint(
-        model, args.output, norm=target.norm, seed=args.seed, digest=checkpoint.config_digest(cfg)
-    )
-    if args.history:
-        write_history_csv(history, args.history)
-    best = history.best_epoch
-    print(
-        f"fine-tuned for {len(history)} epochs (freeze={args.freeze}); "
-        f"best validation accuracy {history.val_acc[best]:.4f} at epoch {best}"
-    )
+    summary = f"fine-tuned for {len(history)} epochs (freeze={args.freeze})"
+    _save_trained(args, cfg, model, history, target.norm, summary)
     return 0
 
 
 def cmd_compare(args) -> int:
     ds = ingest.load_dataset(args.data)
     baselines.check_k(args.knn_k, len(ds.train_y))
-    x, y, kind = ds.partitions()["test"]
+    x, y, kind = _scored_partition(ds, args.data, "test")
     cfg = _train_config(args)
 
     def score(labels, scores) -> metrics.MetricsReport:

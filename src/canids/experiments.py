@@ -80,22 +80,26 @@ def target_domain(seed: int) -> PreparedDataset:
     return prepare_records(log, seed=seed + 52, provenance=f"transfer-target(seed={seed})")
 
 
-def training_subset(pool: PreparedDataset, n_train: int = 800, n_val: int = 200) -> PreparedDataset:
-    """First n_train + n_val shuffled training rows of the pool, keeping its test set."""
-    if n_train + n_val > len(pool.train_y):
+SUBSET_TRAIN, SUBSET_VAL = 800, 200
+
+
+def training_subset(pool: PreparedDataset) -> PreparedDataset:
+    """First SUBSET_TRAIN + SUBSET_VAL shuffled training rows of the pool, keeping its test set."""
+    if SUBSET_TRAIN + SUBSET_VAL > len(pool.train_y):
         raise ValueError("subset larger than the pool's training partition")
+    fit, val = slice(SUBSET_TRAIN), slice(SUBSET_TRAIN, SUBSET_TRAIN + SUBSET_VAL)
     return PreparedDataset(
-        train_x=pool.train_x[:n_train],
-        train_y=pool.train_y[:n_train],
-        val_x=pool.train_x[n_train : n_train + n_val],
-        val_y=pool.train_y[n_train : n_train + n_val],
+        train_x=pool.train_x[fit],
+        train_y=pool.train_y[fit],
+        val_x=pool.train_x[val],
+        val_y=pool.train_y[val],
         test_x=pool.test_x,
         test_y=pool.test_y,
         norm=pool.norm,
-        provenance=pool.provenance + f";subset({n_train}+{n_val})",
+        provenance=pool.provenance + f";subset({SUBSET_TRAIN}+{SUBSET_VAL})",
         seed=pool.seed,
-        train_kind=pool.train_kind[:n_train],
-        val_kind=pool.train_kind[n_train : n_train + n_val],
+        train_kind=pool.train_kind[fit],
+        val_kind=pool.train_kind[val],
         test_kind=pool.test_kind,
     )
 

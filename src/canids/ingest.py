@@ -603,11 +603,14 @@ class CorrelationResult:
     names: tuple[str, ...]
     r: np.ndarray  # symmetric, unit diagonal
     p: np.ndarray  # two-sided t-test p-values, zero diagonal
-    significant: np.ndarray  # p < alpha, diagonal excluded
+    significant: np.ndarray  # p < CORRELATION_ALPHA, diagonal excluded
 
 
-def correlation_matrix(columns: Mapping[str, Sequence[float]], alpha: float = 0.05) -> CorrelationResult:
-    """Pairwise correlations with two-sided significance flags (p < alpha)."""
+CORRELATION_ALPHA = 0.05
+
+
+def correlation_matrix(columns: Mapping[str, Sequence[float]]) -> CorrelationResult:
+    """Pairwise correlations with two-sided significance flags (p < ``CORRELATION_ALPHA``)."""
     from scipy import special  # imported on first use, as in rosner_outliers
 
     names = tuple(columns)
@@ -623,7 +626,7 @@ def correlation_matrix(columns: Mapping[str, Sequence[float]], alpha: float = 0.
             pij = 2 * float(special.stdtr(n - 2, -abs(t)))  # Student-t survival, as scipy.stats.t.sf computes it
             r[i, j] = r[j, i] = rij
             p[i, j] = p[j, i] = pij
-    significant = (p < alpha) & ~np.eye(k, dtype=bool)
+    significant = (p < CORRELATION_ALPHA) & ~np.eye(k, dtype=bool)
     return CorrelationResult(names, r, p, significant)
 
 
@@ -969,18 +972,6 @@ def load_dataset(path: str | Path) -> PreparedDataset:
     return ds
 
 
-def prepare_records(
-    log: TrafficLog,
-    test_fraction: float = 0.2,
-    val_fraction: float = 0.2,
-    seed: int = 0,
-    provenance: str = "",
-) -> PreparedDataset:
-    """Convenience path from a simulated ``TrafficLog`` straight to a prepared dataset."""
-    return split_dataset(
-        RecordTable.from_traffic(log),
-        test_fraction=test_fraction,
-        val_fraction=val_fraction,
-        seed=seed,
-        provenance=provenance,
-    )
+def prepare_records(log: TrafficLog, seed: int = 0, provenance: str = "") -> PreparedDataset:
+    """Convenience path from a simulated ``TrafficLog`` to a dataset split as ``split_dataset`` does by default."""
+    return split_dataset(RecordTable.from_traffic(log), seed=seed, provenance=provenance)

@@ -520,25 +520,19 @@ class Adam:
     """Adaptive moment estimation over one parameter array.
 
     A step updates the array in place, element by element in the order
-    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + ((1-beta2)*g)*g`` and
-    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, using two scratch arrays and
+    ``m = BETA1*m + (1-BETA1)*g``, ``v = BETA2*v + ((1-BETA2)*g)*g`` and
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + EPS)``, using two scratch arrays and
     no other temporaries. Given a network's ``updated_slice()``, one step is
     one finite check and one pass over the updated parameters.
     """
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -551,18 +545,19 @@ class Adam:
         if not np.isfinite(g).all():
             raise NonFiniteGradient("gradient contains NaN or infinity")
         self.t += 1
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(g, 1 - self.beta1, out=a)
+        b1, b2 = Adam.BETA1, Adam.BETA2
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=a)
         m += a
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(g, 1 - self.beta2, out=a)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1 - b2, out=a)
         a *= g
         v += a
-        np.divide(m, 1 - self.beta1**self.t, out=a)
+        np.divide(m, 1 - b1**self.t, out=a)
         a *= self.lr
-        np.divide(v, 1 - self.beta2**self.t, out=b)
+        np.divide(v, 1 - b2**self.t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += Adam.EPS
         a /= b
         p -= a
 
@@ -590,23 +585,23 @@ def boundary_margin(network: Network, x: np.ndarray) -> float:
     return margin
 
 
-def jitter_parameters(network: Network, rng: np.random.Generator, scale: float = 0.3) -> None:
-    """Add uniform noise to every parameter, biases included.
+JITTER_SCALE = 0.3
+
+
+def jitter_parameters(network: Network, rng: np.random.Generator) -> None:
+    """Add uniform noise in ``[-JITTER_SCALE, JITTER_SCALE)`` to every parameter, biases included.
 
     Freshly built networks have zero biases, which parks ReLU pre-activations
     exactly on their kinks whenever an input path is fully clamped. Jittering
     moves the network to a generic point before a finite-difference check.
     """
-    network.param_buffer += rng.uniform(-scale, scale, size=network.param_buffer.shape)
+    network.param_buffer += rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=network.param_buffer.shape)
 
 
-def grad_check(
-    network: Network,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    h: float = 1e-5,
-    block: int = 64,
-) -> float:
+PROBE_BLOCK = 64  # coordinates a grad_check probe batch stacks
+
+
+def grad_check(network: Network, inputs: np.ndarray, labels: np.ndarray, h: float = 1e-5) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
     Relative error per coordinate is |analytic - numeric| divided by
@@ -619,7 +614,7 @@ def grad_check(
     probe applies the exact rank-one update to the layer's precomputed base
     output instead of re-running it, and upstream activations are reused
     untouched; every layer takes this one path through its ``affine_input``
-    and ``weight_matrix``. Probes are evaluated ``block`` coordinates at a
+    and ``weight_matrix``. Probes are evaluated ``PROBE_BLOCK`` coordinates at a
     time by stacking them along the batch axis of the tail network.
     """
     targets = one_hot(labels)
@@ -658,8 +653,8 @@ def grad_check(
             column, unit = np.divmod(np.argsort(at, axis=None), base.shape[-1])
             flat_p = p.reshape(-1)
             flat_g = next(analytic).reshape(-1)
-            for i0 in range(0, flat_p.size, block):
-                cols = np.arange(i0, min(i0 + block, flat_p.size))
+            for i0 in range(0, flat_p.size, PROBE_BLOCK):
+                cols = np.arange(i0, min(i0 + PROBE_BLOCK, flat_p.size))
                 orig = flat_p[cols]
                 delta_up = (orig + np.float64(h)).astype(hp) - orig.astype(hp)
                 delta_down = orig.astype(hp) - (orig - np.float64(h)).astype(hp)

@@ -47,7 +47,7 @@ FREEZE_MODES = ("none", "conv")
 
 
 class EmptyPartition(ValueError):
-    """Training requires non-empty train and validation partitions."""
+    """A partition that training or a report needs holds no rows."""
 
 
 class DimensionMismatch(ValueError):
@@ -70,9 +70,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 50
     seed: int = 0
 
@@ -139,11 +136,14 @@ def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, decide(probs)
 
 
-def _evaluate(model: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> tuple[float, float]:
+VALIDATION_BATCH = 512
+
+
+def _evaluate(model: Network, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     total_loss, correct = 0.0, 0
-    for start in range(0, len(y), batch_size):
-        xb = x[start : start + batch_size]
-        yb = y[start : start + batch_size]
+    for start in range(0, len(y), VALIDATION_BATCH):
+        xb = x[start : start + VALIDATION_BATCH]
+        yb = y[start : start + VALIDATION_BATCH]
         probs, labels = predict(model, xb)
         loss, _ = cross_entropy(probs, one_hot(yb))
         total_loss += loss * len(yb)
@@ -164,13 +164,7 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
 
     rng = np.random.default_rng(cfg.seed)
     params, grads = model.updated_slice()
-    opt = Adam(
-        params,
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-    )
+    opt = Adam(params, cfg.lr)
     train_x = model.layers[0].layout_rows(data.train_x)
     train_targets = one_hot(data.train_y)
     history = TrainHistory()

@@ -35,6 +35,7 @@ from canids.canbus import (
     encode_frame,
     generate_traffic,
     inject_attack,
+    write_kinds,
     write_log,
 )
 from canids.experiments import DESK_ECUS, desk_attacks, desk_profile
@@ -449,10 +450,11 @@ class TestInjectAttack:
 
 
 # a parsed log's rows at ingest's bounds: 5-8 digit identifiers, DLCs apart from the payload length,
-# widths up to 64, and timestamps negative, in exponent form or subnormal
+# widths up to 64, and finite timestamps negative, in exponent form or subnormal
 PARSED_ROWS = st.builds(
     LogRow,
-    st.one_of(st.floats(), st.sampled_from([1e-05, 1e16, -2.5e-07, 5e-324, -0.0, 2.2250738585072014e-308])),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([1e-05, 1e16, -2.5e-07, 5e-324, -0.0, 2.2250738585072014e-308])),
     st.one_of(st.integers(0, 0xFFFF), st.integers(0x10000, MAX_CAN_ID)),
     st.integers(0, MAX_PAYLOAD_BYTES),
     st.binary(max_size=MAX_PAYLOAD_BYTES),
@@ -496,6 +498,31 @@ class TestLogFormat:
             write_log(log, text)
         assert text.getvalue() == ""
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_timestamp_is_refused_before_any_write(self, value):
+        # written as its repr, it read back as a missing timestamp
+        log = traffic_log([LogRow(0.5, 0x130, 2, b"\x01\x02", 0)] * 3)
+        log.timestamp[1] = value
+        text = io.StringIO()
+        with pytest.raises(UnwritableRow, match=f"^row 1: timestamp {value} not finite$"):
+            write_log(log, text)
+        assert text.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "write, column",
+        [(write_log, name) for name in ("can_id", "dlc", "payload", "payload_len", "label", "missing")]
+        + [(write_kinds, "kind")],  # one sidecar line for two rows was written, which prepare refused only later
+    )
+    @pytest.mark.parametrize("rows", [0, 2, 4])
+    def test_a_column_of_another_length_is_refused_before_any_write(self, write, column, rows):
+        log = traffic_log([LogRow(0.5, 0x130, 2, b"\x01\x02", 0)] * 3)
+        values = getattr(log, column)
+        log = dataclasses.replace(log, **{column: np.resize(values, (rows, *values.shape[1:]))})
+        text = io.StringIO()
+        with pytest.raises(UnwritableRow, match=f"^{column} column has length {rows} for 3 rows$"):
+            write(log, text)
+        assert text.getvalue() == ""
+
     @pytest.mark.parametrize(
         "text, row, field",
         [
@@ -521,6 +548,15 @@ class TestLogFormat:
         assert not parsed.missing.any() and log_text(parsed) == text
         for name in ("timestamp", "can_id", "dlc", "label"):
             assert np.array_equal(getattr(parsed, name), getattr(log, name)), name
+
+    @pytest.mark.parametrize("code", [len(KIND_NAMES), 9, 255])
+    def test_a_kind_code_outside_the_names_is_refused_before_any_write(self, code):
+        log = traffic_log([LogRow(0.5, 0x130, 2, b"\x01\x02", 0)] * 3)
+        log.kind[2] = code
+        text = io.StringIO()
+        with pytest.raises(UnwritableRow, match=f"^row 2: kind code {code} outside \\[0, 3\\]$"):
+            write_kinds(log, text)
+        assert text.getvalue() == ""
 
     def test_holds_one_block_at_a_time(self):
         # 9.9 MiB at 2 and at 4 blocks of rows (the per-row f-strings took 12.4 MiB at both)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from canids import baselines, plenet
 from canids.baselines import build_mlp
 from canids.checkpoint import save_checkpoint
 from canids.cli import MalformedSpec, build_parser, parse_attack, parse_profile, run_command
@@ -513,7 +514,19 @@ class TestExitCodes:
         save_checkpoint(builder(seed=0), ckpt)
         capsys.readouterr()
         assert run_command(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
-        assert capsys.readouterr().err == "error: confusion matrix holds no samples\n"
+        assert capsys.readouterr().err == f"error: {data}: the test partition holds no rows to score\n"
+
+    def test_empty_test_partition_compare_is_1_before_any_training(self, pipeline, capsys, monkeypatch):
+        tmp_path, log, _ = pipeline
+        data = tmp_path / "no_test.bin"
+        run_ok(["prepare", "--input", str(log), "--output", str(data), "--test-fraction", "0"])
+        capsys.readouterr()
+        fitted = []
+        for owner, name in ((plenet, "train"), (baselines, "knn_fit"), (baselines, "tree_fit")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: fitted.append(name))
+        assert run_command(["compare", "--data", str(data), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {data}: the test partition holds no rows to score\n"
+        assert fitted == []
 
     def test_bad_attack_spec_is_1(self, tmp_path, profile_path):
         code = run_command(

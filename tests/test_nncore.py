@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from canids.nncore import (
     one_hot,
     softmax,
 )
+from canids import nncore
 from canids.baselines import build_mlp
 from canids.plenet import build_plenet, predict
 from helpers import legacy_grad_check, legacy_network_forward
@@ -258,7 +260,7 @@ class TestAdam:
         g = 0.7
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         p = np.array([0.3])
-        opt = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(p, lr=lr)
         # hand-rolled recurrence
         theta, m, v = 0.3, 0.0, 0.0
         for t in (1, 2):
@@ -425,13 +427,14 @@ class TestGradCheckProbePath:
     @pytest.mark.parametrize("cls", [Conv1D, Dense])
     @pytest.mark.parametrize("name", ["w", "b"])
     @pytest.mark.parametrize("coordinate", [0, -1])
+    @patch.object(nncore, "PROBE_BLOCK", 4)
     def test_wrong_gradient_coordinate_is_caught(self, cls, name, coordinate):
         # every coordinate of every parameter array is probed, the last block included
         for seed in range(50):  # the first configuration clear of kinks and ties
             net, x, y = self.jittered(_two_conv_net, seed, width=8)
             if boundary_margin(net, x) > 1e-4:
                 break
-        assert grad_check(net, x, y, block=4) < 1e-5
+        assert grad_check(net, x, y) < 1e-5
         layer = next(l for l in net.layers if isinstance(l, cls))
         backward = layer.backward
 
@@ -441,7 +444,7 @@ class TestGradCheckProbePath:
             return out
 
         layer.backward = wrong_backward
-        assert grad_check(net, x, y, block=4) > 1e-3
+        assert grad_check(net, x, y) > 1e-3
 
 
 class TestForwardInPlace:

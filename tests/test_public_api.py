@@ -1,5 +1,6 @@
 """The names ``import canids`` exports, members taken off the public surface, and what importing it loads."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import canids
-from canids import baselines, canbus, cli, ingest
+from canids import baselines, canbus, checkpoint, cli, experiments, ingest, nncore, plenet
 from canids.nncore import Conv1D, Dense, Network
 
 
@@ -34,6 +35,25 @@ def test_removed_members_stay_removed():
     assert not hasattr(cli, "_split_arrays")
     assert "input_width" not in inspect.signature(baselines.build_mlp).parameters
     assert not hasattr(baselines, "CHUNK") and "chunk" not in inspect.signature(baselines.knn_predict).parameters
+    for function, removed in (
+        (nncore.Adam, ("beta1", "beta2", "eps")),
+        (plenet.TrainConfig, ("beta1", "beta2", "eps")),
+        (plenet._evaluate, ("batch_size",)),
+        (nncore.grad_check, ("block",)),
+        (nncore.jitter_parameters, ("scale",)),
+        (ingest.correlation_matrix, ("alpha",)),
+        (ingest.prepare_records, ("test_fraction", "val_fraction")),
+        (experiments.training_subset, ("n_train", "n_val")),
+    ):
+        parameters = inspect.signature(function).parameters
+        assert [name for name in removed if name in parameters] == [], function.__name__
+    fields = [f.name for f in dataclasses.fields(plenet.TrainConfig)]
+    assert fields == ["epochs", "batch_size", "lr", "patience", "seed"]
+
+
+def test_default_config_digest_is_pinned():
+    # Adam's constants hash as the configuration fields they were, so a checkpoint's digest field keeps its bytes
+    assert checkpoint.config_digest(plenet.TrainConfig()) == "5b08871ed47173fb"
 
 
 def test_one_kind_name_table():
