@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import Range
 from .ingest import N_FEATURES
-from .nncore import Dense, Network, ReLU, Softmax
+from .nncore import Dense, Network, ReLU, Softmax, check_width
 
 MLP_HIDDEN = (68, 68)
 
@@ -37,8 +37,18 @@ class NonFiniteInput(ValueError):
 
 @dataclass
 class KnnModel:
+    """The training rows and labels, and the rows' distinct values.
+
+    The training indices holding ``distinct[j]`` (under ``==``, so -0.0
+    and 0.0 are one value) are ``members[starts[j] : starts[j + 1]]``, in
+    ascending order.
+    """
+
     x: np.ndarray
     y: np.ndarray
+    distinct: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
@@ -54,7 +64,15 @@ def knn_fit(train_x: np.ndarray, train_y: np.ndarray) -> KnnModel:
     if len(train_x) != len(train_y):
         raise ValueError("features and labels differ in length")
     _require_finite("training rows", train_x)
-    return KnnModel(train_x.copy(), train_y.copy())
+    x = train_x.copy()
+    members = np.lexsort(x.T[::-1])  # stable, so each value's indices stay ascending
+    ordered = x[members]
+    new = np.empty(len(x), dtype=bool)
+    new[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    del ordered
+    starts = np.flatnonzero(new)
+    return KnnModel(x, train_y.copy(), x[members[starts]], members, np.append(starts, len(x)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -87,7 +105,7 @@ def _gram_candidates(block: np.ndarray, x: np.ndarray, sq_x: np.ndarray, sq_x_ma
 
 
 K = Range("k", 1)
-KNN_BLOCK_BYTES = 16 * 2**20  # one block's Gram matrix, float64 queries x training rows
+KNN_BLOCK_BYTES = 4 * 2**20  # one block's Gram matrix, float64 queries x distinct training rows
 
 
 def check_k(k: int, n_train: int) -> int:
@@ -116,24 +134,33 @@ def knn_predict(model: KnnModel, queries: np.ndarray, k: int) -> tuple[np.ndarra
     The distance of query q to training row x is the float64 value of
     ``((q - x) ** 2).sum()``. Distance ties break toward the lower training
     index; vote ties predict attack. Returns hard labels and the attack-vote
-    fraction. A block takes as many distinct queries as keep its Gram matrix
-    within ``KNN_BLOCK_BYTES`` (one at least), and the re-rank forms the
-    difference rows a sixteenth of that at a time: working memory is one such
-    matrix, the n_train norms and ~32 bytes a candidate at any size or width
-    (19.0 MiB traced for desk's 4,000 queries against 12,800 rows).
+    fraction. Rows of another width than the training rows raise
+    ``WidthMismatch``. The search runs over the model's distinct training
+    values: a block takes as many distinct queries as keep its Gram matrix
+    against them within ``KNN_BLOCK_BYTES`` (one at least), and the re-rank
+    forms the difference rows a sixteenth of that at a time. Working memory
+    is one such matrix, 8 bytes a distinct value and ~32 bytes a candidate
+    member at any size or width (5.3 MiB traced for desk's 4,000 queries
+    against 12,800 rows, 4,138 of them distinct at seed 23; 19.0 MiB over
+    every row under a 16 MiB budget).
 
     The k nearest are found without forming every difference row:
 
     1. Duplicate queries are solved once, because the answer depends only
        on the query's values.
     2. For each block of unique queries, one matrix product gives the Gram
-       form ``g = |q|^2 + |x|^2 - 2 q.x`` against every row; the ``|x|^2``
-       are computed once per call.
-    3. The candidates of q are the rows with ``g <= t + 2 tol``, where t is
-       q's k-th smallest g and ``tol`` bounds ``|g - e|`` (below).
+       form ``g = |q|^2 + |x|^2 - 2 q.x`` against every distinct value x;
+       the ``|x|^2`` are computed once per call.
+    3. The candidates of q are the values with ``g <= t + 2 tol``, where t is
+       q's k-th smallest g over the values (the largest, if there are fewer
+       than k) and ``tol`` bounds ``|g - e|`` (below).
     4. The distance e, as defined above, is computed for the candidates
-       only, in groups (a row's sum is the same in any group), sorted
-       stably by (e, training index); the first k vote.
+       only, in groups (a row's sum is the same in any group). Each
+       candidate stands for its first k members, which share its e; these
+       are sorted stably by (e, training index), and the first k vote.
+
+    Rows equal under ``==``, as -0.0 and 0.0 are, have one e to every
+    query, because squaring drops the sign of a zero difference.
 
     Error bound. Let u = eps/2, gamma_n = n u / (1 - n u), d the width,
     D the real squared distance and S = |q|^2 + max |x|^2, so D <= 2S and
@@ -150,22 +177,25 @@ def knn_predict(model: KnnModel, queries: np.ndarray, k: int) -> tuple[np.ndarra
     products between them, the doubled dot product counting twice, so
     underflow adds at most 2.5 d tiny.
 
-    Candidates suffice. The k rows with the smallest g have e <= t + tol, so
-    the k-th smallest e, e_k, is at most t + tol. Every row with e <= e_k,
-    which takes in the true k nearest and every row tied with the k-th, has
-    g <= e + tol <= t + 2 tol and is a candidate. So the first k candidates
-    in (e, index) order are the first k of all rows in that order.
+    Candidates suffice. The values with the smallest g, k of them or all,
+    hold at least k rows, each with e <= t + tol, so the k-th smallest e over
+    the rows, e_k, is at most t + tol. Every row with e <= e_k, which takes
+    in the true k nearest and every row tied with the k-th, has
+    g <= e + tol <= t + 2 tol, so its value is a candidate. Members of one
+    value share e, so only a value's first k members by index can rank among
+    the first k. So the first k of the candidates' members in (e, index)
+    order are the first k of all rows in that order.
 
     The bound needs every intermediate to stay finite, which holds while 4S
     does. A query for which it does not takes every row as a candidate.
     Non-finite inputs raise ``NonFiniteInput``.
     """
     check_k(k, len(model.x))
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    queries = check_width(np.atleast_2d(np.asarray(queries, dtype=np.float64)), model.x.shape[1])
     _require_finite("queries", queries)
     unique, inverse = np.unique(queries, axis=0, return_inverse=True)
-    x = model.x
-    # einsum makes no n_train x d temporary; a norm that overflows to inf makes every row a candidate
+    x = model.distinct
+    # einsum makes no n_distinct x d temporary; a norm that overflows to inf makes every row a candidate
     with np.errstate(over="ignore"):
         sq_x = np.einsum("ij,ij->i", x, x)
     sq_x_max = sq_x.max()
@@ -174,12 +204,31 @@ def knn_predict(model: KnnModel, queries: np.ndarray, k: int) -> tuple[np.ndarra
     for start in range(0, len(unique), step):
         block = unique[start : start + step]
         # row-major like np.nonzero, whose 2-D form is many times slower
-        rows, cols = np.divmod(np.flatnonzero(_gram_candidates(block, x, sq_x, sq_x_max, k)), len(x))
+        rows, cols = np.divmod(np.flatnonzero(_gram_candidates(block, x, sq_x, sq_x_max, min(k, len(x)))), len(x))
         dist = _candidate_distances(block, x, rows, cols)
-        order = np.lexsort((cols, dist, rows))
-        counts = np.bincount(rows, minlength=len(block))
-        first = np.cumsum(counts) - counts
-        nearest = cols[order[first[:, None] + np.arange(k)]]
+        # Each candidate value stands for its first k members, which share its distance. The arrays
+        # are expanded one at a time, each source freed, so a member costs some 32 bytes at the peak.
+        begins = np.searchsorted(rows, np.arange(len(block)))  # each query's first candidate
+        del rows
+        first_member = model.starts[cols]
+        cols += 1
+        take = model.starts[cols]
+        del cols
+        take -= first_member
+        np.minimum(take, k, out=take)
+        per_query = np.add.reduceat(take, begins)  # every query has a candidate
+        first_member += take
+        first_member -= np.cumsum(take)  # minus each value's offset in the expanded arrays
+        index = np.repeat(first_member, take)
+        del first_member
+        index += np.arange(len(index))
+        np.take(model.members, index, out=index)
+        dist = np.repeat(dist, take)
+        del take
+        rows = np.repeat(np.arange(len(block)), per_query)
+        order = np.lexsort((index, dist, rows))
+        first = np.cumsum(per_query) - per_query
+        nearest = index[order[first[:, None] + np.arange(k)]]
         frac[start : start + step] = model.y[nearest].mean(axis=1)
     labels = (frac >= 0.5).astype(np.uint8)
     inverse = inverse.reshape(-1)  # numpy 2.0.0 alone returns it as a column
@@ -199,6 +248,7 @@ class TreeNode:
     right: "TreeNode | None" = None
     label: int = 0
     counts: tuple[int, int] = (0, 0)
+    width: int = 0  # on the root: the width of the rows it was fit on
 
     @property
     def is_leaf(self) -> bool:
@@ -281,12 +331,17 @@ def tree_fit(
         node.right = grow(idx[~mask], depth + 1)
         return node
 
-    return grow(np.arange(len(y)), 0)
+    root = grow(np.arange(len(y)), 0)
+    root.width = x.shape[1]
+    return root
 
 
 def tree_predict(tree: TreeNode, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hard labels plus the attack fraction of each query's leaf; queries go down as index sets."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    """Hard labels plus the attack fraction of each query's leaf; queries go down as index sets.
+
+    Queries of another width than the tree was fit on raise ``WidthMismatch``.
+    """
+    queries = check_width(np.atleast_2d(np.asarray(queries, dtype=np.float64)), tree.width)
     labels = np.empty(len(queries), dtype=np.uint8)
     scores = np.empty(len(queries))
     pending = [(tree, np.arange(len(queries)))]

@@ -78,33 +78,33 @@ def load_checkpoint(path: str | Path) -> tuple[Network, NormalizationParams, int
 
     Another format version raises ``VersionMismatch``, any other fault ``CorruptCheckpoint``.
     """
-    reader = BinaryReader(path, CorruptCheckpoint)
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise reader.corrupt("no CANCKPT1 magic")
-    (version,) = reader.unpack("<I")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    descriptor = reader.text()
-    (seed,) = reader.unpack("<Q")
-    digest = reader.text()
-    (n_norm,) = reader.unpack("<I")
-    norm = reader.pairs(n_norm)
-    (n_arrays,) = reader.unpack("<I")
+    with BinaryReader(path, CorruptCheckpoint) as reader:
+        if reader.take(len(MAGIC)) != MAGIC:
+            raise reader.corrupt("no CANCKPT1 magic")
+        (version,) = reader.unpack("<I")
+        if version != FORMAT_VERSION:
+            raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+        descriptor = reader.text()
+        (seed,) = reader.unpack("<Q")
+        digest = reader.text()
+        (n_norm,) = reader.unpack("<I")
+        norm = reader.pairs(n_norm)
+        (n_arrays,) = reader.unpack("<I")
 
-    try:
-        model = network_from_descriptor(descriptor, max_params=reader.remaining // 8)  # 8 bytes a parameter
-    except MalformedDescriptor as exc:
-        raise reader.corrupt(str(exc)) from None
-    params = model.parameters()
-    if n_arrays != len(params):
-        raise reader.corrupt(f"descriptor implies {len(params)} parameter arrays, file has {n_arrays}")
-    for p in params:
-        (ndim,) = reader.unpack("<I")
-        shape = reader.unpack(f"<{ndim}Q")
-        if shape != p.shape:
-            raise reader.corrupt(f"array shape {shape} does not match layer shape {p.shape}")
-        np.copyto(p, reader.array("<f8", shape))
-    reader.finish()
+        try:
+            model = network_from_descriptor(descriptor, max_params=reader.remaining // 8)  # 8 bytes a parameter
+        except MalformedDescriptor as exc:
+            raise reader.corrupt(str(exc)) from None
+        params = model.parameters()
+        if n_arrays != len(params):
+            raise reader.corrupt(f"descriptor implies {len(params)} parameter arrays, file has {n_arrays}")
+        for p in params:
+            (ndim,) = reader.unpack("<I")
+            shape = reader.unpack(f"<{ndim}Q")
+            if shape != p.shape:
+                raise reader.corrupt(f"array shape {shape} does not match layer shape {p.shape}")
+            np.copyto(p, reader.array("<f8", shape))
+        reader.finish()
     if not np.isfinite(model.param_buffer).all():
         raise reader.corrupt("parameters hold NaN or infinity")
     return model, norm, seed, digest

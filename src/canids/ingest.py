@@ -52,6 +52,7 @@ import csv
 import functools
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -140,37 +141,52 @@ def read_utf8(path: str | Path, error: type[ValueError]) -> str:
 
 
 class BinaryReader:
-    """Bounds-checked little-endian reads through a file's bytes; every fault raises ``error`` naming the file."""
+    """Bounds-checked little-endian reads through an open file; every fault raises ``error`` naming the file.
+
+    Use it in a ``with`` block, which closes the file. Each read is checked against the bytes left before
+    anything is read or allocated.
+    """
 
     def __init__(self, path: str | Path, error: type[ValueError]):
         self.path, self.error = path, error
-        self.view = memoryview(Path(path).read_bytes())
-        self.offset = 0
+        self.file = open(path, "rb")
+        self.remaining = os.fstat(self.file.fileno()).st_size
 
-    @property
-    def remaining(self) -> int:
-        return len(self.view) - self.offset
+    def __enter__(self) -> "BinaryReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
 
     def corrupt(self, message: str) -> ValueError:
         return self.error(f"{self.path}: {message}")
 
-    def take(self, size: int) -> memoryview:
+    def need(self, size: int) -> None:
+        """``corrupt`` unless at least ``size`` bytes are left."""
         if size > self.remaining:
             raise self.corrupt("unexpected end of file")
-        self.offset += size
-        return self.view[self.offset - size : self.offset]
+
+    def take(self, size: int) -> bytes:
+        return self.array(np.uint8, (size,)).tobytes()
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype, shape: tuple[int, ...]) -> np.ndarray:
-        """The next array: a read-only view of the file's bytes, which the caller copies once."""
-        return np.frombuffer(self.take(np.dtype(dtype).itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
+        """The next array, read straight from the file into memory of its own."""
+        size = np.dtype(dtype).itemsize * math.prod(shape)
+        self.need(size)
+        out = np.empty(shape, dtype)
+        read = self.file.readinto(out.reshape(-1).view(np.uint8))
+        self.remaining -= size
+        if read != size:  # the file shrank while open
+            raise self.corrupt("unexpected end of file")
+        return out
 
     def text(self) -> str:
         """A u32-length-prefixed UTF-8 string."""
         (size,) = self.unpack("<I")
-        return decode_text(self.path, self.take(size), self.error, at=self.offset - size)
+        return decode_text(self.path, self.take(size), self.error, at=self.file.tell() - size)
 
     def pairs(self, count: int) -> NormalizationParams:
         """``count`` (min, max) float64 pairs."""
@@ -924,23 +940,24 @@ def load_dataset(path: str | Path) -> PreparedDataset:
     Labels must be 0 or 1 and features finite in [0, 1], as ``split_dataset`` encodes them.
     """
     path = Path(path)
-    reader = BinaryReader(path, CorruptContainer)
-    if reader.take(len(CONTAINER_MAGIC)) != CONTAINER_MAGIC:
-        raise reader.corrupt("no CANIDS1 magic")
-    n_feat, *sizes = reader.unpack("<4Q")
-    if n_feat != N_FEATURES:
-        raise reader.corrupt(f"unexpected feature width {n_feat}")
-    arrays = []
-    for partition, count in zip(PARTITIONS, sizes):
-        x = reader.array("<f8", (count, n_feat)).copy()
-        y = reader.array(np.uint8, (count,)).copy()
-        if not (x.min(initial=0.0) >= 0 and x.max(initial=0.0) <= 1):  # NaN fails both
-            raise reader.corrupt(f"{partition} features must be finite and lie in [0, 1]")
-        if y.max(initial=0) > 1:
-            raise reader.corrupt(f"{partition} labels must be 0 or 1")
-        arrays += [x, y]
-    norm = reader.pairs(n_feat)
-    reader.finish()
+    with BinaryReader(path, CorruptContainer) as reader:
+        if reader.take(len(CONTAINER_MAGIC)) != CONTAINER_MAGIC:
+            raise reader.corrupt("no CANIDS1 magic")
+        n_feat, *sizes = reader.unpack("<4Q")
+        if n_feat != N_FEATURES:
+            raise reader.corrupt(f"unexpected feature width {n_feat}")
+        reader.need(sum(sizes) * (8 * n_feat + 1) + 16 * n_feat)  # every array, before any is built
+        arrays = []
+        for partition, count in zip(PARTITIONS, sizes):
+            x = reader.array("<f8", (count, n_feat))
+            y = reader.array(np.uint8, (count,))
+            if not (x.min(initial=0.0) >= 0 and x.max(initial=0.0) <= 1):  # NaN fails both
+                raise reader.corrupt(f"{partition} features must be finite and lie in [0, 1]")
+            if y.max(initial=0) > 1:
+                raise reader.corrupt(f"{partition} labels must be 0 or 1")
+            arrays += [x, y]
+        norm = reader.pairs(n_feat)
+        reader.finish()
 
     ds = PreparedDataset(*arrays, norm=norm)
     manifest = path.with_name(path.name + ".manifest")

@@ -54,6 +54,17 @@ class ShapeMismatch(ValueError):
     """Tensor shape incompatible with the layer or operation."""
 
 
+class WidthMismatch(ValueError):
+    """Feature rows of another width than a model was built or fit on."""
+
+
+def check_width(rows: np.ndarray, width: int) -> np.ndarray:
+    """``rows`` if they are a (batch, ``width``) block, else ``WidthMismatch`` naming both widths."""
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise WidthMismatch(f"expected {width}-wide feature rows, got shape {rows.shape}")
+    return rows
+
+
 class InvalidOneHot(ValueError):
     """Target rows are not valid one-hot vectors."""
 

@@ -34,6 +34,7 @@ from .nncore import (
     ReLU,
     Softmax,
     _cross_entropy,
+    check_width,
     cross_entropy,
     network_from_descriptor,
     one_hot,
@@ -119,20 +120,38 @@ def decide(probs: np.ndarray) -> np.ndarray:
     return (probs[:, 1] >= probs[:, 0]).astype(np.uint8)
 
 
+PREDICT_BLOCK = 1024
+
+
 def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probability pairs and their ``decide`` labels.
 
     ``x`` is one feature row or a (batch, 16) block, laid out for the
-    network by its first layer. Its memory grows linearly with the rows:
-    one forward pass holds every layer's activations for the whole block,
-    about 6 KiB a row (22.6 MiB traced for 4,000 rows), as each ReLU
-    above a trainable layer writes over that layer's output. It is not
-    blocked, because a smaller batch changes the probability bits BLAS
-    gives (1,932 of 4,000 rows in 512-row blocks, even on one thread), and
-    so every report built on them.
+    network by its first layer; rows of another width raise
+    ``WidthMismatch``. A call of at most ``PREDICT_BLOCK`` rows is one
+    forward pass. A longer call runs passes of exactly ``PREDICT_BLOCK``
+    rows, the last one padded with zero rows, so its memory does not grow
+    with the rows: a pass holds about 6 KiB a row of activations, as each
+    ReLU above a trainable layer writes over that layer's output, and the
+    layers keep the block before it for their backward pass until the next
+    one replaces it (10.1 MiB traced at 20,000 rows). The block size is
+    fixed because BLAS may give other probability bits for another batch
+    size: padded 1,024-row blocks gave the one-pass bits on the desk split,
+    while unpadded blocks of some sizes (900 to 1,000 rows among them) and
+    512-row blocks did not.
     """
-    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    probs = model.forward(model.layers[0].layout_rows(rows))
+    rows = check_width(np.atleast_2d(np.asarray(x, dtype=np.float64)), INPUT_LENGTH)
+    layout = model.layers[0].layout_rows
+    if len(rows) <= PREDICT_BLOCK:
+        probs = model.forward(layout(rows))
+    else:
+        probs = np.empty((len(rows), 2))
+        for start in range(0, len(rows), PREDICT_BLOCK):
+            block = rows[start : start + PREDICT_BLOCK]
+            if len(block) < PREDICT_BLOCK:
+                block = np.concatenate([block, np.zeros((PREDICT_BLOCK - len(block), INPUT_LENGTH))])
+            out = probs[start : start + PREDICT_BLOCK]
+            out[...] = model.forward(layout(block))[: len(out)]
     return probs, decide(probs)
 
 
@@ -159,8 +178,7 @@ def train(model: Network, data: PreparedDataset, cfg: TrainConfig) -> tuple[Netw
     """
     if len(data.train_y) == 0 or len(data.val_y) == 0:
         raise EmptyPartition("train and validation partitions must be non-empty")
-    if data.train_x.shape[1] != INPUT_LENGTH:
-        raise ValueError(f"expected {INPUT_LENGTH}-wide feature rows, got {data.train_x.shape}")
+    check_width(data.train_x, INPUT_LENGTH)
 
     rng = np.random.default_rng(cfg.seed)
     params, grads = model.updated_slice()

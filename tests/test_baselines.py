@@ -18,7 +18,7 @@ from canids.baselines import (
     tree_fit,
     tree_predict,
 )
-from canids.nncore import boundary_margin, grad_check, jitter_parameters
+from canids.nncore import WidthMismatch, boundary_margin, grad_check, jitter_parameters
 from canids.plenet import TrainConfig, train
 from helpers import knn_difference_tensor, toy_dataset, traced_peak, tree_predict_loop
 
@@ -89,10 +89,10 @@ class TestKnn:
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
     def test_working_memory_does_not_grow_with_the_training_rows(self):
-        # 163 queries a block against 12,800 rows, 20 against 102,400: one Gram block, its candidate
-        # mask and a few rows of temporaries, plus the norms, each time (18.1 and 18.4 MiB, 1.10-1.12
-        # budgets); a separate norm sum and partition copy beside the block made it 34.0 MiB both,
-        # and 256-query blocks 53 and 426 MiB
+        # 40 queries a block against 12,800 distinct rows, 5 against 102,400: beyond the norms, 8 bytes a
+        # distinct row, one Gram block with its candidate mask and a few rows of temporaries each time (1.12
+        # and 1.18 budgets; 18.1 and 18.4 MiB under a 16 MiB budget). A separate norm sum and partition copy
+        # beside the block made it twice the block, and 256-query blocks 53 and 426 MiB at 16 MiB.
         rng = np.random.default_rng(0)
         queries = rng.uniform(size=(256, 16))
         train = rng.uniform(size=(8 * 12_800, 16))
@@ -100,16 +100,25 @@ class TestKnn:
         peaks = []
         for n in (12_800, 8 * 12_800):
             model = knn_fit(train[:n], labels[:n])
+            assert len(model.distinct) == n
             _, peak = traced_peak(lambda: knn_predict(model, queries, k=12))
-            peaks.append(peak)
-            assert peak <= 1.5 * KNN_BLOCK_BYTES + 8 * n, (n, peak)
+            peaks.append(peak - 8 * n)
+            assert peak - 8 * n <= 1.3 * KNN_BLOCK_BYTES, (n, peak)
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    @staticmethod
+    def tied_rows(n, width):
+        """n distinct permutations of arange(width) / width: every row lies at one exact distance from any query
+        c * ones(width) whose terms (i / width - c) ** 2 and their sums are exact, as for c = 1/2 and 1/4."""
+        x = np.random.default_rng(width).permuted(np.tile(np.arange(width) / width, (n, 1)), axis=1)
+        assert len(np.unique(x, axis=0)) == n
+        return x
+
     def test_re_rank_holds_under_48_bytes_a_candidate(self):
-        # every row ties, so all 200,000 (query, row) pairs are candidates: 38.5 bytes each (their query, row,
-        # distance and sort order, plus one group of difference rows), against 156 bytes with every
-        # candidate's difference row held at once
-        x = np.tile(np.arange(16.0) / 16, (100_000, 1))
+        # every distinct row ties, so all 200,000 (query, row) pairs are candidates: 36.1 bytes each (the norms,
+        # and each member's index, distance, query and sort order), against 156 bytes with every candidate's
+        # difference row held at once
+        x = self.tied_rows(100_000, 16)
         model = knn_fit(x, (np.arange(100_000) % 2).astype(np.uint8))
         queries = np.array([[0.5] * 16, [0.25] * 16])
         (labels, votes), peak = traced_peak(lambda: knn_predict(model, queries, k=3))
@@ -117,17 +126,46 @@ class TestKnn:
         assert peak <= 48 * len(queries) * len(x), peak
 
     def test_re_rank_memory_does_not_grow_with_the_width(self):
-        # all 40,000 pairs tie: 3.08 MiB at both widths, against 6.65 and 21.3 MiB with every candidate's
-        # difference row held at once
+        # all 40,000 pairs tie: 1.57 and 1.58 MiB at widths 16 and 64, against 6.65 and 21.3 MiB with every
+        # candidate's difference row held at once
         peaks = []
         for width in (16, 64):
-            x = np.tile(np.arange(width) / width, (20_000, 1))
+            x = self.tied_rows(20_000, width)
             model = knn_fit(x, (np.arange(20_000) % 2).astype(np.uint8))
             queries = np.array([[0.5] * width, [0.25] * width])
             (labels, _), peak = traced_peak(lambda: knn_predict(model, queries, k=3))
             assert labels.tolist() == [0, 0]
             peaks.append(peak)
         assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_fit_keeps_each_distinct_value_with_its_members_in_order(self):
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -0.0], [0.0, 1.0], [2.0, 2.0], [-0.0, 1.0], [1.0, 0.0]])
+        model = knn_fit(x, np.zeros(7))
+        groups = [model.members[a:b].tolist() for a, b in zip(model.starts[:-1], model.starts[1:])]
+        assert sorted(groups) == [[0, 2, 6], [1, 3, 5], [4]]
+        for value, members in zip(model.distinct, groups):
+            assert (x[members] == value).all()
+
+    @pytest.mark.parametrize("levels", [None, 3])
+    def test_fit_allocates_under_its_budget(self, levels):
+        # 2.21x and 2.20x the rows' bytes with all 12,800 rows distinct and with 81 distinct values (2.20x at
+        # 102,400 rows): the model's copy of the rows, their sorted copy and its comparison mask
+        rng = np.random.default_rng(1)
+        x = rng.uniform(size=(12_800, 16)) if levels is None else rng.integers(0, levels, size=(12_800, 16)) / levels
+        if levels:
+            x[:, 4:] = 0
+        _, peak = traced_peak(lambda: knn_fit(x, (x[:, 0] > 0.5).astype(np.uint8)))
+        assert peak <= 2.4 * x.nbytes, peak / x.nbytes
+
+    @pytest.mark.parametrize("width", [1, 15, 17, 20])
+    def test_rows_of_another_width_are_refused(self, width):
+        x = np.random.default_rng(2).uniform(size=(30, 16))
+        y = (x[:, 0] > 0.5).astype(np.uint8)
+        message = rf"^expected 16-wide feature rows, got shape \(3, {width}\)$"
+        with pytest.raises(WidthMismatch, match=message):
+            knn_predict(knn_fit(x, y), np.zeros((3, width)), k=3)
+        with pytest.raises(WidthMismatch, match=message):
+            tree_predict(tree_fit(x, y, max_depth=3), np.zeros((3, width)))
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(NonFiniteInput):
@@ -166,6 +204,28 @@ class TestKnn:
         model = knn_fit(np.array(train) * scale, np.array(y, dtype=np.uint8))
         q = np.array(queries) * scale
         for k in range(1, n + 1):
+            with patch.object(baselines, "KNN_BLOCK_BYTES", budget):
+                labels, votes = knn_predict(model, q, k=k)
+            want_labels, want_votes = knn_difference_tensor(model, q, k=k)
+            assert labels.tobytes() == want_labels.tobytes()
+            assert votes.tobytes() == want_votes.tobytes()
+
+    @given(data=st.data())
+    def test_duplicated_training_rows_match_difference_tensor(self, data):
+        """Few distinct training values, each held by many rows: conflicting labels, -0.0 beside 0.0, ties across
+        distinct values, and k above the number of distinct values."""
+        width = data.draw(st.sampled_from([1, 2, 16]))
+        row = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), min_size=width, max_size=width)
+        pool = data.draw(st.lists(row, min_size=1, max_size=5))
+        train = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))]
+        y = data.draw(st.lists(st.integers(0, 1), min_size=len(train), max_size=len(train)))
+        queries = pool + data.draw(st.lists(row, min_size=1, max_size=8))
+        scale = data.draw(st.sampled_from([1.0, 1 / 3, 3e-161, 1e160]))
+        budget = data.draw(st.one_of(st.integers(1, 2**10), st.just(KNN_BLOCK_BYTES)))
+        model = knn_fit(np.array(train) * scale, np.array(y, dtype=np.uint8))
+        assert len(model.distinct) <= len(pool)
+        q = np.array(queries) * scale
+        for k in range(1, len(train) + 1):
             with patch.object(baselines, "KNN_BLOCK_BYTES", budget):
                 labels, votes = knn_predict(model, q, k=k)
             want_labels, want_votes = knn_difference_tensor(model, q, k=k)

@@ -5,14 +5,16 @@ import pytest
 from helpers import toy_dataset, traced_peak
 
 from canids.baselines import build_mlp
-from canids.nncore import Adam, Conv1D, Dense, Network, one_hot
+from canids.nncore import Adam, Conv1D, Dense, Network, WidthMismatch, one_hot
 from canids.plenet import (
+    PREDICT_BLOCK,
     DimensionMismatch,
     EmptyDomain,
     EmptyPartition,
     TrainConfig,
     build_plenet,
     clone_model,
+    decide,
     mmd_distance,
     predict,
     train,
@@ -83,13 +85,37 @@ class TestPredict:
         _, labels = predict(net, np.random.default_rng(4).uniform(size=(5, 16)))
         assert labels.tolist() == [1] * 5
 
-    @pytest.mark.parametrize("builder, kib_a_row", [(build_plenet, 7.0), (build_mlp, 1.5)])
-    def test_memory_per_row(self, builder, kib_a_row):
-        # traced 5.79 and 1.15 KiB a row; 10.48 and 2.21 when each ReLU kept a second 500- or 68-wide copy
+    @pytest.mark.parametrize("builder, mib", [(build_plenet, 11.0), (build_mlp, 2.5)])
+    def test_memory_does_not_grow_with_the_rows(self, builder, mib):
+        # 9.85 and 10.12 MiB traced for plenet, 1.83 and 2.10 for the MLP: one 1,024-row pass, the layers'
+        # cached activations of the block before it and the output; one pass over every row took 5.8 and 1.2
+        # KiB a row (22.6 MiB for plenet at 4,000 rows)
         net = builder(seed=1)
-        rows = np.random.default_rng(5).uniform(size=(2_000, 16))
-        _, peak = traced_peak(lambda: predict(net, rows))
-        assert peak <= kib_a_row * 1024 * len(rows), peak / 1024 / len(rows)
+        for n in (2_000, 20_000):
+            rows = np.random.default_rng(5).uniform(size=(n, 16))
+            _, peak = traced_peak(lambda: predict(net, rows))
+            assert peak <= mib * 2**20, (n, peak / 2**20)
+
+    @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
+    def test_long_calls_run_zero_padded_blocks(self, builder):
+        net = builder(seed=2)
+        rows = np.random.default_rng(6).uniform(size=(2 * PREDICT_BLOCK + 300, 16))
+        for n in (0, 1, 700, PREDICT_BLOCK):
+            probs, labels = predict(net, rows[:n])
+            assert probs.tobytes() == net.forward(net.layers[0].layout_rows(rows[:n])).tobytes()
+            assert labels.tobytes() == decide(probs).tobytes()
+        for n in (PREDICT_BLOCK + 1, len(rows)):
+            padded = np.zeros((3 * PREDICT_BLOCK, 16))
+            padded[:n] = rows[:n]
+            want = np.concatenate([net.forward(net.layers[0].layout_rows(block))
+                                   for block in np.split(padded, 3)])[:n]
+            assert predict(net, rows[:n])[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 15, 17, 18, 19, 20, 32])
+    @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
+    def test_rows_of_another_width_are_refused(self, builder, width):
+        with pytest.raises(WidthMismatch, match=rf"^expected 16-wide feature rows, got shape \(2, {width}\)$"):
+            predict(builder(seed=3), np.zeros((2, width)))
 
     @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
     def test_empty_batch(self, builder):
