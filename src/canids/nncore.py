@@ -3,8 +3,21 @@
 Sized for networks of ~10^4 parameters. Convolution is valid-padding
 cross-correlation; pooling uses non-overlapping windows of two with the
 trailing odd element dropped and ties resolved toward the earlier index.
-Every layer caches what its backward pass needs, and all backward passes
-are exact gradients verifiable against central finite differences.
+All backward passes are exact gradients verifiable against central finite
+differences.
+
+Backward caches: every ``forward`` keeps what its layer's ``backward``
+needs, and the layer names those attributes in ``cache_names``: a dense
+layer's input ``_x``, a convolution's gathered ``_windows``, a pool's
+``_first``/``_second`` halves and a ReLU's or softmax's output ``_out``.
+They stay alive until the next ``forward`` replaces them or
+``Network.drop_caches`` releases them; ``backward`` needs the caches of
+the ``forward`` just before it.
+A pass that is not followed by a backward drops them before it returns:
+``plenet.predict`` after every pass, so a scored model holds no
+activations, and ``grad_check`` and ``boundary_margin`` after their
+probes. Training's own forward passes keep theirs for the step's
+backward.
 
 Trainable layers share one base, ``_Affine``: the output is
 ``affine_input(x) @ weight_matrix(w) + b``, where a dense layer's input and
@@ -152,11 +165,13 @@ class Layer:
     """Forward/backward pair; trainable layers carry weight and bias arrays.
 
     A trainable layer names its parameter attributes in ``param_names``;
-    the gradient of parameter ``w`` lives in ``gw``.
+    the gradient of parameter ``w`` lives in ``gw``. Every layer names the
+    attributes its ``forward`` keeps for ``backward`` in ``cache_names``.
     """
 
     trainable = False
     param_names: tuple[str, ...] = ()
+    cache_names: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -212,6 +227,8 @@ class _Affine(Layer):
 
 class Conv1D(_Affine):
     """Valid cross-correlation: out[t, f] = b[f] + sum_{k,c} w[f,k,c] x[t+k,c]."""
+
+    cache_names = ("_windows",)
 
     def __init__(self, in_channels: int, filters: int, kernel_size: int, rng: np.random.Generator | None = None):
         if filters < 1 or kernel_size < 1 or in_channels < 1:
@@ -277,6 +294,8 @@ class Conv1D(_Affine):
 class MaxPool1D(Layer):
     """Window-2 stride-2 max pooling; odd trailing element is dropped."""
 
+    cache_names = ("_first", "_second")
+
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] < 2:
             raise ShapeMismatch(f"expected (batch, length >= 2, channels), got {x.shape}")
@@ -317,6 +336,8 @@ class Flatten(Layer):
 class Dense(_Affine):
     """Affine map out = x @ w + b with w of shape (in_units, out_units)."""
 
+    cache_names = ("_x",)
+
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
         if in_units < 1 or out_units < 1:
             raise ValueError("dense dimensions must be positive")
@@ -351,6 +372,8 @@ class ReLU(Layer):
     caller's.
     """
 
+    cache_names = ("_out",)
+
     def forward(self, x, in_place=False):
         self._out = np.maximum(x, 0.0, out=x if in_place else None)
         return self._out
@@ -365,6 +388,8 @@ class ReLU(Layer):
 
 
 class Softmax(Layer):
+    cache_names = ("_out",)
+
     def forward(self, x):
         self._out = softmax(x)
         return self._out
@@ -448,6 +473,12 @@ class Network:
         for layer in self.layers[: updated[0] : -1]:
             grad = layer.backward(grad)
         self.layers[updated[0]].backward(grad, input_grad=False)
+
+    def drop_caches(self) -> None:
+        """Release what every layer's last ``forward`` kept for ``backward`` (see the module docstring)."""
+        for layer in self.layers:
+            for name in layer.cache_names:
+                vars(layer).pop(name, None)
 
     def trainable_layers(self) -> list[Layer]:
         return [l for l in self.layers if l.trainable]
@@ -580,6 +611,7 @@ def boundary_margin(network: Network, x: np.ndarray) -> float:
     use this to apply the exclusion rule rather than chase phantom errors.
     Pool windows holding two exact zeros are ignored: both elements are stuck
     at a clamped ReLU output, so the tie cannot move under perturbation.
+    The layers keep no activations afterwards.
     """
     margin = np.inf
     for layer in network.layers:
@@ -593,6 +625,7 @@ def boundary_margin(network: Network, x: np.ndarray) -> float:
             if live.any():
                 margin = min(margin, float(gaps[live].min()))
         x = layer.forward(x)
+    network.drop_caches()
     return margin
 
 
@@ -626,7 +659,8 @@ def grad_check(network: Network, inputs: np.ndarray, labels: np.ndarray, h: floa
     output instead of re-running it, and upstream activations are reused
     untouched; every layer takes this one path through its ``affine_input``
     and ``weight_matrix``. Probes are evaluated ``PROBE_BLOCK`` coordinates at a
-    time by stacking them along the batch axis of the tail network.
+    time by stacking them along the batch axis of the tail network. The
+    layers keep none of the probes' activations afterwards.
     """
     targets = one_hot(labels)
     network.zero_grads()
@@ -683,4 +717,5 @@ def grad_check(network: Network, inputs: np.ndarray, labels: np.ndarray, h: floa
                 ga = flat_g[cols]
                 rel = np.abs(ga - numeric) / np.maximum(np.abs(ga) + np.abs(numeric), 1e-8)
                 worst = max(worst, float(rel.max()))
+    network.drop_caches()
     return worst

@@ -36,6 +36,22 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def traced_residue(call):
+    """Bytes ``tracemalloc`` still traces after ``call()`` returns and its result is dropped."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def cached_activations(net):
+    """The backward caches (``Layer.cache_names``) a network's layers still hold."""
+    return [name for layer in net.layers for name in layer.cache_names if hasattr(layer, name)]
+
+
 def toy_dataset(n=200, seed=0, gap=0.6):
     """Linearly separable two-cluster data in the 16-wide feature layout."""
     rng = np.random.default_rng(seed)

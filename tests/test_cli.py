@@ -297,9 +297,10 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: k={n_train + 1} with {n_train} training rows\n"
 
     def test_compare_peaks_no_higher_than_evaluate(self, tmp_path):
-        # Both peak in plenet's 1,024-row forward passes over the 4,000 test rows (10.97 and 10.98 MiB traced;
-        # 24.1 and 24.4 MiB as one pass over all of them, 42.4 and 42.7 MiB when each ReLU also kept a second
-        # copy). A trained CNN still alive while KNN ran added KNN's blocks on top: 53.6 MiB.
+        # Both peak in plenet's 1,024-row forward passes over the 4,000 test rows (7.07 and 7.08 MiB traced;
+        # 10.97 and 10.98 MiB while the layers kept the block before, 24.1 and 24.4 MiB as one pass over all
+        # of them, 42.4 and 42.7 MiB when each ReLU also kept a second copy). A trained CNN still alive while
+        # KNN ran added KNN's blocks on top: 53.6 MiB.
         rng = np.random.default_rng(0)
         parts = []
         for n in (2_560, 256, 4_000):

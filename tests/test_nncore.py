@@ -30,7 +30,7 @@ from canids.nncore import (
 from canids import nncore
 from canids.baselines import build_mlp
 from canids.plenet import build_plenet, predict
-from helpers import legacy_grad_check, legacy_network_forward
+from helpers import cached_activations, legacy_grad_check, legacy_network_forward, traced_residue
 
 
 def finite_difference(loss_fn, array, h=1e-5):
@@ -445,6 +445,19 @@ class TestGradCheckProbePath:
 
         layer.backward = wrong_backward
         assert grad_check(net, x, y) > 1e-3
+
+
+class TestProbesLeaveNoActivations:
+    """``boundary_margin`` and ``grad_check`` drop the layers' caches of their passes before returning."""
+
+    @pytest.mark.parametrize("build", [build_plenet, build_mlp])
+    @pytest.mark.parametrize("probe, rows", [(boundary_margin, 256), (grad_check, 8)])
+    def test_memory_left_traced_is_small(self, build, probe, rows):
+        # grad_check on 8 plenet rows used to leave 6.8 MiB of extended-precision probe batches in the layers
+        net, x, y = TestGradCheckProbePath.jittered(build, 0, batch=rows)
+        args = (net, x, y) if probe is grad_check else (net, x)
+        assert traced_residue(lambda: probe(*args)) < 64 * 2**10
+        assert not cached_activations(net)
 
 
 class TestForwardInPlace:

@@ -22,7 +22,7 @@ from canids.nncore import (
     cross_entropy,
     one_hot,
 )
-from canids.plenet import TrainConfig, build_plenet, clone_model, train, transfer_finetune
+from canids.plenet import PREDICT_BLOCK, TrainConfig, build_plenet, clone_model, predict, train, transfer_finetune
 from helpers import (
     legacy_conv_backward,
     legacy_conv_forward,
@@ -82,6 +82,47 @@ class TestBitExactTraining:
         assert current == legacy
         conv_size = sum(l.param_count() for l in source.layers if isinstance(l, Conv1D))
         assert current[0][: 8 * conv_size] == source.param_buffer[:conv_size].tobytes()
+
+
+class TestScoringBetweenSteps:
+    """``predict`` after every backward pass leaves training byte-equal to the legacy kernels.
+
+    The scoring runs between a step's backward pass and its Adam update,
+    once on a short call and once on a blocked one, so each drops the
+    caches of the training batch and of its own passes.
+    """
+
+    @staticmethod
+    def scoring_backward(monkeypatch, rows):
+        backward = Network.backward
+
+        def backward_then_score(self, grad):
+            backward(self, grad)
+            for n in (7, len(rows)):
+                predict(self, rows[:n])
+
+        monkeypatch.setattr(Network, "backward", backward_then_score)
+
+    @pytest.mark.parametrize("freeze", ["none", "conv"])
+    def test_matches_legacy_kernels(self, monkeypatch, freeze):
+        cfg = TestBitExactTraining.cfg(seed=4)
+        source = build_plenet(seed=4)
+        data = toy_dataset(n=240, seed=4, gap=0.05)
+        if freeze == "conv":
+            source, _ = train(source, data, cfg)
+            data = toy_dataset(n=200, seed=54, gap=0.02)
+        rows = np.random.default_rng(4).uniform(size=(PREDICT_BLOCK + 76, 16))
+
+        def run():
+            return trained_bytes(*transfer_finetune(source, data, cfg, freeze=freeze))
+
+        with monkeypatch.context() as patch:
+            self.scoring_backward(patch, rows)
+            scored = run()
+        with monkeypatch.context() as patch:
+            legacy_kernels(patch)
+            legacy = run()
+        assert scored == legacy
 
 
 class TestPlenetConvProducts:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import toy_dataset, traced_peak
+from helpers import cached_activations, toy_dataset, traced_peak, traced_residue
 
 from canids.baselines import build_mlp
 from canids.nncore import Adam, Conv1D, Dense, Network, WidthMismatch, one_hot
@@ -85,16 +85,35 @@ class TestPredict:
         _, labels = predict(net, np.random.default_rng(4).uniform(size=(5, 16)))
         assert labels.tolist() == [1] * 5
 
-    @pytest.mark.parametrize("builder, mib", [(build_plenet, 11.0), (build_mlp, 2.5)])
+    @pytest.mark.parametrize("builder, mib", [(build_plenet, 6.5), (build_mlp, 1.75)])
     def test_memory_does_not_grow_with_the_rows(self, builder, mib):
-        # 9.85 and 10.12 MiB traced for plenet, 1.83 and 2.10 for the MLP: one 1,024-row pass, the layers'
-        # cached activations of the block before it and the output; one pass over every row took 5.8 and 1.2
-        # KiB a row (22.6 MiB for plenet at 4,000 rows)
+        # 5.95 and 6.22 MiB traced for plenet, 1.31 and 1.58 for the MLP: one 1,024-row pass and the output;
+        # 9.85 and 10.12 (1.83 and 2.10) while the layers still cached the block before it, and one pass over
+        # every row took 5.8 and 1.2 KiB a row (22.6 MiB for plenet at 4,000 rows)
         net = builder(seed=1)
         for n in (2_000, 20_000):
             rows = np.random.default_rng(5).uniform(size=(n, 16))
             _, peak = traced_peak(lambda: predict(net, rows))
             assert peak <= mib * 2**20, (n, peak / 2**20)
+
+    @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
+    def test_a_blocked_call_peaks_as_one_pass(self, builder):
+        # 1,577 rows is the transfer experiment's target test split; a second block used to run while the
+        # layers still cached the first (9.83 against 5.79 MiB for plenet at 1,025 rows)
+        net = builder(seed=1)
+        rows = np.random.default_rng(5).uniform(size=(1_577, 16))
+        _, one_pass = traced_peak(lambda: predict(net, rows[:PREDICT_BLOCK]))
+        for n in (PREDICT_BLOCK + 1, 1_577):
+            _, peak = traced_peak(lambda: predict(net, rows[:n]))
+            assert peak <= one_pass + 2**19, (n, peak / 2**20, one_pass / 2**20)
+
+    @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
+    def test_a_scored_model_keeps_no_activations(self, builder):
+        net = builder(seed=1)
+        rows = np.random.default_rng(5).uniform(size=(1_577, 16))
+        for n in (0, 5, PREDICT_BLOCK, 1_577):
+            assert traced_residue(lambda: predict(net, rows[:n])) < 64 * 2**10, n
+            assert not cached_activations(net), n
 
     @pytest.mark.parametrize("builder", [build_plenet, build_mlp])
     def test_long_calls_run_zero_padded_blocks(self, builder):
@@ -171,6 +190,11 @@ class TestTrain:
         _, val_acc = _evaluate(model, data.val_x, data.val_y)
         assert val_acc == max(history.val_acc)
         assert history.best_epoch == history.val_acc.index(max(history.val_acc))
+
+    def test_a_trained_model_keeps_no_activations(self):
+        # the last step's caches go with the first validation batch, and validation's with each pass
+        model, _ = train(build_plenet(seed=2), toy_dataset(n=120, seed=10), TrainConfig(epochs=2, batch_size=16))
+        assert not cached_activations(model)
 
     def test_early_stopping_cuts_run_short(self):
         data = toy_dataset(n=200, seed=11)
