@@ -27,7 +27,7 @@ class KTooLarge(ValueError):
 
 
 class NonFiniteInput(ValueError):
-    """KNN features contain NaN or infinity."""
+    """KNN or tree features contain NaN or infinity."""
 
 
 # ---------------------------------------------------------------------------
@@ -256,44 +256,35 @@ class TreeNode:
 
 
 def _gini(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        p = np.where(total > 0, pos / np.maximum(total, 1), 0.0)
+    p = pos / total
     return 2 * p * (1 - p)
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float, float] | None:
-    """Lowest weighted-Gini split over midpoints of consecutive unique values."""
-    n = len(y)
-    best = None
-    for feature in range(x.shape[1]):
-        order = np.argsort(x[:, feature], kind="stable")
-        values = x[order, feature]
-        labels = y[order].astype(np.float64)
-        pos_left = np.cumsum(labels)[:-1]
-        count_left = np.arange(1, n)
-        pos_right = labels.sum() - pos_left
+def _best_split(columns: list, idx: np.ndarray, ys: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
+    """Lowest weighted-Gini (feature, threshold) for rows ``idx`` at midpoints of consecutive values present among
+    them; ``columns[f]`` holds feature f's sorted distinct values and each training row's index into them."""
+    n = len(ys)
+    best, best_score = None, np.inf
+    for feature, (values, codes) in enumerate(columns):
+        node = codes[idx]
+        total = np.bincount(node)
+        present = np.flatnonzero(total)
+        count_left = np.cumsum(total[present])[:-1]
+        pos = np.cumsum(np.bincount(node, weights=ys)[present])
         count_right = n - count_left
-        # splits are only valid between distinct neighboring values
-        distinct = values[1:] != values[:-1]
-        valid = distinct & (count_left >= min_leaf) & (count_right >= min_leaf)
+        valid = (count_left >= min_leaf) & (count_right >= min_leaf)
         if not valid.any():
             continue
         weighted = (
-            count_left * _gini(pos_left, count_left)
-            + count_right * _gini(pos_right, count_right)
+            count_left * _gini(pos[:-1], count_left)
+            + count_right * _gini(pos[-1] - pos[:-1], count_right)
         ) / n
         weighted = np.where(valid, weighted, np.inf)
         i = int(np.argmin(weighted))
-        if best is None or weighted[i] < best[2]:
-            threshold = (values[i] + values[i + 1]) / 2
-            best = (feature, threshold, float(weighted[i]))
+        if weighted[i] < best_score:
+            below, above = values[present[i : i + 2]]
+            best, best_score = (feature, (below + above) / 2), weighted[i]
     return best
-
-
-def _leaf(y: np.ndarray) -> TreeNode:
-    pos = int(y.sum())
-    neg = len(y) - pos
-    return TreeNode(label=1 if pos >= neg else 0, counts=(neg, pos))
 
 
 MAX_DEPTH = Range("max_depth", 0)
@@ -306,7 +297,7 @@ def tree_fit(
     """Greedy binary CART minimizing weighted Gini impurity.
 
     Stops on purity, depth, or the minimum-leaf constraint; leaves predict
-    the majority class with ties going to attack.
+    the majority class with ties going to attack. Nodes count rows per value code.
     """
     MAX_DEPTH.check(max_depth)
     MIN_LEAF.check(min_leaf)
@@ -314,19 +305,24 @@ def tree_fit(
     y = np.asarray(train_y, dtype=np.uint8)
     if len(x) == 0:
         raise EmptyTrainingSet("decision tree needs at least one training row")
+    _require_finite("training rows", x)
+    columns = []
+    for column in x.T:
+        values, codes = np.unique(column, return_inverse=True)
+        columns.append((values, codes.astype(np.min_scalar_type(len(values) - 1))))
+    del codes  # the last feature's wide codes, which grow would otherwise hold
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         ys = y[idx]
-        if depth >= max_depth or len(idx) < 2 * min_leaf or len(np.unique(ys)) == 1:
-            return _leaf(ys)
-        split = _best_split(x[idx], ys, min_leaf)
+        pos = int(ys.sum())
+        node = TreeNode(label=1 if 2 * pos >= len(ys) else 0, counts=(len(ys) - pos, pos))
+        if depth >= max_depth or len(idx) < 2 * min_leaf or 0 in node.counts:
+            return node
+        split = _best_split(columns, idx, ys, min_leaf)
         if split is None:
-            return _leaf(ys)
-        feature, threshold, _ = split
-        mask = x[idx, feature] <= threshold
-        node = _leaf(ys)
-        node.feature = feature
-        node.threshold = threshold
+            return node
+        node.feature, node.threshold = split
+        mask = x[idx, node.feature] <= node.threshold
         node.left = grow(idx[mask], depth + 1)
         node.right = grow(idx[~mask], depth + 1)
         return node
@@ -339,9 +335,10 @@ def tree_fit(
 def tree_predict(tree: TreeNode, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hard labels plus the attack fraction of each query's leaf; queries go down as index sets.
 
-    Queries of another width than the tree was fit on raise ``WidthMismatch``.
+    Queries of another width than the tree was fit on raise ``WidthMismatch``, non-finite ones ``NonFiniteInput``.
     """
     queries = check_width(np.atleast_2d(np.asarray(queries, dtype=np.float64)), tree.width)
+    _require_finite("queries", queries)
     labels = np.empty(len(queries), dtype=np.uint8)
     scores = np.empty(len(queries))
     pending = [(tree, np.arange(len(queries)))]

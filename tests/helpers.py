@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from canids import canbus, ingest
+from canids import baselines, canbus, ingest
 from canids.canbus import MAX_DLC, MAX_STD_ID, EmptySpoofTargets, RawRecord, WindowOutOfRange
 from canids.experiments import desk_attacks, desk_profile
 from canids.ingest import (
@@ -129,6 +129,77 @@ def tree_predict_loop(tree, queries):
         neg, pos = node.counts
         scores[i] = pos / (neg + pos) if neg + pos else 0.5
     return labels, scores
+
+
+def tree_fit_argsort(train_x, train_y, max_depth=10, min_leaf=1):
+    """Reference tree fit: every node copies its rows and argsorts each feature, splitting between distinct
+    neighbors at the first lowest weighted Gini."""
+    x = np.asarray(train_x, dtype=np.float64)
+    y = np.asarray(train_y, dtype=np.uint8)
+
+    def gini(pos, total):
+        with np.errstate(invalid="ignore"):
+            p = np.where(total > 0, pos / np.maximum(total, 1), 0.0)
+        return 2 * p * (1 - p)
+
+    def best_split(x, y):
+        n = len(y)
+        best = None
+        for feature in range(x.shape[1]):
+            order = np.argsort(x[:, feature], kind="stable")
+            values = x[order, feature]
+            labels = y[order].astype(np.float64)
+            pos_left = np.cumsum(labels)[:-1]
+            count_left = np.arange(1, n)
+            pos_right = labels.sum() - pos_left
+            count_right = n - count_left
+            distinct = values[1:] != values[:-1]
+            valid = distinct & (count_left >= min_leaf) & (count_right >= min_leaf)
+            if not valid.any():
+                continue
+            weighted = (count_left * gini(pos_left, count_left) + count_right * gini(pos_right, count_right)) / n
+            weighted = np.where(valid, weighted, np.inf)
+            i = int(np.argmin(weighted))
+            if best is None or weighted[i] < best[2]:
+                best = (feature, (values[i] + values[i + 1]) / 2, float(weighted[i]))
+        return best
+
+    def leaf(ys):
+        pos = int(ys.sum())
+        neg = len(ys) - pos
+        return baselines.TreeNode(label=1 if pos >= neg else 0, counts=(neg, pos))
+
+    def grow(idx, depth):
+        ys = y[idx]
+        if depth >= max_depth or len(idx) < 2 * min_leaf or len(np.unique(ys)) == 1:
+            return leaf(ys)
+        split = best_split(x[idx], ys)
+        if split is None:
+            return leaf(ys)
+        feature, threshold, _ = split
+        mask = x[idx, feature] <= threshold
+        node = leaf(ys)
+        node.feature = feature
+        node.threshold = threshold
+        node.left = grow(idx[mask], depth + 1)
+        node.right = grow(idx[~mask], depth + 1)
+        return node
+
+    root = grow(np.arange(len(y)), 0)
+    root.width = x.shape[1]
+    return root
+
+
+def tree_fields(tree):
+    """Every node of a tree in pre-order as (feature, threshold bytes, label, counts, width, is_leaf)."""
+    fields, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        threshold = np.float64(node.threshold).tobytes()
+        fields.append((node.feature, threshold, node.label, node.counts, node.width, node.is_leaf))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return fields
 
 
 class LegacyAdam:

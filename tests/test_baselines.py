@@ -2,7 +2,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids import baselines
@@ -20,7 +20,7 @@ from canids.baselines import (
 )
 from canids.nncore import WidthMismatch, boundary_margin, grad_check, jitter_parameters
 from canids.plenet import TrainConfig, train
-from helpers import knn_difference_tensor, toy_dataset, traced_peak, tree_predict_loop
+from helpers import knn_difference_tensor, toy_dataset, traced_peak, tree_fields, tree_fit_argsort, tree_predict_loop
 
 
 def knn_oracle(train_x, train_y, query, k):
@@ -307,13 +307,71 @@ class TestDecisionTree:
                 thresholds.append(node.threshold)
                 stack += [node.left, node.right]
         on_thresholds = np.resize(thresholds or [0.5], (60, 6))
-        queries = np.vstack([x, rng.uniform(size=(200, 6)), on_thresholds, np.full((1, 6), np.nan)])
+        queries = np.vstack([x, rng.uniform(size=(200, 6)), on_thresholds])
         for q in (queries, queries[:0], queries[7]):
             labels, scores = tree_predict(tree, q)
             want_labels, want_scores = tree_predict_loop(tree, q)
             assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
             assert scores.tobytes() == want_scores.tobytes()
 
+
+    def test_non_finite_training_rows_are_refused(self):
+        with pytest.raises(NonFiniteInput, match="^training rows contain NaN or infinity$"):
+            tree_fit([[np.nan], [0.0], [1.0], [np.nan]], [1, 0, 1, 0])
+        with pytest.raises(NonFiniteInput, match="^training rows contain NaN or infinity$"):
+            tree_fit([[0.0, -np.inf], [1.0, 0.0]], [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_queries_are_refused(self, bad):
+        tree = tree_fit([[0.0], [1.0]], [0, 1])
+        with pytest.raises(NonFiniteInput, match="^queries contain NaN or infinity$"):
+            tree_predict(tree, [[0.5], [bad]])
+
+    # Per-feature value pools: heavy ties, -0.0 beside 0.0, adjacent floats whose midpoint rounds onto the
+    # right-hand value (1 + eps and 1 + 2 eps; one and two subnormal steps), and values whose midpoint overflows
+    # to an infinite threshold, which sends every row left.
+    POOLS = (
+        (0.0, 1.0, 2.0),
+        (-1.0, -0.0, 0.0, 0.5),
+        (1.0, 1 + 2**-52, 1 + 2**-51, 1 + 3 * 2**-52),
+        (0.0, 5e-324, 1e-323, 1.5e-323),
+        (-1e308, 1.5e308, np.finfo(np.float64).max),
+    )
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_equals_argsort_reference_node_for_node(self, data):
+        n = data.draw(st.integers(1, 16))
+        columns = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            pool = data.draw(st.sampled_from(self.POOLS))
+            pool = pool[: data.draw(st.integers(1, len(pool)))]  # one value makes a constant feature
+            columns.append(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        x = np.array(columns).T
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+        depth = data.draw(st.integers(0, 5))
+        for min_leaf in range(1, n + 1):
+            with np.errstate(over="ignore"):
+                want = tree_fields(tree_fit_argsort(x, y, depth, min_leaf))
+                assert tree_fields(tree_fit(x, y, depth, min_leaf)) == want
+
+    def test_threshold_rounded_onto_the_right_hand_value_sends_it_left(self):
+        x = np.array([[1 + 2**-52], [1 + 2**-51], [1 + 3 * 2**-52]])
+        tree = tree_fit(x, [0, 1, 1], max_depth=1)
+        assert tree.feature == 0 and tree.threshold == x[1, 0]  # the midpoint of x[0] and x[1] rounds to x[1]
+        assert tree.left.counts == (1, 1) and tree.right.counts == (0, 1)
+        assert tree_fields(tree) == tree_fields(tree_fit_argsort(x, [0, 1, 1], max_depth=1))
+
+    @pytest.mark.parametrize("distinct, budget", [(None, 2.3), (256, 0.6)])
+    def test_fit_allocates_under_its_budget(self, distinct, budget):
+        # 2.10x and 0.52x the rows' bytes with every value distinct and with 256 values a feature: the narrow
+        # value codes, each node's code counts and the row indices down one path of the tree. Copying every
+        # node's rows and argsorting them took 2.56x and 1.90x.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(12_800, 16)) if distinct is None else rng.integers(0, distinct, size=(12_800, 16)) / 255
+        y = ((x[:, 0] > 0.5) ^ (x[:, 1] > 0.3) | (rng.uniform(size=len(x)) < 0.1)).astype(np.uint8)
+        _, peak = traced_peak(lambda: tree_fit(x, y, max_depth=10, min_leaf=5))
+        assert peak <= budget * x.nbytes, peak / x.nbytes
 
 class TestMlp:
     def test_parameter_count_from_layer_formulas(self):
