@@ -37,7 +37,7 @@ class NonFiniteInput(ValueError):
 
 @dataclass
 class KnnModel:
-    """The training rows and labels, and the rows' distinct values.
+    """The training rows (the caller's array, not a copy) and labels, and the rows' distinct values.
 
     The training indices holding ``distinct[j]`` (under ``==``, so -0.0
     and 0.0 are one value) are ``members[starts[j] : starts[j + 1]]``, in
@@ -64,15 +64,14 @@ def knn_fit(train_x: np.ndarray, train_y: np.ndarray) -> KnnModel:
     if len(train_x) != len(train_y):
         raise ValueError("features and labels differ in length")
     _require_finite("training rows", train_x)
-    x = train_x.copy()
-    members = np.lexsort(x.T[::-1])  # stable, so each value's indices stay ascending
-    ordered = x[members]
-    new = np.empty(len(x), dtype=bool)
+    members = np.lexsort(train_x.T[::-1])  # stable, so each value's indices stay ascending
+    ordered = train_x[members]
+    new = np.empty(len(train_x), dtype=bool)
     new[0] = True
     np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
     del ordered
     starts = np.flatnonzero(new)
-    return KnnModel(x, train_y.copy(), x[members[starts]], members, np.append(starts, len(x)))
+    return KnnModel(train_x, train_y.copy(), train_x[members[starts]], members, np.append(starts, len(train_x)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -282,8 +281,9 @@ def _best_split(columns: list, idx: np.ndarray, ys: np.ndarray, min_leaf: int) -
         weighted = np.where(valid, weighted, np.inf)
         i = int(np.argmin(weighted))
         if weighted[i] < best_score:
-            below, above = values[present[i : i + 2]]
-            best, best_score = (feature, (below + above) / 2), weighted[i]
+            below, above = values[present[i : i + 2]].tolist()
+            mid = (below + above) / 2  # halving first would move subnormal midpoints, so only an overflow does
+            best, best_score = (feature, mid if np.isfinite(mid) else below / 2 + above / 2), weighted[i]
     return best
 
 

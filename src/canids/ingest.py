@@ -669,15 +669,6 @@ class NormalizationParams:
             raise ValueError("feature max must be >= feature min")
 
 
-def _scale_in_place(x: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """``x`` (float64, last axis the features) min-max scaled in place, and returned."""
-    span = params.maxs - params.mins
-    x -= params.mins
-    x /= np.where(span == 0, 1.0, span)
-    x[..., span == 0] = 0.0
-    return np.clip(x, 0.0, 1.0, out=x)
-
-
 def kind_codes(names: Sequence[str], path: str | Path) -> np.ndarray:
     """Each name's uint8 code into ``KIND_NAMES``; any other name raises ``UnknownKind`` naming the sidecar ``path``."""
     unknown = sorted(set(names) - _KIND_CODES.keys())
@@ -786,15 +777,6 @@ def _fit_features(can_id: np.ndarray, dlc: np.ndarray) -> NormalizationParams:
     return NormalizationParams(mins, maxs)
 
 
-def _raw_features(table: RecordTable, rows: np.ndarray) -> np.ndarray:
-    """The unscaled (n, 16) float64 features of the rows ``rows`` indexes, in its order."""
-    raw = np.zeros((len(rows), N_FEATURES))
-    raw[:, 0] = table.can_id[rows]
-    raw[:, 1] = table.dlc[rows]
-    raw[:, 2 : 2 + PAYLOAD_WIDTH] = table.payload[rows]
-    return raw
-
-
 @dataclass
 class PreparedDataset:
     """Encoded, normalized partitions plus the parameters that produced them."""
@@ -847,8 +829,8 @@ def split_dataset(
     rows become validation. Normalization is fitted on the final training
     rows only and applied to all partitions.
 
-    The features of all rows are encoded once, in shuffled order, into one
-    (N, 16) buffer scaled in place; the three partitions are row slices of it.
+    Each feature is written once, already scaled and in shuffled order, into
+    one (N, 16) buffer; the three partitions are row slices of it.
     """
     TEST_FRACTION.check(test_fraction)
     VAL_FRACTION.check(val_fraction)
@@ -860,9 +842,23 @@ def split_dataset(
     n_val = math.floor(val_fraction * (n - n_test))
     test, val, train = slice(0, n_test), slice(n_test, n_test + n_val), slice(n_test + n_val, n)
 
-    x = _raw_features(table, perm)
-    params = _fit_features(x[train, 0], x[train, 1])
-    _scale_in_place(x, params)
+    params = _fit_features(table.can_id[perm[train]], table.dlc[perm[train]])
+    # Each block is cast into the buffer by assignment and scaled in place there: a ufunc writing through out=
+    # would add its casting buffers to the peak that the buffer and one gathered column set.
+    x = np.zeros((n, N_FEATURES))  # padding columns stay 0
+    for j, column in enumerate((table.can_id, table.dlc)):
+        lo, hi = int(params.mins[j]), int(params.maxs[j])
+        if hi > lo:  # a constant column stays 0
+            # Identifiers (29 bits) and DLCs are exact in float64, so clipping to [lo, hi] and shifting by lo
+            # in int64 give clip((v - lo) / (hi - lo), 0, 1) bit for bit.
+            shifted = column[perm]
+            np.clip(shifted, lo, hi, out=shifted)
+            shifted -= lo
+            x[:, j] = shifted
+            del shifted  # before the next column is gathered
+            x[:, j] /= hi - lo
+    x[:, 2 : 2 + PAYLOAD_WIDTH] = table.payload[perm]
+    x[:, 2 : 2 + PAYLOAD_WIDTH] /= 255.0  # bytes lie in [0, 255]: no clip
     y, kind = table.label[perm], table.kind[perm]
     return PreparedDataset(
         x[train],

@@ -133,7 +133,8 @@ def tree_predict_loop(tree, queries):
 
 def tree_fit_argsort(train_x, train_y, max_depth=10, min_leaf=1):
     """Reference tree fit: every node copies its rows and argsorts each feature, splitting between distinct
-    neighbors at the first lowest weighted Gini."""
+    neighbors at the first lowest weighted Gini. The threshold is their midpoint, or the sum of their halves
+    where the midpoint's sum overflows."""
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_y, dtype=np.uint8)
 
@@ -161,7 +162,11 @@ def tree_fit_argsort(train_x, train_y, max_depth=10, min_leaf=1):
             weighted = np.where(valid, weighted, np.inf)
             i = int(np.argmin(weighted))
             if best is None or weighted[i] < best[2]:
-                best = (feature, (values[i] + values[i + 1]) / 2, float(weighted[i]))
+                below, above = values[i : i + 2].tolist()
+                threshold = (below + above) / 2
+                if not math.isfinite(threshold):  # the sum overflowed
+                    threshold = below / 2 + above / 2
+                best = (feature, threshold, float(weighted[i]))
         return best
 
     def leaf(ys):
@@ -910,13 +915,28 @@ def fit_feature_params(table):
     return NormalizationParams(mins, maxs)
 
 
-def encode_table(table, params):
-    """Reference encoding: (n, 16) features min-max scaled into [0, 1] (a constant one to 0), and the labels."""
-    raw = np.zeros((len(table), N_FEATURES))
-    raw[:, 0], raw[:, 1], raw[:, 2 : 2 + PAYLOAD_WIDTH] = table.can_id, table.dlc, table.payload
+def raw_features(table, rows):
+    """Reference encoder, first step: the unscaled (n, 16) float64 features of the rows ``rows`` indexes."""
+    raw = np.zeros((len(rows), N_FEATURES))
+    raw[:, 0] = table.can_id[rows]
+    raw[:, 1] = table.dlc[rows]
+    raw[:, 2 : 2 + PAYLOAD_WIDTH] = table.payload[rows]
+    return raw
+
+
+def scale_in_place(x, params):
+    """Reference encoder, second step: ``x`` (float64, last axis the features) min-max scaled in place, and
+    returned; a feature whose min equals its max scales to 0."""
     span = params.maxs - params.mins
-    x = np.where(span == 0, 0.0, (raw - params.mins) / np.where(span == 0, 1.0, span))
-    return np.clip(x, 0.0, 1.0), table.label.copy()
+    x -= params.mins
+    x /= np.where(span == 0, 1.0, span)
+    x[..., span == 0] = 0.0
+    return np.clip(x, 0.0, 1.0, out=x)
+
+
+def encode_table(table, params):
+    """Reference encoding of every row of ``table``: its (n, 16) scaled features, and its labels."""
+    return scale_in_place(raw_features(table, np.arange(len(table))), params), table.label.copy()
 
 
 GARBLES = ("blank_timestamp", "nonhex_id", "negative_dlc", "bad_payload", "unknown_label")

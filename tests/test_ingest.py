@@ -7,12 +7,14 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from canids.canbus import (
     KIND_NAMES,
+    MAX_CAN_ID,
     AttackSpec,
     CanFrame,
     EcuSpec,
@@ -56,6 +58,8 @@ from helpers import (
     desk_log_bytes,
     encode_table,
     fit_feature_params,
+    raw_features,
+    scale_in_place,
     traced_peak,
     traffic_log,
 )
@@ -528,8 +532,8 @@ class TestStudentT:
 
 
 def scaled(values, params):
-    """``values`` min-max scaled by the kernel ``split_dataset`` runs in place on its buffer."""
-    return ingest._scale_in_place(np.array(values, dtype=np.float64), params)
+    """``values`` min-max scaled by the reference encoder, which ``split_dataset`` equals bit for bit."""
+    return scale_in_place(np.array(values, dtype=np.float64), params)
 
 
 class TestMinMax:
@@ -729,13 +733,70 @@ class TestSplitDataset:
             assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
             assert kind.tobytes() == table.kind[idx].tobytes()
 
+    # Ten rows whose identifiers and DLCs rise together and whose payloads alternate all-0 and all-255 bytes.
+    # Split at fractions 0.5 and 0.5 with seed 19, the training rows are 3, 4 and 6, so test (rows 0 and 9) and
+    # validation (rows 1 and 8) each hold rows below and above the training range.
+    RAMP = RecordTable(
+        timestamp=np.arange(10.0),
+        can_id=1000 * np.arange(10),
+        dlc=np.arange(10),
+        payload=np.repeat(np.arange(10)[:, None] % 2 * 255, 8, axis=1).astype(np.uint8),
+        data_value=np.zeros(10),
+        label=np.arange(10, dtype=np.uint8) % 2,
+        kind=np.zeros(10, dtype=np.uint8),
+    )
+
+    @staticmethod
+    @st.composite
+    def tables(draw):
+        """Up to 40 rows; the identifier and the DLC each constant or drawn per row, payload bytes often 0 or 255."""
+        n = draw(st.integers(1, 40))
+
+        def column(top):
+            if draw(st.booleans()):
+                return np.full(n, draw(st.integers(0, top)))
+            return draw(arrays(np.int64, n, elements=st.integers(0, top)))
+
+        return RecordTable(
+            timestamp=np.arange(float(n)),
+            can_id=column(MAX_CAN_ID),
+            dlc=column(15),
+            payload=draw(arrays(np.uint8, (n, 8), elements=st.sampled_from((0, 255)) | st.integers(0, 255))),
+            data_value=np.zeros(n),
+            label=np.zeros(n, dtype=np.uint8),
+            kind=np.zeros(n, dtype=np.uint8),
+        )
+
+    FRACTIONS = st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.9))
+
+    @settings(max_examples=300)
+    @given(table=tables(), test_fraction=FRACTIONS, val_fraction=FRACTIONS, seed=st.integers(0, 2**32 - 1))
+    @example(table=RAMP, test_fraction=0.5, val_fraction=0.5, seed=19)
+    def test_encoding_equals_the_reference_bit_for_bit(self, table, test_fraction, val_fraction, seed):
+        perm = np.random.default_rng(seed).permutation(len(table))
+        n_test = math.floor(test_fraction * len(table))
+        n_fit = n_test + math.floor(val_fraction * (len(table) - n_test))  # training rows start here
+        if n_fit == len(table):
+            with pytest.raises(EmptyColumn):
+                split_dataset(table, test_fraction, val_fraction, seed)
+            return
+        params = fit_feature_params(table.take(perm[n_fit:]))
+        x = scale_in_place(raw_features(table, perm), params)
+        ds = split_dataset(table, test_fraction, val_fraction, seed)
+        assert ds.norm.mins.tobytes() == params.mins.tobytes() and ds.norm.maxs.tobytes() == params.maxs.tobytes()
+        assert ds.train_x.tobytes() == x[n_fit:].tobytes()
+        assert ds.val_x.tobytes() == x[n_test:n_fit].tobytes()
+        assert ds.test_x.tobytes() == x[:n_test].tobytes()
+
     def test_allocates_little_beyond_its_output(self):
         table = self.toy_table(50_000, seed=2)
         ds, peak = traced_peak(lambda: split_dataset(table, seed=2))
         output = sum(getattr(ds, name).nbytes for name in ("train_x", "train_y", "val_x", "val_y", "test_x",
                                                             "test_y", "train_kind", "val_kind", "test_kind"))
         assert output == 50_000 * (N_FEATURES * 8 + 2)
-        assert peak <= 1.25 * output, (peak, output)
+        # 1.108x: the buffer, the permutation and one gathered 8-byte column, 144 bytes a row against the output's
+        # 130; two gathered columns alive at once read 1.17x
+        assert peak <= 1.15 * output, (peak, output)
 
 
 class TestAllocationBudgets:

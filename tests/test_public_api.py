@@ -30,7 +30,8 @@ def test_removed_members_stay_removed():
     assert not hasattr(Dense(2, 2), "frozen") and not hasattr(Conv1D(1, 2, 2), "frozen")
     assert not hasattr(ingest, "fit_minmax")
     for name in ("hex_to_dec", "dec_to_hex", "data_bytes", "_ObservedMeans", "InvalidHexDigit", "SIDECAR_KINDS",
-                 "apply_minmax", "fit_feature_params", "encode_table", "UnnormalizedInput"):
+                 "apply_minmax", "fit_feature_params", "encode_table", "UnnormalizedInput", "_raw_features",
+                 "_scale_in_place"):
         assert not hasattr(ingest, name), name
     assert not hasattr(cli, "_split_arrays")
     assert "input_width" not in inspect.signature(baselines.build_mlp).parameters
