@@ -47,6 +47,8 @@ LOG_HEADER = "Timestamp,CAN_ID,DLC,Data_Field,Label"
 
 # kind codes index this table: 0 is normal traffic, 1.. the attack kinds in order
 KIND_NAMES = ("normal",) + ATTACK_KINDS
+# each kind code's line in a ``.kinds`` sidecar; a dataset container's puts the row's partition and a comma first
+KIND_LINES = tuple(f"{name}\n" for name in KIND_NAMES)
 
 # most records one simulation may hold (~53x the paper's 1,257,303-row log)
 MAX_RECORDS = 2**26
@@ -202,6 +204,7 @@ _NOTHING_MISSING: frozenset[str] = frozenset()
 
 # rows written or iterated at once, which bounds the text and the objects held at once
 _BLOCK_ROWS = 1 << 16
+_KIND_BLOCK_ROWS = 1 << 12  # a block's sidecar text and code list stay under ~0.1 MiB
 
 
 @dataclass(frozen=True, slots=True)
@@ -675,12 +678,18 @@ def write_log(log: TrafficLog, stream: IO[str], header: bool = True) -> None:
 
 
 def write_kinds(log: TrafficLog, stream: IO[str]) -> None:
-    """Sidecar with one ``KIND_NAMES`` name per data row ("normal" for label 0).
+    """Sidecar with one ``KIND_LINES`` line per data row, naming its kind ("normal" for label 0).
 
     A kind column not one code a row, or a code outside ``KIND_NAMES``, raises
     ``UnwritableRow`` before anything is written.
     """
     _check_lengths(log, "kind")
     _check_range("kind code", log.kind, len(KIND_NAMES) - 1)
-    names = [name + "\n" for name in KIND_NAMES]
-    stream.write("".join(names[k] for k in log.kind.tolist()))
+    write_kind_lines(log.kind, stream)
+
+
+def write_kind_lines(codes: np.ndarray, stream: IO[str], prefix: str = "") -> None:
+    """``KIND_LINES`` indexed by ``codes``, each after ``prefix``, one write per ``_KIND_BLOCK_ROWS`` codes."""
+    lines = [prefix + line for line in KIND_LINES]
+    for start in range(0, len(codes), _KIND_BLOCK_ROWS):
+        stream.write("".join(map(lines.__getitem__, codes[start : start + _KIND_BLOCK_ROWS].tolist())))

@@ -267,13 +267,19 @@ def _cleaned_table(paths: list[str], policy: str) -> tuple[ingest.RecordTable, b
         sidecar = path.with_name(path.name + ".kinds")
         known &= sidecar.exists()
         if sidecar.exists():
-            names = ingest.read_utf8(sidecar, ingest.NotText).splitlines()
-            if len(names) != len(log):
-                raise ValueError(
-                    f"{path}: kinds sidecar has {len(names)} rows for {len(log)} records; "
+            codes, lines = ingest.read_kinds(sidecar, [""], ingest.NotText)
+            if len(codes) != len(log):
+                raise ingest.LengthMismatch(
+                    f"{path}: kinds sidecar has {len(codes)} rows for {len(log)} records; "
                     "remove the sidecar or regenerate the log"
                 )
-            log = dataclasses.replace(log, kind=ingest.kind_codes(names, sidecar))
+            if lines:
+                strays = np.flatnonzero(codes == 255)
+                unknown = sorted({lines[i] for i in strays})
+                raise ingest.UnknownKind(
+                    f"{sidecar}: kinds sidecar names unknown kinds {unknown[:5]}, the first on line {strays[0] + 1}"
+                )
+            log = dataclasses.replace(log, kind=codes)
         with _naming(path, ingest.AllRowsMissing):
             logs.append(ingest.impute_missing(log, policy))
     log = canbus.TrafficLog.concat(logs)

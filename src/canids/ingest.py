@@ -26,7 +26,8 @@ missing.
 
 In ``TrafficLog``, ``RecordTable`` and ``PreparedDataset`` an attack kind is
 a uint8 code into ``canbus.KIND_NAMES`` (0 is normal traffic); names appear
-only in the ``.kinds`` files, which ``kind_codes`` and ``load_dataset`` read.
+only in the ``.kinds`` files, whose lines ``canbus.KIND_LINES`` defines and
+``read_kinds`` reads, for a log's sidecar and a container's alike.
 
 A row in the form ``canbus.write_log`` writes takes a vectorized fast
 path: five cells split by commas and ended by a line feed, a timestamp of
@@ -51,6 +52,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import struct
@@ -60,8 +62,9 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import Range
-from .canbus import _DATA, _DLC, _FIELDS, _ID, _LABEL, _TS, KIND_NAMES, MAX_CAN_ID, MAX_PAYLOAD_BYTES, TrafficLog
+from .bounds import SEED, OutOfRange, Range
+from .canbus import (_DATA, _DLC, _FIELDS, _ID, _LABEL, _TS, KIND_LINES, KIND_NAMES, MAX_CAN_ID, MAX_PAYLOAD_BYTES,
+                     TrafficLog, write_kind_lines)
 
 N_FEATURES = 16
 PARTITIONS = ("train", "validation", "test")
@@ -70,8 +73,6 @@ PAYLOAD_WIDTH = 8
 CONTAINER_MAGIC = b"CANIDS1"
 
 IMPUTE_POLICIES = ("droprow", "fieldmean")
-
-_KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
 class EmptyInput(ValueError):
@@ -138,6 +139,20 @@ def decode_text(path: str | Path | None, data: bytes | memoryview, error: type[V
 
 def read_utf8(path: str | Path, error: type[ValueError]) -> str:
     return decode_text(path, Path(path).read_bytes(), error)
+
+
+def read_kinds(path: str | Path, prefixes: Sequence[str], error: type[ValueError]) -> tuple[np.ndarray, list[str]]:
+    """A ``.kinds`` sidecar's lines looked up in ``KIND_LINES`` after each prefix, and its text lines if any is not.
+
+    A line ends with a line feed, optionally after a carriage return; the last may lack one. ``KIND_LINES[code]``
+    after ``prefixes[i]`` reads as the uint8 ``len(KIND_NAMES) * i + code`` and any other line as 255; only then is
+    the file decoded, and a byte that is not UTF-8 raises ``error`` naming the file and the byte's offset.
+    """
+    data = Path(path).read_bytes()
+    inverse = {(prefix + line).encode()[:-1] + end: len(KIND_NAMES) * i + code for i, prefix in enumerate(prefixes)
+               for code, line in enumerate(KIND_LINES) for end in (b"\n", b"\r\n", b"")}
+    values = np.fromiter(map(inverse.get, io.BytesIO(data), itertools.repeat(255)), np.uint8)
+    return values, decode_text(path, data, error).replace("\r\n", "\n").split("\n") if 255 in values else []
 
 
 class BinaryReader:
@@ -669,15 +684,6 @@ class NormalizationParams:
             raise ValueError("feature max must be >= feature min")
 
 
-def kind_codes(names: Sequence[str], path: str | Path) -> np.ndarray:
-    """Each name's uint8 code into ``KIND_NAMES``; any other name raises ``UnknownKind`` naming the sidecar ``path``."""
-    unknown = sorted(set(names) - _KIND_CODES.keys())
-    if unknown:
-        line = next(i for i, name in enumerate(names, 1) if name not in _KIND_CODES)
-        raise UnknownKind(f"{path}: kinds sidecar names unknown kinds {unknown[:5]}, the first on line {line}")
-    return np.array([_KIND_CODES[name] for name in names], dtype=np.uint8)
-
-
 def _big_endian_values(data: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Each row's first ``length`` bytes of ``data`` as one big-endian number, rounded to float64."""
     value = np.zeros(len(length), dtype=np.uint64)
@@ -891,10 +897,12 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
     The manifest and the kinds sidecar are UTF-8 text whatever the locale;
     a container without kinds removes any kinds sidecar left at ``path``.
     Kinds that are not uint8 codes into ``KIND_NAMES`` raise ``UnknownKind``,
-    kinds neither empty nor one per row ``LengthMismatch``, and a provenance
-    that is not one line of UTF-8 text ``NotText``, before any file is written.
+    kinds neither empty nor one per row ``LengthMismatch``, a seed outside
+    ``bounds.SEED`` ``OutOfRange``, and a provenance that is not one line of
+    UTF-8 text ``NotText``, before any file is written.
     """
     path = Path(path)
+    SEED.check(ds.seed)
     parts = ds.partitions().values()
     kinds = [kind for _, _, kind in parts] if ds.has_kinds() else []
     for codes in kinds:
@@ -927,7 +935,7 @@ def save_dataset(ds: PreparedDataset, path: str | Path) -> None:
     else:
         with open(kinds_path, "w", encoding="utf-8") as fh:
             for partition, codes in zip(PARTITIONS, kinds):
-                fh.writelines(f"{partition},{KIND_NAMES[code]}\n" for code in codes.tolist())
+                write_kind_lines(codes, fh, f"{partition},")
 
 
 def load_dataset(path: str | Path) -> PreparedDataset:
@@ -963,23 +971,26 @@ def load_dataset(path: str | Path) -> PreparedDataset:
         )
         ds.provenance = meta.get("source", "")
         try:
-            ds.seed = int(meta.get("seed", 0))
+            ds.seed = SEED.check(int(meta.get("seed", 0)))
+        except OutOfRange as exc:
+            raise CorruptContainer(f"{manifest}: {exc}") from None
         except ValueError:
             raise CorruptContainer(f"{manifest}: seed {meta['seed']!r} is not an integer") from None
     kinds_path = path.with_name(path.name + ".kinds")
     if kinds_path.exists():
-        per_part: dict[str, list[int]] = {partition: [] for partition in PARTITIONS}
-        for lineno, line in enumerate(read_utf8(kinds_path, CorruptContainer).splitlines(), 1):
+        values, lines = read_kinds(kinds_path, [f"{partition}," for partition in PARTITIONS], CorruptContainer)
+        if lines:
+            lineno = np.flatnonzero(values == 255)[0] + 1
+            line = lines[lineno - 1]
             partition, sep, kind = line.partition(",")
-            if not sep or partition not in per_part:
+            if not sep or partition not in PARTITIONS or "\r" in kind:
                 raise CorruptContainer(
                     f"{kinds_path} line {lineno}: expected {'|'.join(PARTITIONS)},<kind>, got {line!r}"
                 )
-            if kind not in _KIND_CODES:
-                raise CorruptContainer(f"{kinds_path} line {lineno}: unknown kind {kind!r}")
-            per_part[partition].append(_KIND_CODES[kind])
-        ds.train_kind, ds.val_kind, ds.test_kind = (np.array(codes, dtype=np.uint8) for codes in per_part.values())
-        counts = tuple(map(len, per_part.values()))
+            raise CorruptContainer(f"{kinds_path} line {lineno}: unknown kind {kind!r}")
+        part, code = np.divmod(values, len(KIND_NAMES))
+        ds.train_kind, ds.val_kind, ds.test_kind = (code[part == i] for i in range(len(PARTITIONS)))
+        counts = (len(ds.train_kind), len(ds.val_kind), len(ds.test_kind))
         if ds.sizes() != counts:
             raise CorruptContainer(f"{kinds_path}: {counts} kinds per partition, container holds {ds.sizes()}")
     return ds

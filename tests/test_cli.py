@@ -14,7 +14,8 @@ from canids import baselines, plenet
 from canids.baselines import build_mlp
 from canids.checkpoint import save_checkpoint
 from canids.cli import MalformedSpec, build_parser, parse_attack, parse_profile, run_command
-from canids.ingest import NormalizationParams, PreparedDataset, load_dataset, save_dataset
+from canids.ingest import (LengthMismatch, NormalizationParams, PreparedDataset, UnknownKind, load_dataset,
+                           save_dataset)
 from canids.plenet import build_plenet
 from helpers import toy_dataset, traced_peak
 
@@ -418,6 +419,53 @@ class TestExitCodes:
         assert run_command(["prepare", "--input", str(log), "--output", str(output), "--impute", "droprow"]) == 1
         assert "kinds sidecar names unknown kinds ['bogus']" in capsys.readouterr().err
         assert not output.exists()
+
+    def test_unknown_log_sidecar_kinds_are_named_sorted_from_the_first_line(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("0.1,0100,2,AA BB,0\n0.2,0100,2,AA BB,0\n0.3,0000,8,00 00 00 00 00 00 00 00,1\n")
+        kinds = tmp_path / "log.csv.kinds"
+        kinds.write_text("normal\ngarbage_kind_name\nbogus\n")
+        argv = ["prepare", "--input", str(log), "--output", str(tmp_path / "data.bin")]
+        assert run_command(argv) == 1
+        message = f"{kinds}: kinds sidecar names unknown kinds ['bogus', 'garbage_kind_name'], the first on line 2"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        args = build_parser().parse_args(argv)
+        with pytest.raises(UnknownKind) as exc:
+            args.func(args)
+        assert str(exc.value) == message and not (tmp_path / "data.bin").exists()
+
+    def test_log_sidecar_of_the_wrong_length_is_1(self, tmp_path, capsys):
+        # the row count is checked before the names, so the unknown name here is not what is reported
+        log = tmp_path / "log.csv"
+        log.write_text("0.1,0100,2,AA BB,0\n0.2,0100,2,AA BB,1\n")
+        (tmp_path / "log.csv.kinds").write_text("normal\nflooding\nbogus\n")
+        argv = ["prepare", "--input", str(log), "--output", str(tmp_path / "data.bin")]
+        assert run_command(argv) == 1
+        message = f"{log}: kinds sidecar has 3 rows for 2 records; remove the sidecar or regenerate the log"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        args = build_parser().parse_args(argv)
+        with pytest.raises(LengthMismatch) as exc:
+            args.func(args)
+        assert str(exc.value) == message and not (tmp_path / "data.bin").exists()
+
+    @pytest.mark.parametrize("edit", [lambda text: text.replace("\n", "\r\n"), lambda text: text.removesuffix("\n")])
+    def test_log_sidecar_line_ends_make_the_same_container(self, pipeline, edit):
+        tmp_path, log, data = pipeline
+        kinds = tmp_path / "log.csv.kinds"
+        kinds.write_bytes(edit(kinds.read_text()).encode())
+        run_ok(["prepare", "--input", str(log), "--output", str(tmp_path / "again.bin"), "--seed", "3"])
+        for suffix in ("", ".kinds"):
+            assert (tmp_path / f"again.bin{suffix}").read_bytes() == (tmp_path / f"data.bin{suffix}").read_bytes()
+
+    def test_log_sidecar_line_ended_by_a_lone_carriage_return_is_1(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("0.1,0100,2,AA BB,0\n0.2,0100,2,AA BB,1\n")
+        kinds = tmp_path / "log.csv.kinds"
+        for text, fault in [("normal\rflooding\n", f"{log}: kinds sidecar has 1 rows for 2 records"),
+                            ("normal\nflooding\r", f"{kinds}: kinds sidecar names unknown kinds ['flooding\\r']")]:
+            kinds.write_bytes(text.encode())
+            assert run_command(["prepare", "--input", str(log), "--output", str(tmp_path / "data.bin")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {fault}")
 
     def test_non_utf8_checkpoint_evaluate_is_1(self, pipeline, capsys):
         tmp_path, log, data = pipeline

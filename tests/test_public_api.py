@@ -31,7 +31,7 @@ def test_removed_members_stay_removed():
     assert not hasattr(ingest, "fit_minmax")
     for name in ("hex_to_dec", "dec_to_hex", "data_bytes", "_ObservedMeans", "InvalidHexDigit", "SIDECAR_KINDS",
                  "apply_minmax", "fit_feature_params", "encode_table", "UnnormalizedInput", "_raw_features",
-                 "_scale_in_place"):
+                 "_scale_in_place", "kind_codes", "_KIND_CODES"):
         assert not hasattr(ingest, name), name
     assert not hasattr(cli, "_split_arrays")
     assert "input_width" not in inspect.signature(baselines.build_mlp).parameters
